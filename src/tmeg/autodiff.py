@@ -5,14 +5,33 @@ parents and a backward closure, and `backward()` runs the tape in reverse
 topological order. Only the operations the encoder and losses need are
 implemented; all of them support a leading batch dimension where it makes
 sense (matmul uses numpy's stacked-matrix semantics).
+
+Inside `no_grad()` operations record nothing: results carry neither parents
+nor a backward closure, so each intermediate array is freed as soon as the
+forward pass stops using it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
 from scipy.special import erf
+
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Evaluate without building a tape (inference and validation)."""
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
 
 
 def _as_array(x) -> np.ndarray:
@@ -35,6 +54,15 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
+def _is_basic_index(idx) -> bool:
+    """True when `idx` selects a view (ints, slices, Ellipsis, None only),
+    so no element can be selected twice."""
+    parts = idx if isinstance(idx, tuple) else (idx,)
+    return all(p is None or p is Ellipsis or isinstance(p, slice)
+               or (isinstance(p, (int, np.integer)) and not isinstance(p, bool))
+               for p in parts)
+
+
 class Tensor:
     """A node in the computation graph."""
 
@@ -43,7 +71,8 @@ class Tensor:
     def __init__(self, data, requires_grad=False, parents=(), backward=None):
         self.data = _as_array(data)
         self.grad = None
-        self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
+        self.requires_grad = requires_grad or (
+            _grad_enabled and any(p.requires_grad for p in parents))
         self._parents = parents if self.requires_grad else ()
         self._backward = backward if self.requires_grad else None
 
@@ -63,12 +92,18 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # a private copy: `g` may be a view of another node's gradient
+            self.grad = np.array(g, dtype=np.float64)
+        else:
+            self.grad += g
 
     def backward(self):
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar loss")
+        if not self.requires_grad:
+            raise RuntimeError(
+                "backward() on a tensor that records no tape (built from "
+                "constants or under no_grad)")
         topo: list[Tensor] = []
         visited: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -100,7 +135,6 @@ class Tensor:
 
     def __add__(self, other):
         other = self._coerce(other)
-        out = Tensor(self.data + other.data, parents=(self, other))
 
         def bw(g):
             if self.requires_grad:
@@ -108,20 +142,16 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(_unbroadcast(g, other.data.shape))
 
-        out._backward = bw
-        return out
+        return Tensor(self.data + other.data, parents=(self, other), backward=bw)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Tensor(-self.data, parents=(self,))
-
         def bw(g):
             if self.requires_grad:
                 self._accumulate(-g)
 
-        out._backward = bw
-        return out
+        return Tensor(-self.data, parents=(self,), backward=bw)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -131,7 +161,6 @@ class Tensor:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        out = Tensor(self.data * other.data, parents=(self, other))
 
         def bw(g):
             if self.requires_grad:
@@ -139,8 +168,7 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(_unbroadcast(g * self.data, other.data.shape))
 
-        out._backward = bw
-        return out
+        return Tensor(self.data * other.data, parents=(self, other), backward=bw)
 
     __rmul__ = __mul__
 
@@ -152,18 +180,14 @@ class Tensor:
         return self._coerce(other) * self ** -1.0
 
     def __pow__(self, exponent: float):
-        out = Tensor(self.data ** exponent, parents=(self,))
-
         def bw(g):
             if self.requires_grad:
                 self._accumulate(g * exponent * self.data ** (exponent - 1.0))
 
-        out._backward = bw
-        return out
+        return Tensor(self.data ** exponent, parents=(self,), backward=bw)
 
     def __matmul__(self, other):
         other = self._coerce(other)
-        out = Tensor(self.data @ other.data, parents=(self, other))
 
         def bw(g):
             if self.requires_grad:
@@ -173,45 +197,41 @@ class Tensor:
                 gb = self.data.swapaxes(-1, -2) @ g
                 other._accumulate(_unbroadcast(gb, other.data.shape))
 
-        out._backward = bw
-        return out
+        return Tensor(self.data @ other.data, parents=(self, other), backward=bw)
 
     # ------------------------------------------------------------------
     # shape ops
 
     def __getitem__(self, idx):
-        out = Tensor(self.data[idx], parents=(self,))
+        basic = _is_basic_index(idx)
 
         def bw(g):
             if self.requires_grad:
                 full = np.zeros_like(self.data)
-                np.add.at(full, idx, g)
+                if basic:
+                    full[idx] = g
+                else:
+                    np.add.at(full, idx, g)
                 self._accumulate(full)
 
-        out._backward = bw
-        return out
+        return Tensor(self.data[idx], parents=(self,), backward=bw)
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        out = Tensor(self.data.reshape(shape), parents=(self,))
 
         def bw(g):
             if self.requires_grad:
                 self._accumulate(g.reshape(self.data.shape))
 
-        out._backward = bw
-        return out
+        return Tensor(self.data.reshape(shape), parents=(self,), backward=bw)
 
     def swapaxes(self, a: int, b: int):
-        out = Tensor(self.data.swapaxes(a, b), parents=(self,))
-
         def bw(g):
             if self.requires_grad:
                 self._accumulate(g.swapaxes(a, b))
 
-        out._backward = bw
-        return out
+        return Tensor(self.data.swapaxes(a, b), parents=(self,), backward=bw)
 
     @property
     def T(self):
@@ -221,8 +241,6 @@ class Tensor:
     # reductions and elementwise
 
     def sum(self, axis=None, keepdims=False):
-        out = Tensor(self.data.sum(axis=axis, keepdims=keepdims), parents=(self,))
-
         def bw(g):
             if not self.requires_grad:
                 return
@@ -233,8 +251,8 @@ class Tensor:
                 g = np.expand_dims(g, axis)
             self._accumulate(np.broadcast_to(g, self.data.shape).copy())
 
-        out._backward = bw
-        return out
+        return Tensor(self.data.sum(axis=axis, keepdims=keepdims),
+                      parents=(self,), backward=bw)
 
     def mean(self, axis=None, keepdims=False):
         if axis is None:
@@ -245,60 +263,49 @@ class Tensor:
 
     def exp(self):
         val = np.exp(self.data)
-        out = Tensor(val, parents=(self,))
 
         def bw(g):
             if self.requires_grad:
                 self._accumulate(g * val)
 
-        out._backward = bw
-        return out
+        return Tensor(val, parents=(self,), backward=bw)
 
     def log(self):
-        out = Tensor(np.log(self.data), parents=(self,))
-
         def bw(g):
             if self.requires_grad:
                 self._accumulate(g / self.data)
 
-        out._backward = bw
-        return out
+        return Tensor(np.log(self.data), parents=(self,), backward=bw)
 
     def sqrt(self):
         val = np.sqrt(self.data)
-        out = Tensor(val, parents=(self,))
 
         def bw(g):
             if self.requires_grad:
                 self._accumulate(g * 0.5 / val)
 
-        out._backward = bw
-        return out
+        return Tensor(val, parents=(self,), backward=bw)
 
     def tanh(self):
         val = np.tanh(self.data)
-        out = Tensor(val, parents=(self,))
 
         def bw(g):
             if self.requires_grad:
                 self._accumulate(g * (1.0 - val * val))
 
-        out._backward = bw
-        return out
+        return Tensor(val, parents=(self,), backward=bw)
 
     def gelu(self):
         """Exact Gaussian-error linear unit: x * Phi(x)."""
         x = self.data
         cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
-        out = Tensor(x * cdf, parents=(self,))
 
         def bw(g):
             if self.requires_grad:
                 pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
                 self._accumulate(g * (cdf + x * pdf))
 
-        out._backward = bw
-        return out
+        return Tensor(x * cdf, parents=(self,), backward=bw)
 
 
 # ----------------------------------------------------------------------
@@ -307,7 +314,6 @@ class Tensor:
 
 def concat(tensors: list, axis: int = 0) -> Tensor:
     datas = [t.data for t in tensors]
-    out = Tensor(np.concatenate(datas, axis=axis), parents=tuple(tensors))
     sizes = [d.shape[axis] for d in datas]
 
     def bw(g):
@@ -319,17 +325,68 @@ def concat(tensors: list, axis: int = 0) -> Tensor:
                 t._accumulate(g[tuple(sl)])
             start += size
 
-    out._backward = bw
-    return out
+    return Tensor(np.concatenate(datas, axis=axis), parents=tuple(tensors),
+                  backward=bw)
+
+
+def gather_codes(table: Tensor, codes) -> Tensor:
+    """Lay a table of per-code scalars out over integer code matrices.
+
+    `table` is (*lead, C): one row of C scalars per leading index (per head,
+    say). `codes` is (*batch, N, M) with entries in [0, C). The result is
+    (*batch, *lead, N, M) with out[b, a, i, j] = table[a, codes[b, i, j]],
+    except that code 0 (NONE) reads exactly 0 and receives no gradient.
+    The backward pass is a single weighted bincount over every leading row.
+    """
+    codes = np.asarray(codes)
+    lead = table.shape[:-1]
+    n_codes = table.shape[-1]
+    if codes.ndim < 2:
+        raise ValueError("gather_codes needs codes of shape (..., N, M)")
+    if codes.size and (codes.min() < 0 or codes.max() >= n_codes):
+        raise IndexError(f"edge code out of range [0, {n_codes})")
+    rows = table.data.reshape(-1, n_codes).copy()
+    rows[:, 0] = 0.0
+    n_rows = rows.shape[0]
+    nb = codes.ndim - 2
+    # (n_rows, *batch, N, M) -> (*batch, *lead, N, M), as a view
+    vals = np.take(rows, codes, axis=1).reshape(lead + codes.shape)
+    vals = np.moveaxis(vals, tuple(range(len(lead))),
+                       tuple(range(nb, nb + len(lead))))
+
+    def bw(g):
+        if not table.requires_grad:
+            return
+        g = np.moveaxis(g, tuple(range(nb, nb + len(lead))),
+                        tuple(range(len(lead))))
+        flat = (codes.reshape(1, -1)
+                + (np.arange(n_rows) * n_codes)[:, None]).ravel()
+        grad = np.bincount(flat, weights=g.reshape(-1),
+                           minlength=n_rows * n_codes)
+        grad = grad.reshape(n_rows, n_codes)
+        grad[:, 0] = 0.0
+        table._accumulate(grad.reshape(table.shape))
+
+    return Tensor(vals, parents=(table,), backward=bw)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax; shift by the (detached) max."""
+    """Numerically stable softmax; shift by the (detached) max.
+
+    One tape node whose forward and backward repeat, operation for
+    operation, the arithmetic of the composed exp(x - max) / sum graph."""
     if np.isnan(x.data).any():
         raise ValueError("softmax received NaN input")
-    m = x.data.max(axis=axis, keepdims=True)
-    e = (x - m).exp()
-    return e / e.sum(axis=axis, keepdims=True)
+    e = np.exp(x.data + (-x.data.max(axis=axis, keepdims=True)))
+    s = e.sum(axis=axis, keepdims=True)
+    r = s ** -1.0
+
+    def bw(g):
+        if x.requires_grad:
+            gs = (g * e).sum(axis=axis, keepdims=True) * -1.0 * s ** -2.0
+            x._accumulate((g * r + gs) * e)
+
+    return Tensor(e * r, parents=(x,), backward=bw)
 
 
 def logsumexp(x: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
@@ -341,11 +398,32 @@ def logsumexp(x: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12) -> Tensor:
-    """Row-wise layer normalization over the last axis, then affine."""
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered / (var + eps).sqrt() * gamma + beta
+    """Row-wise layer normalization over the last axis, then affine.
+
+    One tape node whose forward and backward repeat, operation for
+    operation, the arithmetic of the composed graph
+    (x - mean) / sqrt(var + eps) * gamma + beta."""
+    inv_n = 1.0 / x.shape[-1]
+    c = x.data + (-(x.data.sum(axis=-1, keepdims=True) * inv_n))
+    sd = np.sqrt((c * c).sum(axis=-1, keepdims=True) * inv_n + eps)
+    inv = sd ** -1.0
+    xhat = c * inv
+
+    def bw(g):
+        if beta.requires_grad:
+            beta._accumulate(_unbroadcast(g, beta.data.shape))
+        if gamma.requires_grad:
+            gamma._accumulate(_unbroadcast(g * xhat, gamma.data.shape))
+        if not x.requires_grad:
+            return
+        g_xhat = g * gamma.data
+        g_sd = (g_xhat * c).sum(axis=-1, keepdims=True) * -1.0 * sd ** -2.0
+        g_sq = g_sd * 0.5 / sd * inv_n * c   # d/dc of c * c, taken once
+        g_c = g_xhat * inv + g_sq + g_sq
+        x._accumulate(g_c + (-g_c.sum(axis=-1, keepdims=True)) * inv_n)
+
+    return Tensor(xhat * gamma.data + beta.data, parents=(x, gamma, beta),
+                  backward=bw)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:

@@ -72,14 +72,19 @@ class TmegGraph:
                 if n.kind == "cls" and n.modality == modality]
 
     def validate(self):
+        """Raise ValueError unless both code matrices are N x N, symmetric,
+        NONE on the diagonal and inside their code vocabularies."""
         n = self.n_nodes
-        assert self.phi_t.shape == (n, n) and self.phi_m.shape == (n, n)
-        assert (self.phi_t == self.phi_t.T).all(), "phi_t not symmetric"
-        assert (self.phi_m == self.phi_m.T).all(), "phi_m not symmetric"
-        assert (np.diag(self.phi_t) == TemporalCode.NONE).all()
-        assert (np.diag(self.phi_m) == ModalCode.NONE).all()
-        assert self.phi_t.min() >= 0 and self.phi_t.max() < N_TEMPORAL_CODES
-        assert self.phi_m.min() >= 0 and self.phi_m.max() < N_MODAL_CODES
+        for name, phi, n_codes in (("phi_t", self.phi_t, N_TEMPORAL_CODES),
+                                   ("phi_m", self.phi_m, N_MODAL_CODES)):
+            if phi.shape != (n, n):
+                raise ValueError(f"{name} has shape {phi.shape}, expected {(n, n)}")
+            if not (phi == phi.T).all():
+                raise ValueError(f"{name} not symmetric")
+            if (np.diag(phi) != 0).any():
+                raise ValueError(f"{name} has a non-NONE diagonal entry")
+            if phi.size and (phi.min() < 0 or phi.max() >= n_codes):
+                raise ValueError(f"{name} has codes outside [0, {n_codes})")
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Training, evaluation, ablations, transfer, and the balance-parameter sweep.
 
-Instances are grouped by graph structure so that structurally identical
-(document, candidate) graphs run as one stacked batch. All randomness flows
-from named streams derived from the master seed, so a (seed, config,
-corpus) triple reproduces byte-identical metrics and checkpoints.
+Each minibatch of instances runs as one padded batch of (document,
+candidate) graphs, whatever their shapes; evaluation builds no autodiff
+tape. All randomness flows from named streams derived from the master
+seed, so a (seed, config, corpus) triple reproduces byte-identical metrics
+and checkpoints.
 """
 
 from __future__ import annotations
@@ -17,12 +18,15 @@ import numpy as np
 
 from . import data as D
 from . import graph as G
-from .autodiff import Tensor, concat
+from .autodiff import Tensor, concat, no_grad
 from .model import (
     ModelConfig, TmegModel, coherence_loss, prediction_loss_batch,
-    prepare_batch, total_loss, _structure_signature,
+    param_spec, prepare_batch, total_loss,
 )
-from .optim import ParamStore, adam_step, grad_eval, load_checkpoint, save_checkpoint
+from .optim import (
+    CheckpointError, ParamStore, adam_step, grad_eval, load_checkpoint,
+    save_checkpoint,
+)
 
 ABLATIONS = ("none", "no_temporal", "no_modal", "no_both", "no_coherence")
 
@@ -149,6 +153,11 @@ def prepare_instances(corpus: D.Corpus, instances: list[D.TaskInstance],
         if doc is None:
             raise TrainError(f"instance references unknown doc {inst.doc_id}")
         step_by_index = {s.index: s for s in doc.steps}
+        missing = [i for i in inst.context_steps if i not in step_by_index]
+        if missing:
+            raise TrainError(
+                f"instance for {inst.doc_id}: context steps {missing} "
+                f"not in the document")
         steps = [step_by_index[i] for i in inst.context_steps]
         graphs = []
         for ci, cand in enumerate(inst.candidates):
@@ -166,49 +175,27 @@ def prepare_instances(corpus: D.Corpus, instances: list[D.TaskInstance],
     return prepared
 
 
-def _grouped_scores(model: TmegModel, prepared: list[PreparedInstance],
-                    effect: AblationEffect, want_cls: bool):
-    """Score every candidate graph, batching structurally identical graphs.
+def _batch_scores(model: TmegModel, prepared: list[PreparedInstance],
+                  effect: AblationEffect):
+    """Score every candidate graph of a minibatch in one padded batch.
 
-    Returns (scores, cls_cells) where scores is a (B, N_c) Tensor and
-    cls_cells maps (instance position, candidate position) -> (ht, hv) CLS
-    tensors (only when want_cls).
+    Returns (scores, ht, hv, batch): scores is (n_instances, N_c); ht, hv
+    are the padded CLS rows of the flat graph list, where instance i's
+    candidate c is graph i * N_c + c.
     """
     n_c = len(prepared[0].graphs)
-    flat = []  # (inst_pos, cand_pos, graph)
-    for ip, p in enumerate(prepared):
-        if len(p.graphs) != n_c:
-            raise TrainError("all instances in a batch must share N_c")
-        for cp, g in enumerate(p.graphs):
-            flat.append((ip, cp, g))
-    groups: dict[tuple, list[int]] = {}
-    for fi, (_, _, g) in enumerate(flat):
-        groups.setdefault(_structure_signature(g), []).append(fi)
-
-    score_cells: list[list] = [[None] * n_c for _ in prepared]
-    cls_cells: dict[tuple[int, int], tuple] = {}
-    for sig in groups:
-        idxs = groups[sig]
-        graphs = [flat[i][2] for i in idxs]
-        batch = prepare_batch(graphs, model.vocab, model.config)
-        h = model.run_encoder_batch(batch, effect.zero_t, effect.zero_m)
-        ht, hv = model.extract_cls(h, batch)
-        scores = model.score_candidate(model.assemble_pair(ht, hv))
-        for pos, fi in enumerate(idxs):
-            ip, cp, _ = flat[fi]
-            score_cells[ip][cp] = scores[pos].reshape(1)
-            if want_cls:
-                cls_cells[(ip, cp)] = (ht[pos], hv[pos])
-    rows = [concat(cells, axis=0).reshape(1, n_c) for cells in score_cells]
-    scores = concat(rows, axis=0)
-    return scores, cls_cells if want_cls else None
+    if any(len(p.graphs) != n_c for p in prepared):
+        raise TrainError("all instances in a batch must share N_c")
+    graphs = [g for p in prepared for g in p.graphs]
+    batch = prepare_batch(graphs, model.vocab, model.config)
+    scores, ht, hv = model.score_batch(batch, effect.zero_t, effect.zero_m)
+    return scores.reshape(len(prepared), n_c), ht, hv, batch
 
 
 def _batch_loss(model: TmegModel, prepared: list[PreparedInstance],
                 effect: AblationEffect, config: RunConfig,
                 rng: np.random.Generator) -> Tensor:
-    scores, cls_cells = _grouped_scores(model, prepared, effect,
-                                        want_cls=effect.lambda_b > 0)
+    scores, ht, hv, batch = _batch_scores(model, prepared, effect)
     gold = np.array([p.instance.gold_index for p in prepared])
     pred = prediction_loss_batch(scores, gold)
     if effect.lambda_b == 0:
@@ -217,26 +204,28 @@ def _batch_loss(model: TmegModel, prepared: list[PreparedInstance],
     # contrastive coherence on gold graphs; negatives are visual CLS rows
     # drawn from other instances in the batch (fallback: the instance's own
     # non-gold candidates when the batch has a single instance)
+    n_c = scores.shape[1]
+    gold_graph = np.arange(len(prepared)) * n_c + gold
+    n_a = [len(p.instance.candidates[0]) for p in prepared]
     coh_terms = []
     for ip, p in enumerate(prepared):
-        ht, hv = cls_cells[(ip, p.instance.gold_index)]
-        pool = [cls_cells[(jp, q.instance.gold_index)][1][r].reshape(1, -1)
-                for jp, q in enumerate(prepared) if jp != ip
-                for r in range(len(q.instance.candidates[0]))]
+        pool = [(gold_graph[jp], r) for jp in range(len(prepared)) if jp != ip
+                for r in range(n_a[jp])]
         if not pool:
-            pool = [cls_cells[(ip, cj)][1][r].reshape(1, -1)
-                    for cj in range(len(p.graphs)) if cj != p.instance.gold_index
-                    for r in range(len(p.instance.candidates[0]))]
+            pool = [(ip * n_c + cj, r) for cj in range(n_c) if cj != gold[ip]
+                    for r in range(n_a[ip])]
         if not pool:
             raise TrainError("cannot sample coherence negatives")
         k = min(config.model.k_negatives, len(pool))
         chosen = rng.choice(len(pool), size=k, replace=False)
-        negs = concat([pool[i] for i in chosen], axis=0)
-        n = int(min(p.aligned_rows.size, hv.shape[0]))
+        g = gold_graph[ip]
+        n = int(min(p.aligned_rows.size, batch.n_vis_cls[g]))
         if n == 0:
             continue
+        neg_graphs, neg_rows = np.array(pool)[chosen].T
         coh_terms.append(coherence_loss(
-            ht[p.aligned_rows[:n]], hv[np.arange(n)], negs,
+            ht[np.full(n, g), p.aligned_rows[:n]], hv[g, :n],
+            hv[neg_graphs, neg_rows],
             config.model.tau, config.model.coherence_inclusive,
         ).reshape(1))
     if not coh_terms:
@@ -259,7 +248,8 @@ def evaluate_prepared(model: TmegModel, prepared: list[PreparedInstance],
     by_task: dict[str, list[int]] = {}
     for start in range(0, len(prepared), batch_size):
         chunk = prepared[start:start + batch_size]
-        scores, _ = _grouped_scores(model, chunk, effect, want_cls=False)
+        with no_grad():
+            scores = _batch_scores(model, chunk, effect)[0]
         for p, row in zip(chunk, scores.data):
             pred_idx = int(np.argmax(row))  # ties resolve to the lowest index
             correct = int(pred_idx == p.instance.gold_index)
@@ -408,11 +398,31 @@ def save_model(path: str, model: TmegModel):
 
 
 def load_model(path: str) -> TmegModel:
+    """Load a checkpoint and its JSON sidecar. A malformed sidecar, or
+    parameters whose names or shapes do not match the sidecar's model
+    config, raise CheckpointError."""
     with open(path + ".json", "r", encoding="utf-8") as fh:
-        sidecar = json.load(fh)
-    config = ModelConfig(**sidecar["model_config"])
+        text = fh.read()
+    try:
+        sidecar = json.loads(text)
+        config = ModelConfig(**sidecar["model_config"])
+        vocab = sidecar["vocab"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CheckpointError(f"{path}.json: bad sidecar ({exc})") from exc
     store = load_checkpoint(path, expected_config_hash=config.hash())
-    return TmegModel(config, sidecar["vocab"], store=store)
+    expected = {name: shape for name, _, shape in param_spec(config)}
+    found = {name: p.value.shape for name, p in store.params.items()}
+    if found != expected:
+        bad = sorted(n for n in expected.keys() | found.keys()
+                     if expected.get(n) != found.get(n))
+        raise CheckpointError(
+            f"{path}: parameters do not match the model config: "
+            + ", ".join(f"{n} {found.get(n)} != {expected.get(n)}"
+                        for n in bad[:5]))
+    try:
+        return TmegModel(config, vocab, store=store)
+    except (ValueError, TypeError) as exc:
+        raise CheckpointError(f"{path}.json: bad sidecar ({exc})") from exc
 
 
 # ----------------------------------------------------------------------

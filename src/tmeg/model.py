@@ -8,9 +8,10 @@ per-unit CLS rows, applies an InfoNCE-style coherence loss between aligned
 text/image representations, and ranks candidates with a small plain
 transformer scorer.
 
-Structurally identical graphs are processed as a stacked batch (leading
-batch axis) for speed; the public single-graph operations wrap a batch of
-one.
+Graphs of any shapes run as one batch: `prepare_batch` pads them to a
+shared [text block | visual block] layout, and padded rows are masked out
+of attention as keys, so each graph's scores match scoring it alone. All
+heads of a layer run as one (B, H, N, d_head) computation.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .autodiff import Tensor, concat, layer_norm, linear, logsumexp, softmax
+from .autodiff import (
+    Tensor, concat, gather_codes, layer_norm, linear, logsumexp, softmax,
+)
 from .graph import TmegGraph, N_MODAL_CODES, N_TEMPORAL_CODES
 from .optim import ParamStore, config_hash
 
@@ -87,6 +90,73 @@ def full_size_config(**overrides) -> ModelConfig:
 # parameters
 
 
+def param_spec(config: ModelConfig) -> list[tuple[str, str, tuple]]:
+    """(name, init kind, shape) of every parameter, in creation order.
+
+    Kinds: "w" Normal(0, init_scale), "edge" Normal(0, edge_bias_init_scale),
+    "zero" and "one" constants. Checkpoints are checked against this list.
+    """
+    d = config.d_model
+    sd = config.scorer_dim
+    spec = []
+
+    def add(kind, name, *shape):
+        spec.append((name, kind, shape))
+
+    # embeddings: two extra content rows for the text CLS / SEP specials
+    add("w", "emb/token_content", config.token_vocab_size + 2, d)
+    add("w", "emb/text_position", config.max_positions, d)
+    add("w", "emb/segment", config.max_steps + 1, d)
+    add("w", "emb/vis_proj_w", config.d_v, d)
+    add("zero", "emb/vis_proj_b", d)
+    add("w", "emb/box_proj_w", 6, d)
+    add("zero", "emb/box_proj_b", d)
+    add("w", "emb/vis_cls", d)
+
+    for mod in ("mlp_text", "mlp_vis"):
+        add("w", f"{mod}/w1", d, d)
+        add("zero", f"{mod}/b1", d)
+        add("w", f"{mod}/w2", d, d)
+        add("zero", f"{mod}/b2", d)
+
+    # random (not zero) start: with zero tables the edge codes are invisible
+    # to the forward pass and their gradient is dwarfed by content gradients
+    add("edge", "bias_t", config.n_layers, config.n_heads, N_TEMPORAL_CODES)
+    add("edge", "bias_m", config.n_layers, config.n_heads, N_MODAL_CODES)
+
+    def transformer_layer(prefix, dim, mult):
+        add("w", f"{prefix}/wq", dim, dim)
+        add("zero", f"{prefix}/bq", dim)
+        add("w", f"{prefix}/wk", dim, dim)
+        add("w", f"{prefix}/wv", dim, dim)
+        add("zero", f"{prefix}/bv", dim)
+        add("w", f"{prefix}/wo", dim, dim)
+        add("zero", f"{prefix}/bo", dim)
+        add("one", f"{prefix}/ln1_g", dim)
+        add("zero", f"{prefix}/ln1_b", dim)
+        add("w", f"{prefix}/ffn_w1", dim, mult * dim)
+        add("zero", f"{prefix}/ffn_b1", mult * dim)
+        add("w", f"{prefix}/ffn_w2", mult * dim, dim)
+        add("zero", f"{prefix}/ffn_b2", dim)
+        add("one", f"{prefix}/ln2_g", dim)
+        add("zero", f"{prefix}/ln2_b", dim)
+
+    for l in range(config.n_layers):
+        transformer_layer(f"enc{l}", d, config.ffn_multiplier)
+
+    add("w", "scorer/cls", sd)
+    add("w", "scorer/sep", sd)
+    if sd != d:
+        add("w", "scorer/in_w", d, sd)
+        add("zero", "scorer/in_b", sd)
+    for l in range(config.scorer_layers):
+        transformer_layer(f"sc{l}", sd, config.ffn_multiplier)
+    add("w", "scorer/out_w1", sd, sd)
+    add("zero", "scorer/out_b1", sd)
+    add("w", "scorer/out_w2", sd, 1)
+    return spec
+
+
 def init_params(config: ModelConfig, seed: int = 0,
                 init_scale: float | None = None) -> ParamStore:
     """Normal(0, init_scale) weights, embeddings, and edge-bias scalars;
@@ -100,72 +170,16 @@ def init_params(config: ModelConfig, seed: int = 0,
         init_scale = config.init_scale
     rng = np.random.default_rng(seed)
     store = ParamStore()
-    d = config.d_model
-    sd = config.scorer_dim
-
-    def w(name, *shape):
-        store.add(name, rng.normal(0.0, init_scale, size=shape))
-
-    def z(name, *shape):
-        store.add(name, np.zeros(shape))
-
-    def ones(name, *shape):
-        store.add(name, np.ones(shape))
-
-    # embeddings: two extra content rows for the text CLS / SEP specials
-    w("emb/token_content", config.token_vocab_size + 2, d)
-    w("emb/text_position", config.max_positions, d)
-    w("emb/segment", config.max_steps + 1, d)
-    w("emb/vis_proj_w", config.d_v, d)
-    z("emb/vis_proj_b", d)
-    w("emb/box_proj_w", 6, d)
-    z("emb/box_proj_b", d)
-    w("emb/vis_cls", d)
-
-    for mod in ("mlp_text", "mlp_vis"):
-        w(f"{mod}/w1", d, d)
-        z(f"{mod}/b1", d)
-        w(f"{mod}/w2", d, d)
-        z(f"{mod}/b2", d)
-
-    # random (not zero) start: with zero tables the edge codes are invisible
-    # to the forward pass and their gradient is dwarfed by content gradients
-    bs = config.edge_bias_init_scale
-    store.add("bias_t", rng.normal(
-        0.0, bs, size=(config.n_layers, config.n_heads, N_TEMPORAL_CODES)))
-    store.add("bias_m", rng.normal(
-        0.0, bs, size=(config.n_layers, config.n_heads, N_MODAL_CODES)))
-
-    def transformer_layer(prefix, dim, mult):
-        w(f"{prefix}/wq", dim, dim)
-        z(f"{prefix}/bq", dim)
-        w(f"{prefix}/wk", dim, dim)
-        w(f"{prefix}/wv", dim, dim)
-        z(f"{prefix}/bv", dim)
-        w(f"{prefix}/wo", dim, dim)
-        z(f"{prefix}/bo", dim)
-        ones(f"{prefix}/ln1_g", dim)
-        z(f"{prefix}/ln1_b", dim)
-        w(f"{prefix}/ffn_w1", dim, mult * dim)
-        z(f"{prefix}/ffn_b1", mult * dim)
-        w(f"{prefix}/ffn_w2", mult * dim, dim)
-        z(f"{prefix}/ffn_b2", dim)
-        ones(f"{prefix}/ln2_g", dim)
-        z(f"{prefix}/ln2_b", dim)
-
-    for l in range(config.n_layers):
-        transformer_layer(f"enc{l}", d, config.ffn_multiplier)
-
-    w("scorer/cls", sd)
-    w("scorer/sep", sd)
-    if sd != d:
-        w("scorer/in_w", d, sd)
-        z("scorer/in_b", sd)
-    for l in range(config.scorer_layers):
-        transformer_layer(f"sc{l}", sd, config.ffn_multiplier)
-    w("scorer/out_w1", sd, sd)
-    z("scorer/out_b1", sd)
-    w("scorer/out_w2", sd, 1)
+    for name, kind, shape in param_spec(config):
+        if kind == "w":
+            store.add(name, rng.normal(0.0, init_scale, size=shape))
+        elif kind == "edge":
+            store.add(name, rng.normal(0.0, config.edge_bias_init_scale,
+                                       size=shape))
+        elif kind == "zero":
+            store.add(name, np.zeros(shape))
+        else:
+            store.add(name, np.ones(shape))
     return store
 
 
@@ -175,53 +189,88 @@ def init_params(config: ModelConfig, seed: int = 0,
 
 @dataclass
 class GraphBatch:
-    """Stacked arrays for structurally identical graphs."""
+    """Graphs of any shapes, padded to one [text block | visual block] layout.
+
+    Graph b's text nodes fill rows [0, n_text_b) and its visual nodes rows
+    [n_text, n_text + n_vis_b), where n_text and n_vis are the largest
+    counts in the batch. Padding rows are False in `node_mask`, carry NONE
+    codes in phi_t/phi_m, and are masked out as attention keys, so they
+    never reach a real row. Graphs of one structure need no padding.
+    """
     size: int
     n_nodes: int
     n_text: int
-    token_ids: np.ndarray      # (B, n_text) into the extended token table
+    token_ids: np.ndarray       # (B, n_text) into the extended token table
     text_positions: np.ndarray  # (n_text,)
-    text_segments: np.ndarray   # (n_text,)
+    text_segments: np.ndarray   # (B, n_text)
     vis_features: np.ndarray    # (B, n_vis, d_v); zero rows at CLS positions
     vis_boxes: np.ndarray       # (B, n_vis, 6); zero rows at CLS positions
-    vis_segments: np.ndarray    # (n_vis,)
-    vis_cls_mask: np.ndarray    # (n_vis,) 1.0 at visual CLS rows
+    vis_segments: np.ndarray    # (B, n_vis)
+    vis_cls_mask: np.ndarray    # (B, n_vis) 1.0 at visual CLS rows
+    node_mask: np.ndarray       # (B, N) True at real nodes
     phi_t: np.ndarray           # (B, N, N)
     phi_m: np.ndarray           # (B, N, N)
-    text_cls_idx: np.ndarray    # (N_t,) global indices
-    vis_cls_idx: np.ndarray     # (N_a,) global indices
+    text_cls_idx: np.ndarray    # (B, N_t) rows of the text CLS nodes
+    vis_cls_idx: np.ndarray     # (B, N_a) rows of the visual CLS nodes
+    n_text_cls: np.ndarray      # (B,) real entries of each text_cls_idx row
+    n_vis_cls: np.ndarray       # (B,) real entries of each vis_cls_idx row
 
     @property
     def n_vis(self) -> int:
         return self.n_nodes - self.n_text
 
+    def key_bias(self) -> np.ndarray | None:
+        """Additive (B, 1, N, 1) logit mask for padded node keys."""
+        return _key_bias(self.node_mask)
 
-def _structure_signature(graph: TmegGraph) -> tuple:
-    return tuple((n.modality, n.kind, n.step_index) for n in graph.nodes)
+    def scorer_key_bias(self) -> np.ndarray | None:
+        """The same mask over the scorer sequence
+        [CLS, text CLS rows, SEP, visual CLS rows]."""
+        nt = self.text_cls_idx.shape[1]
+        na = self.vis_cls_idx.shape[1]
+        valid = np.ones((self.size, nt + na + 2), dtype=bool)
+        valid[:, 1:1 + nt] = np.arange(nt) < self.n_text_cls[:, None]
+        valid[:, 2 + nt:] = np.arange(na) < self.n_vis_cls[:, None]
+        return _key_bias(valid)
+
+
+def _key_bias(valid: np.ndarray) -> np.ndarray | None:
+    """0 at real keys and -inf at padded ones; None when nothing is padded.
+
+    Logits are laid out [..., key, query], so the mask spans axis -2."""
+    if valid.all():
+        return None
+    return np.where(valid, 0.0, -np.inf)[:, None, :, None]
+
+
+def _pad_rows(rows: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Ragged index lists as a zero-padded (B, width) array plus lengths."""
+    counts = np.array([len(r) for r in rows], dtype=np.int64)
+    out = np.zeros((len(rows), int(counts.max())), dtype=np.int64)
+    for b, r in enumerate(rows):
+        out[b, :len(r)] = r
+    return out, counts
 
 
 def prepare_batch(graphs: list[TmegGraph], vocab: dict[str, int],
                   config: ModelConfig) -> GraphBatch:
     if not graphs:
         raise ValueError("empty graph batch")
-    sig = _structure_signature(graphs[0])
-    for g in graphs[1:]:
-        if _structure_signature(g) != sig:
-            raise ValueError("graphs in a batch must be structurally identical")
-    g0 = graphs[0]
-    nodes = g0.nodes
-    n_text = sum(1 for n in nodes if n.modality == "text")
-    text_nodes = nodes[:n_text]
-    vis_nodes = nodes[n_text:]
-    if any(n.modality != "text" for n in text_nodes) or any(
-            n.modality != "visual" for n in vis_nodes):
-        raise ValueError("expected contiguous text-then-visual node layout")
-
-    cls_id = config.token_vocab_size
-    sep_id = config.token_vocab_size + 1
+    splits = []
+    for g in graphs:
+        nt = sum(1 for n in g.nodes if n.modality == "text")
+        if any(n.modality != "text" for n in g.nodes[:nt]) or any(
+                n.modality != "visual" for n in g.nodes[nt:]):
+            raise ValueError("expected contiguous text-then-visual node layout")
+        splits.append(nt)
+    n_text = max(splits)
+    n_vis = max(len(g.nodes) - nt for g, nt in zip(graphs, splits))
     if n_text > config.max_positions:
         raise ValueError(
             f"{n_text} text nodes exceed max_positions={config.max_positions}")
+
+    cls_id = config.token_vocab_size
+    sep_id = config.token_vocab_size + 1
 
     def token_row(node) -> int:
         if node.kind == "cls":
@@ -231,41 +280,56 @@ def prepare_batch(graphs: list[TmegGraph], vocab: dict[str, int],
         return vocab.get(node.token, 0)
 
     B = len(graphs)
+    N = n_text + n_vis
     token_ids = np.zeros((B, n_text), dtype=np.int64)
-    for b, g in enumerate(graphs):
-        token_ids[b] = [token_row(n) for n in g.nodes[:n_text]]
-    text_positions = np.arange(n_text, dtype=np.int64)
-    text_segments = np.array([n.step_index for n in text_nodes], dtype=np.int64)
-    if text_segments.size and text_segments.max() > config.max_steps:
-        raise ValueError("step index exceeds max_steps")
-
-    n_vis = len(vis_nodes)
+    text_segments = np.zeros((B, n_text), dtype=np.int64)
     vis_features = np.zeros((B, n_vis, config.d_v))
     vis_boxes = np.zeros((B, n_vis, 6))
-    for b, g in enumerate(graphs):
-        for k, node in enumerate(g.nodes[n_text:]):
-            if node.kind == "object":
+    vis_segments = np.zeros((B, n_vis), dtype=np.int64)
+    vis_cls_mask = np.zeros((B, n_vis))
+    node_mask = np.zeros((B, N), dtype=bool)
+    phi_t = np.zeros((B, N, N), dtype=np.int64)
+    phi_m = np.zeros((B, N, N), dtype=np.int64)
+    text_cls, vis_cls = [], []
+    for b, (g, nt) in enumerate(zip(graphs, splits)):
+        text, vis = g.nodes[:nt], g.nodes[nt:]
+        nv = len(vis)
+        token_ids[b, :nt] = [token_row(n) for n in text]
+        text_segments[b, :nt] = [n.step_index for n in text]
+        vis_segments[b, :nv] = [n.step_index for n in vis]
+        for k, node in enumerate(vis):
+            if node.kind == "cls":
+                vis_cls_mask[b, k] = 1.0
+            elif node.kind == "object":
                 if node.obj.feature.shape != (config.d_v,):
                     raise ValueError("object feature dimension mismatch")
                 vis_features[b, k] = node.obj.feature
                 box = node.obj.box
                 vis_boxes[b, k] = [box.x1, box.y1, box.x2, box.y2,
                                    box.x2 - box.x1, box.y2 - box.y1]
-    vis_segments = np.array([n.step_index for n in vis_nodes], dtype=np.int64)
-    vis_cls_mask = np.array(
-        [1.0 if n.kind == "cls" else 0.0 for n in vis_nodes])
-
-    phi_t = np.stack([g.phi_t.astype(np.int64) for g in graphs])
-    phi_m = np.stack([g.phi_m.astype(np.int64) for g in graphs])
-    text_cls_idx = np.array(g0.cls_indices("text"), dtype=np.int64)
-    vis_cls_idx = np.array(g0.cls_indices("visual"), dtype=np.int64)
+        node_mask[b, :nt] = True
+        node_mask[b, n_text:n_text + nv] = True
+        if nt == n_text and nv == n_vis:
+            phi_t[b] = g.phi_t
+            phi_m[b] = g.phi_m
+        else:
+            rows = np.flatnonzero(node_mask[b])
+            phi_t[b][np.ix_(rows, rows)] = g.phi_t
+            phi_m[b][np.ix_(rows, rows)] = g.phi_m
+        text_cls.append([k for k, n in enumerate(text) if n.kind == "cls"])
+        vis_cls.append([n_text + k for k, n in enumerate(vis) if n.kind == "cls"])
+    if text_segments.size and text_segments.max() > config.max_steps:
+        raise ValueError("step index exceeds max_steps")
+    text_cls_idx, n_text_cls = _pad_rows(text_cls)
+    vis_cls_idx, n_vis_cls = _pad_rows(vis_cls)
     return GraphBatch(
-        size=B, n_nodes=len(nodes), n_text=n_text,
-        token_ids=token_ids, text_positions=text_positions,
+        size=B, n_nodes=N, n_text=n_text,
+        token_ids=token_ids, text_positions=np.arange(n_text, dtype=np.int64),
         text_segments=text_segments, vis_features=vis_features,
         vis_boxes=vis_boxes, vis_segments=vis_segments,
-        vis_cls_mask=vis_cls_mask, phi_t=phi_t, phi_m=phi_m,
-        text_cls_idx=text_cls_idx, vis_cls_idx=vis_cls_idx,
+        vis_cls_mask=vis_cls_mask, node_mask=node_mask, phi_t=phi_t,
+        phi_m=phi_m, text_cls_idx=text_cls_idx, vis_cls_idx=vis_cls_idx,
+        n_text_cls=n_text_cls, n_vis_cls=n_vis_cls,
     )
 
 
@@ -298,8 +362,8 @@ class TmegModel:
                   + seg[batch.text_segments])
         if batch.n_vis == 0:
             return h_text
-        obj_mask = Tensor((1.0 - batch.vis_cls_mask)[:, None])
-        cls_mask = Tensor(batch.vis_cls_mask[:, None])
+        obj_mask = Tensor((1.0 - batch.vis_cls_mask)[..., None])
+        cls_mask = Tensor(batch.vis_cls_mask[..., None])
         h_obj = linear(Tensor(batch.vis_features),
                        self.p("emb/vis_proj_w"), self.p("emb/vis_proj_b"))
         h_vis = (h_obj * obj_mask
@@ -324,41 +388,44 @@ class TmegModel:
     # ------------------------------------------------------------------
     # attention
 
-    def _edge_bias(self, layer: int, head: int, phi_t, phi_m,
+    def _edge_bias(self, layer: int, head, phi_t, phi_m,
                    zero_t: bool, zero_m: bool) -> Tensor | None:
-        """Sum of temporal and modal scalar biases for one layer/head.
+        """Sum of temporal and modal scalar biases for one layer.
 
+        `head` is one head index (the result is shaped like phi) or
+        slice(None) for every head ((B, H, N, N) from (B, N, N) codes).
         NONE codes always read exactly 0 (masked, not learnable)."""
         total = None
         for table_name, phi, off in (("bias_t", phi_t, zero_t),
                                      ("bias_m", phi_m, zero_m)):
             if off:
                 continue
-            vals = self.p(table_name)[(layer, head)][phi] * Tensor(
-                (phi != 0).astype(np.float64))
+            vals = gather_codes(self.p(table_name)[layer, head], phi)
             total = vals if total is None else total + vals
         return total
 
     def _transformer_layer(self, h: Tensor, prefix: str, n_heads: int,
-                           bias_fn=None) -> Tensor:
-        dim = h.shape[-1]
+                           bias=None) -> Tensor:
+        """Post-norm encoder layer over (B, N, dim), all heads at once.
+
+        `bias` is added to the (B, H, N, N) attention logits; it carries the
+        edge-code biases and the -inf mask of padded keys."""
+        *lead, n, dim = h.shape
         dh = dim // n_heads
-        q = linear(h, self.p(f"{prefix}/wq"), self.p(f"{prefix}/bq"))
-        k = linear(h, self.p(f"{prefix}/wk"))
-        v = linear(h, self.p(f"{prefix}/wv"), self.p(f"{prefix}/bv"))
-        heads = []
-        for hd in range(n_heads):
-            sl = (Ellipsis, slice(hd * dh, (hd + 1) * dh))
-            qh, kh, vh = q[sl], k[sl], v[sl]
-            # logits[..., i, j] = k_i . q_j / sqrt(d_head) (+ biases)
-            logits = (kh @ qh.swapaxes(-1, -2)) * (1.0 / math.sqrt(dh))
-            if bias_fn is not None:
-                bias = bias_fn(hd)
-                if bias is not None:
-                    logits = logits + bias
-            attn = softmax(logits, axis=-2)  # normalize over i for each j
-            heads.append(attn.swapaxes(-1, -2) @ vh)
-        merged = concat(heads, axis=-1)
+
+        def split_heads(x):  # (B, N, dim) -> (B, H, N, d_head)
+            return x.reshape(*lead, n, n_heads, dh).swapaxes(-2, -3)
+
+        q = split_heads(linear(h, self.p(f"{prefix}/wq"), self.p(f"{prefix}/bq")))
+        k = split_heads(linear(h, self.p(f"{prefix}/wk")))
+        v = split_heads(linear(h, self.p(f"{prefix}/wv"), self.p(f"{prefix}/bv")))
+        # logits[..., i, j] = k_i . q_j / sqrt(d_head) (+ biases)
+        logits = (k @ q.swapaxes(-1, -2)) * (1.0 / math.sqrt(dh))
+        if bias is not None:
+            logits = logits + bias
+        attn = softmax(logits, axis=-2)  # normalize over keys i for each j
+        merged = (attn.swapaxes(-1, -2) @ v).swapaxes(-2, -3).reshape(
+            *lead, n, dim)
         out = linear(merged, self.p(f"{prefix}/wo"), self.p(f"{prefix}/bo"))
         h1 = layer_norm(out + h, self.p(f"{prefix}/ln1_g"), self.p(f"{prefix}/ln1_b"))
         ffn = linear(
@@ -368,50 +435,36 @@ class TmegModel:
                           self.p(f"{prefix}/ln2_b"))
 
     def fusion_layer(self, h: Tensor, phi_t: np.ndarray, phi_m: np.ndarray,
-                     layer: int, zero_t: bool = False,
-                     zero_m: bool = False) -> Tensor:
-        return self._transformer_layer(
-            h, f"enc{layer}", self.config.n_heads,
-            bias_fn=lambda hd: self._edge_bias(layer, hd, phi_t, phi_m,
-                                               zero_t, zero_m))
+                     layer: int, zero_t: bool = False, zero_m: bool = False,
+                     key_bias: np.ndarray | None = None) -> Tensor:
+        bias = self._edge_bias(layer, slice(None), phi_t, phi_m, zero_t, zero_m)
+        if key_bias is not None:
+            bias = key_bias if bias is None else bias + key_bias
+        return self._transformer_layer(h, f"enc{layer}", self.config.n_heads,
+                                       bias)
 
     def fusion_stack(self, h: Tensor, phi_t: np.ndarray, phi_m: np.ndarray,
-                     zero_t: bool = False, zero_m: bool = False) -> Tensor:
+                     zero_t: bool = False, zero_m: bool = False,
+                     key_bias: np.ndarray | None = None) -> Tensor:
         for l in range(self.config.n_layers):
-            h = self.fusion_layer(h, phi_t, phi_m, l, zero_t, zero_m)
+            h = self.fusion_layer(h, phi_t, phi_m, l, zero_t, zero_m, key_bias)
         return h
 
     def run_encoder_batch(self, batch: GraphBatch, zero_t: bool = False,
                           zero_m: bool = False) -> Tensor:
         h = self.encode_nodes(batch)
         h = self.project_modalities(h, batch)
-        return self.fusion_stack(h, batch.phi_t, batch.phi_m, zero_t, zero_m)
-
-    def run_encoder(self, graph: TmegGraph, zero_t: bool = False,
-                    zero_m: bool = False) -> Tensor:
-        batch = prepare_batch([graph], self.vocab, self.config)
-        out = self.run_encoder_batch(batch, zero_t, zero_m)
-        return out[0]
-
-    def attention_logits(self, q_head: Tensor, k_head: Tensor,
-                         phi_t: np.ndarray, phi_m: np.ndarray,
-                         layer: int, head: int) -> Tensor:
-        """Column-softmax logits for one head: e[i][j] = q_j.k_i/sqrt(d) + biases."""
-        dh = q_head.shape[-1]
-        logits = (k_head @ q_head.swapaxes(-1, -2)) * (1.0 / math.sqrt(dh))
-        bias = self._edge_bias(layer, head, phi_t, phi_m, False, False)
-        if bias is not None:
-            logits = logits + bias
-        return logits
+        return self.fusion_stack(h, batch.phi_t, batch.phi_m, zero_t, zero_m,
+                                 batch.key_bias())
 
     # ------------------------------------------------------------------
     # reasoning head
 
     def extract_cls(self, h: Tensor, batch: GraphBatch) -> tuple[Tensor, Tensor]:
-        """Per-unit CLS rows: (B, N_t, d) text and (B, N_a, d) visual."""
-        ht = h[:, batch.text_cls_idx]
-        hv = h[:, batch.vis_cls_idx]
-        return ht, hv
+        """Per-unit CLS rows: (B, N_t, d) text and (B, N_a, d) visual,
+        padded to the batch's largest counts."""
+        rows = np.arange(batch.size)[:, None]
+        return h[rows, batch.text_cls_idx], h[rows, batch.vis_cls_idx]
 
     def assemble_pair(self, ht: Tensor, hv: Tensor) -> Tensor:
         """[CLS, text rows..., SEP, visual rows...] in scorer space."""
@@ -425,27 +478,37 @@ class TmegModel:
         sep_row = zeros + self.p("scorer/sep")
         return concat([cls_row, ht, sep_row, hv], axis=1)
 
-    def score_candidate(self, pair_seq: Tensor) -> Tensor:
+    def score_candidate(self, pair_seq: Tensor,
+                        key_bias: np.ndarray | None = None) -> Tensor:
         """Plain transformer over the pair sequence; scalar per batch row.
 
-        The readout is a one-hidden-layer fully connected head on the
-        leading CLS row. Its final map carries no bias, so no parameter
-        direction shifts all candidate scores by the same constant."""
+        `key_bias` masks padded rows of the sequence out as keys. The
+        readout is a one-hidden-layer fully connected head on the leading
+        CLS row. Its final map carries no bias, so no parameter direction
+        shifts all candidate scores by the same constant."""
         h = pair_seq
         for l in range(self.config.scorer_layers):
-            h = self._transformer_layer(h, f"sc{l}", self.config.scorer_heads)
+            h = self._transformer_layer(h, f"sc{l}", self.config.scorer_heads,
+                                        key_bias)
         lead = h[:, 0]
         hidden = linear(lead, self.p("scorer/out_w1"),
                         self.p("scorer/out_b1")).tanh()
         return linear(hidden, self.p("scorer/out_w2"))[:, 0]
 
-    def score_graphs(self, graphs: list[TmegGraph], zero_t=False,
-                     zero_m=False) -> Tensor:
-        """Scores for a list of structurally identical graphs, shape (B,)."""
-        batch = prepare_batch(graphs, self.vocab, self.config)
+    def score_batch(self, batch: GraphBatch, zero_t: bool = False,
+                    zero_m: bool = False) -> tuple[Tensor, Tensor, Tensor]:
+        """Scores (B,) plus the padded CLS rows that produced them."""
         h = self.run_encoder_batch(batch, zero_t, zero_m)
         ht, hv = self.extract_cls(h, batch)
-        return self.score_candidate(self.assemble_pair(ht, hv))
+        scores = self.score_candidate(self.assemble_pair(ht, hv),
+                                      batch.scorer_key_bias())
+        return scores, ht, hv
+
+    def score_graphs(self, graphs: list[TmegGraph], zero_t=False,
+                     zero_m=False) -> Tensor:
+        """Scores for a list of graphs of any shapes, shape (B,)."""
+        batch = prepare_batch(graphs, self.vocab, self.config)
+        return self.score_batch(batch, zero_t, zero_m)[0]
 
 
 # ----------------------------------------------------------------------

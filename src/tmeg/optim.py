@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from typing import Callable
 
@@ -162,14 +163,32 @@ def _write_array(fh, name: str, arr: np.ndarray):
     fh.write(arr.astype("<f8").tobytes())
 
 
-def _read_array(fh) -> tuple[str, np.ndarray]:
-    (name_len,) = struct.unpack("<I", fh.read(4))
-    name = fh.read(name_len).decode("utf-8")
-    (ndim,) = struct.unpack("<I", fh.read(4))
-    shape = tuple(struct.unpack("<Q", fh.read(8))[0] for _ in range(ndim))
-    count = int(np.prod(shape)) if shape else 1
-    data = np.frombuffer(fh.read(count * 8), dtype="<f8").reshape(shape)
-    return name, data.astype(np.float64)
+class _Reader:
+    """Bounds-checked cursor over checkpoint bytes: a read past the end
+    raises CheckpointError instead of returning short data."""
+
+    def __init__(self, buf: bytes, path):
+        self.buf = memoryview(buf)
+        self.pos = 0
+        self.path = path
+
+    def take(self, n: int) -> memoryview:
+        if n > len(self.buf) - self.pos:
+            raise CheckpointError(
+                f"{self.path}: truncated at byte {self.pos} "
+                f"(needs {n} more, {len(self.buf) - self.pos} left)")
+        out = self.buf[self.pos:self.pos + n]
+        self.pos += n
+        return out
+
+    def unpack(self, fmt: str) -> int:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))[0]
+
+    def array(self) -> tuple[str, np.ndarray]:
+        name = bytes(self.take(self.unpack("<I"))).decode("utf-8")
+        shape = tuple(self.unpack("<Q") for _ in range(self.unpack("<I")))
+        data = np.frombuffer(self.take(math.prod(shape) * 8), dtype="<f8")
+        return name, data.reshape(shape).astype(np.float64)
 
 
 def save_checkpoint(path, store: ParamStore, model_config_hash: str):
@@ -192,32 +211,50 @@ def save_checkpoint(path, store: ParamStore, model_config_hash: str):
 
 
 def load_checkpoint(path, expected_config_hash: str | None = None) -> ParamStore:
+    """Read a checkpoint; any malformed, truncated or trailing-garbage file
+    raises CheckpointError."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise CheckpointError(f"{path}: not a checkpoint file")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        if header.get("format_version") != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"{path}: unsupported format version {header.get('format_version')}"
-            )
-        if expected_config_hash is not None and header["model_config_hash"] != expected_config_hash:
-            raise CheckpointError(
-                f"{path}: model config hash mismatch "
-                f"(checkpoint {header['model_config_hash'][:12]}..., "
-                f"expected {expected_config_hash[:12]}...)"
-            )
-        store = ParamStore()
-        for _ in range(header["num_params"]):
-            name, data = _read_array(fh)
-            store.add(name, data)
-        for _ in range(header["num_params"] * 2):
-            name, data = _read_array(fh)
-            kind, pname = name.split("/", 1)
-            if kind == "m1":
-                store.moment1[pname] = data
-            else:
-                store.moment2[pname] = data
-        (store.step_count,) = struct.unpack("<Q", fh.read(8))
+        buf = fh.read()
+    try:
+        return _parse_checkpoint(_Reader(buf, path), expected_config_hash)
+    except (struct.error, ValueError, KeyError, TypeError) as exc:
+        raise CheckpointError(f"{path}: corrupt checkpoint ({exc})") from exc
+
+
+def _parse_checkpoint(rd: _Reader, expected_config_hash: str | None) -> ParamStore:
+    path = rd.path
+    if bytes(rd.take(len(CHECKPOINT_MAGIC))) != CHECKPOINT_MAGIC:
+        raise CheckpointError(f"{path}: not a checkpoint file")
+    header = json.loads(bytes(rd.take(rd.unpack("<I"))).decode("utf-8"))
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
+    if header.get("format_version") != CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"{path}: unsupported format version {header.get('format_version')}"
+        )
+    if expected_config_hash is not None and header["model_config_hash"] != expected_config_hash:
+        raise CheckpointError(
+            f"{path}: model config hash mismatch "
+            f"(checkpoint {header['model_config_hash'][:12]}..., "
+            f"expected {expected_config_hash[:12]}...)"
+        )
+    n_params = header["num_params"]
+    if not isinstance(n_params, int) or n_params < 0:
+        raise CheckpointError(f"{path}: bad parameter count {n_params!r}")
+    store = ParamStore()
+    for _ in range(n_params):
+        name, data = rd.array()
+        store.add(name, data)
+    for _ in range(n_params * 2):
+        name, data = rd.array()
+        kind, pname = name.split("/", 1)
+        moments = {"m1": store.moment1, "m2": store.moment2}[kind]
+        if moments[pname].shape != data.shape:
+            raise CheckpointError(f"{path}: moment {name} has shape "
+                                  f"{data.shape}, parameter has "
+                                  f"{moments[pname].shape}")
+        moments[pname] = data
+    store.step_count = rd.unpack("<Q")
+    if rd.pos != len(rd.buf):
+        raise CheckpointError(f"{path}: {len(rd.buf) - rd.pos} trailing bytes")
     return store

@@ -15,7 +15,8 @@ from scipy.special import logsumexp as scipy_logsumexp
 from scipy.special import softmax as scipy_softmax
 
 from tmeg.autodiff import (
-    Tensor, concat, embed_lookup, layer_norm, linear, logsumexp, softmax,
+    Tensor, concat, embed_lookup, gather_codes, layer_norm, linear, logsumexp,
+    no_grad, softmax,
 )
 
 
@@ -199,6 +200,39 @@ class TestComposedOps:
         check_op(lambda x, g, b: (layer_norm(x, g, b) ** 2.0).sum(),
                  (3, 5), (5,), (5,), tol=1e-5)
 
+    @pytest.mark.parametrize("op", ["softmax", "layer_norm"])
+    def test_fused_op_repeats_composed_arithmetic(self, op):
+        """The one-node ops must equal, bit for bit, the same formula
+        composed from elementary tape ops, in values and gradients."""
+
+        def composed_softmax(x):
+            e = (x - x.data.max(axis=-2, keepdims=True)).exp()
+            return e / e.sum(axis=-2, keepdims=True)
+
+        def composed_layer_norm(x, g, b):
+            centered = x - x.mean(axis=-1, keepdims=True)
+            var = (centered * centered).mean(axis=-1, keepdims=True)
+            return centered / (var + 1e-12).sqrt() * g + b
+
+        rng = np.random.default_rng(5)
+        if op == "softmax":
+            shapes = [(3, 2, 6, 6)]
+            fused, composed = (lambda x: softmax(x, axis=-2)), composed_softmax
+        else:
+            shapes = [(3, 6, 8), (8,), (8,)]
+            fused, composed = layer_norm, composed_layer_norm
+        arrays = [rng.normal(size=s) for s in shapes]
+        weights = rng.normal(size=shapes[0])
+        results = []
+        for fn in (fused, composed):
+            leaves = [Tensor(a, requires_grad=True) for a in arrays]
+            # the op input is an interior node, as in the encoder
+            out = fn(leaves[0] * 1.0, *leaves[1:])
+            (out * weights).sum().backward()
+            results.append([out.data] + [t.grad for t in leaves])
+        for got, want in zip(*results):
+            np.testing.assert_array_equal(got, want)
+
     def test_linear_shape_check(self):
         with pytest.raises(ValueError):
             linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
@@ -217,6 +251,85 @@ class TestComposedOps:
         embed_lookup(table, np.array([0, 0, 2])).sum().backward()
         # row 0 is looked up twice, row 2 once; each row has 3 columns
         np.testing.assert_array_equal(table.grad.sum(axis=1), [6.0, 0.0, 3.0])
+
+
+class TestGatherCodes:
+
+    def codes(self, rng, shape, n_codes):
+        return rng.integers(0, n_codes, size=shape)
+
+    def test_values_and_none_code(self):
+        rng = np.random.default_rng(0)
+        table = rng.normal(size=(3, 5))
+        codes = self.codes(rng, (2, 4, 4), 5)
+        out = gather_codes(Tensor(table), codes).data
+        assert out.shape == (2, 3, 4, 4)
+        for b in range(2):
+            for a in range(3):
+                expect = np.where(codes[b] == 0, 0.0, table[a][codes[b]])
+                np.testing.assert_array_equal(out[b, a], expect)
+
+    def test_single_row_table_keeps_code_shape(self):
+        table = np.array([9.0, 1.5, -2.0])
+        codes = np.array([[0, 1], [2, 0]])
+        out = gather_codes(Tensor(table), codes).data
+        np.testing.assert_array_equal(out, [[0.0, 1.5], [-2.0, 0.0]])
+
+    @pytest.mark.parametrize("table_shape,code_shape", [
+        ((4,), (5, 5)),
+        ((3, 4), (5, 5)),
+        ((3, 4), (2, 5, 5)),
+        ((2, 3, 4), (2, 3, 3)),
+    ])
+    def test_grad_matches_central_differences(self, table_shape, code_shape):
+        rng = np.random.default_rng(1)
+        codes = self.codes(rng, code_shape, table_shape[-1])
+        assert (codes == 0).any() and (codes != 0).any()
+        out_shape = (code_shape[:-2] + table_shape[:-1] + code_shape[-2:])
+        weights = rng.normal(size=out_shape)
+        check_op(lambda t: (gather_codes(t, codes) * weights).sum(),
+                 table_shape)
+
+    def test_none_code_gets_no_gradient(self):
+        table = Tensor(np.ones((2, 3)), requires_grad=True)
+        gather_codes(table, np.zeros((1, 3, 3), dtype=np.int64)).sum().backward()
+        np.testing.assert_array_equal(table.grad, np.zeros((2, 3)))
+
+    def test_out_of_range_code_rejected(self):
+        with pytest.raises(IndexError):
+            gather_codes(Tensor(np.zeros((2, 3))), np.full((2, 2), 3))
+
+
+class TestNoGrad:
+
+    def build(self, x, w):
+        return (softmax(linear(x, w).tanh(), axis=-1) * 2.0).sum()
+
+    def test_same_values_and_no_tape(self):
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.normal(size=(4, 3)))
+        w = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+        taped = self.build(x, w)
+        with no_grad():
+            free = self.build(x, w)
+            hidden = linear(x, w)
+        assert taped.requires_grad and taped._parents
+        assert not free.requires_grad
+        assert free._parents == () and free._backward is None
+        assert hidden._parents == () and hidden._backward is None
+        np.testing.assert_array_equal(free.data, taped.data)
+        with pytest.raises(RuntimeError):
+            free.backward()
+
+    def test_restores_recording_on_exit(self):
+        w = Tensor(np.ones(3), requires_grad=True)
+        with pytest.raises(KeyError):
+            with no_grad():
+                raise KeyError("boom")
+        out = (w * w).sum()
+        assert out.requires_grad
+        out.backward()
+        np.testing.assert_array_equal(w.grad, [2.0, 2.0, 2.0])
 
 
 class TestGraphMechanics:

@@ -8,10 +8,13 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tmeg.cli import build_parser, main
-from tmeg.harness import RunConfig
-from tmeg.model import ModelConfig
+from tmeg.data import build_vocab, load_corpus
+from tmeg.harness import RunConfig, save_model
+from tmeg.model import ModelConfig, TmegModel
 
 
 SYN_CONFIG = {
@@ -198,3 +201,56 @@ class TestTransferSweep:
                      "--values", "0,0.1"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert [r["config"]["lambda_b"] for r in payload] == [0.0, 0.1]
+
+
+@pytest.fixture(scope="module")
+def eval_files(tmp_path_factory):
+    """A saved untrained checkpoint plus the corpus and tasks to eval it on."""
+    tmp_path = tmp_path_factory.mktemp("ckpt")
+    syn_path = os.path.join(tmp_path, "syn.json")
+    with open(syn_path, "w") as fh:
+        json.dump(SYN_CONFIG, fh)
+    corpus_path = os.path.join(tmp_path, "corpus.json")
+    assert main(["gen-data", "--config", syn_path, "--out", corpus_path]) == 0
+    tasks = os.path.join(tmp_path, "tasks.jsonl")
+    assert main(["make-tasks", "--corpus", corpus_path, "--task", "cloze",
+                 "--n-candidates", "2", "--out", tasks]) == 0
+    model_cfg = ModelConfig(**run_config_dict()["model"])
+    ckpt = os.path.join(tmp_path, "model.ckpt")
+    save_model(ckpt, TmegModel(model_cfg, build_vocab(load_corpus(corpus_path))))
+    with open(ckpt, "rb") as fh:
+        ckpt_bytes = fh.read()
+    return tmp_path, corpus_path, tasks, ckpt, ckpt_bytes
+
+
+def eval_argv(ckpt, tasks, corpus_path):
+    return ["eval", "--checkpoint", ckpt, "--tasks", tasks,
+            "--corpus", corpus_path]
+
+
+class TestCorruptCheckpoint:
+
+    def test_intact_checkpoint_evaluates(self, eval_files):
+        _, corpus_path, tasks, ckpt, _ = eval_files
+        assert main(eval_argv(ckpt, tasks, corpus_path)) == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_truncated_checkpoint_exits_4(self, eval_files, data):
+        tmp_path, corpus_path, tasks, ckpt, ckpt_bytes = eval_files
+        cut = data.draw(st.integers(0, len(ckpt_bytes) - 1), label="offset")
+        bad = os.path.join(tmp_path, "cut.ckpt")
+        with open(bad, "wb") as fh:
+            fh.write(ckpt_bytes[:cut])
+        with open(ckpt + ".json", "rb") as src, open(bad + ".json", "wb") as dst:
+            dst.write(src.read())
+        assert main(eval_argv(bad, tasks, corpus_path)) == 4
+
+    def test_trailing_bytes_exit_4(self, eval_files):
+        tmp_path, corpus_path, tasks, ckpt, ckpt_bytes = eval_files
+        bad = os.path.join(tmp_path, "long.ckpt")
+        with open(bad, "wb") as fh:
+            fh.write(ckpt_bytes + b"\0")
+        with open(ckpt + ".json", "rb") as src, open(bad + ".json", "wb") as dst:
+            dst.write(src.read())
+        assert main(eval_argv(bad, tasks, corpus_path)) == 4

@@ -5,9 +5,15 @@ recomputes both code matrices from the raw annotations with plain nested
 loops and first-write-wins semantics.
 """
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
+import tmeg
 from tmeg.data import BoundingBox, NounPhrase, ObjectFeature, Step, StepImage
 from tmeg.graph import (
     DEFAULT_LAMBDA_M, DEFAULT_LAMBDA_T, ModalCode, TemporalCode,
@@ -327,6 +333,47 @@ class TestGraphInvariants:
     def test_build_nodes_requires_steps(self):
         with pytest.raises(ValueError):
             build_nodes([], [])
+
+
+class TestValidate:
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda g: setattr(g, "phi_t", g.phi_t[:-1, :-1]),
+        lambda g: setattr(g, "phi_m", np.zeros((2, 2), dtype=np.int8)),
+        lambda g: g.phi_t.__setitem__((0, 1), TemporalCode.EDGE),
+        lambda g: g.phi_m.__setitem__((2, 2), ModalCode.INTRA_TEXT),
+        lambda g: g.phi_t.__setitem__((0, 0), 99),
+        lambda g: g.phi_m.__setitem__((slice(None), slice(None)), -1),
+    ], ids=["short-phi_t", "phi_m-2x2", "asymmetric", "diagonal",
+            "out-of-range", "negative"])
+    def test_rejects_corrupt_matrices(self, corrupt):
+        g = small_fixture()
+        g.phi_t = g.phi_t.copy()
+        g.phi_m = g.phi_m.copy()
+        corrupt(g)
+        with pytest.raises(ValueError):
+            g.validate()
+
+    def test_checks_survive_python_optimize_flag(self):
+        """`python -O` strips asserts; validation must not rely on them."""
+        script = textwrap.dedent("""
+            import numpy as np
+            from tmeg.graph import Node, TmegGraph
+            nodes = [Node(i, "text", "token", 1, "s1", i) for i in range(3)]
+            g = TmegGraph(nodes, np.zeros((2, 2), np.int8),
+                          np.zeros((3, 3), np.int8))
+            try:
+                g.validate()
+            except ValueError:
+                print("rejected")
+            else:
+                print("accepted")
+        """)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(tmeg.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "rejected"
 
 
 class TestDumpGraph:

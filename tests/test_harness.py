@@ -19,6 +19,7 @@ from tmeg.harness import (
     transfer,
 )
 from tmeg.model import ModelConfig, TmegModel
+from tmeg.optim import CheckpointError
 
 
 def tiny_corpus(seed=0, num_docs=3, **overrides):
@@ -114,6 +115,13 @@ class TestPrepareInstances:
         with pytest.raises(TrainError):
             prepare_instances(other, [inst], 7.0, 0.5)
 
+    def test_missing_context_step_is_train_error(self):
+        corpus = tiny_corpus()
+        inst = make_instances(corpus, ["cloze"], 2, seed=0)[0]
+        inst.context_steps = list(inst.context_steps) + [999]
+        with pytest.raises(TrainError, match="999"):
+            prepare_instances(corpus, [inst], 7.0, 0.5)
+
     def test_one_graph_per_candidate(self):
         corpus = tiny_corpus()
         instances = make_instances(corpus, ["cloze"], 2, seed=0)
@@ -203,6 +211,38 @@ class TestPersistence:
         assert before.to_json() == after.to_json()
         for k, p in result.model.store.params.items():
             np.testing.assert_array_equal(p.value, loaded.store.params[k].value)
+
+
+    def test_parameter_shapes_checked_against_config(self, tmp_path):
+        corpus = tiny_corpus()
+        model = TmegModel(tiny_run_config().model, build_vocab(corpus), seed=0)
+        table = model.store["bias_t"]
+        table.value = table.value[:, :1]
+        model.store.moment1["bias_t"] = np.zeros_like(table.value)
+        model.store.moment2["bias_t"] = np.zeros_like(table.value)
+        path = os.path.join(tmp_path, "model.ckpt")
+        save_model(path, model)
+        with pytest.raises(CheckpointError, match="bias_t"):
+            load_model(path)
+
+    def test_missing_parameter_rejected(self, tmp_path):
+        corpus = tiny_corpus()
+        model = TmegModel(tiny_run_config().model, build_vocab(corpus), seed=0)
+        del model.store.params["scorer/sep"]
+        path = os.path.join(tmp_path, "model.ckpt")
+        save_model(path, model)
+        with pytest.raises(CheckpointError, match="scorer/sep"):
+            load_model(path)
+
+    def test_malformed_sidecar_rejected(self, tmp_path):
+        corpus = tiny_corpus()
+        model = TmegModel(tiny_run_config().model, build_vocab(corpus), seed=0)
+        path = os.path.join(tmp_path, "model.ckpt")
+        save_model(path, model)
+        with open(path + ".json", "w") as fh:
+            fh.write('{"vocab": {}}')
+        with pytest.raises(CheckpointError):
+            load_model(path)
 
 
 class TestTransferAndSweep:

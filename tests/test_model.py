@@ -5,6 +5,7 @@ transformer layer written here from scratch with plain numpy and the
 standard softmax(Q K^T / sqrt(d)) orientation.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,11 +14,14 @@ from scipy.special import erf, softmax as scipy_softmax
 
 from tmeg.autodiff import Tensor
 from tmeg.data import SyntheticConfig, build_vocab, generate_synthetic_corpus
-from tmeg.harness import make_instances, prepare_instances
+from tmeg.harness import (
+    RunConfig, apply_ablation, make_instances, prepare_instances, _batch_loss,
+)
 from tmeg.model import (
     ModelConfig, TmegModel, coherence_loss, full_size_config, init_params,
     prediction_loss, prediction_loss_batch, prepare_batch, total_loss,
 )
+from tmeg.optim import finite_difference_check, grad_eval
 
 
 def reference_layer(h, params, prefix, n_heads):
@@ -73,6 +77,25 @@ def build_model(seed=0, **overrides):
     config = small_config(**overrides)
     model = TmegModel(config, build_vocab(corpus), seed=seed)
     return model, corpus
+
+
+def mixed_structure_setup(init_scale=0.3):
+    """A model plus cloze instances on the default SyntheticConfig shapes,
+    whose candidate graphs differ in text, visual and CLS counts."""
+    corpus = generate_synthetic_corpus(SyntheticConfig(num_docs=3, d_v=4, seed=1))
+    cfg = small_config()
+    model = TmegModel(cfg, build_vocab(corpus),
+                      store=init_params(cfg, seed=0, init_scale=init_scale))
+    by_doc = {}
+    for inst in make_instances(corpus, ["cloze"], 3, 0):
+        by_doc.setdefault(inst.doc_id, inst)
+    instances = list(by_doc.values())
+    # one instance over a shorter window, so CLS counts differ as well
+    last = instances[-1]
+    instances[-1] = dataclasses.replace(
+        last, context_steps=last.context_steps[:3],
+        candidates=[c[:3] for c in last.candidates])
+    return model, prepare_instances(corpus, instances, 7.0, 0.5)
 
 
 def random_phi(rng, n):
@@ -239,18 +262,44 @@ class TestEncoderShapes:
                    for g in prepared[0].graphs]
         np.testing.assert_allclose(batched.data, singles, rtol=1e-10)
 
-    def test_mixed_structures_rejected_in_one_batch(self):
-        model, corpus = build_model()
-        instances = make_instances(corpus, ["cloze"], 3, 0)
-        prepared = prepare_instances(corpus, instances, 7.0, 0.5)
-        g_a = prepared[0].graphs[0]
-        doc2 = corpus.documents[1]
-        other = prepare_instances(corpus, [i for i in instances
-                                           if i.doc_id == doc2.doc_id][:1],
-                                  7.0, 0.5)[0].graphs[0]
-        if len(other.nodes) != len(g_a.nodes):
-            with pytest.raises(ValueError):
-                prepare_batch([g_a, other], model.vocab, model.config)
+    def test_padded_mixed_structure_batch_matches_one_at_a_time(self):
+        """Oracle for padding: a batch of graphs of different shapes scores
+        and differentiates exactly like scoring each graph alone."""
+        model, prepared = mixed_structure_setup()
+        graphs = [g for p in prepared for g in p.graphs]
+        batch = prepare_batch(graphs, model.vocab, model.config)
+        layouts = {tuple(m) for m in batch.node_mask}
+        assert len(layouts) > 1 and not batch.node_mask.all()
+        assert len(set(batch.n_text_cls)) > 1 and len(set(batch.n_vis_cls)) > 1
+
+        padded = model.score_graphs(graphs)
+        singles = [model.score_graphs([g]) for g in graphs]
+        np.testing.assert_allclose(padded.data, [s.data[0] for s in singles],
+                                   rtol=0, atol=1e-10)
+
+        weights = np.random.default_rng(0).normal(size=len(graphs))
+        grad_eval((padded * weights).sum(), model.store)
+        batched = {n: p.gradient.copy() for n, p in model.store.params.items()}
+        total = singles[0] * weights[0]
+        for s, w in zip(singles[1:], weights[1:]):
+            total = total + s * w
+        grad_eval(total.sum(), model.store)
+        for name, p in model.store.params.items():
+            np.testing.assert_allclose(batched[name], p.gradient,
+                                       rtol=1e-9, atol=1e-12, err_msg=name)
+
+    def test_padded_batch_gradients_pass_finite_differences(self):
+        model, prepared = mixed_structure_setup(init_scale=0.5)
+        cfg = RunConfig(model=model.config, n_candidates=3, seed=0)
+        effect = apply_ablation(cfg)
+
+        def loss_fn():
+            return _batch_loss(model, prepared, effect, cfg,
+                               np.random.default_rng(0))
+
+        err = finite_difference_check(loss_fn, model.store, seed=0,
+                                      max_coords_per_param=4)
+        assert err < 1e-4
 
     def test_fusion_stack_permutation_equivariance(self):
         """Relabeling nodes permutes outputs; structure is all that matters."""
