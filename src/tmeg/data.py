@@ -365,14 +365,26 @@ def load_task_instances(path) -> list[TaskInstance]:
                 continue
             try:
                 d = json.loads(line)
-                instances.append(TaskInstance(
+                if not isinstance(d, dict):
+                    raise TypeError(f"expected a JSON object, got {type(d).__name__}")
+                for key in ("context_steps", "candidates"):
+                    if not isinstance(d[key], list):
+                        raise TypeError(f"{key} must be a list")
+                if not d["candidates"] or not all(
+                        isinstance(c, list) and c for c in d["candidates"]):
+                    raise ValueError("candidates must be non-empty lists of image ids")
+                inst = TaskInstance(
                     task_kind=d["task_kind"],
                     doc_id=d["doc_id"],
                     context_steps=[int(i) for i in d["context_steps"]],
                     candidates=[[str(r) for r in c] for c in d["candidates"]],
                     gold_index=int(d["gold_index"]),
-                ))
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
+                )
+                if not 0 <= inst.gold_index < len(inst.candidates):
+                    raise ValueError(f"gold_index {inst.gold_index} outside "
+                                     f"[0, {len(inst.candidates)})")
+                instances.append(inst)
+            except (KeyError, TypeError, ValueError) as exc:
                 raise CorpusError(f"{path}:{lineno}: bad task instance: {exc}")
     return instances
 

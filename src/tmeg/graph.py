@@ -6,14 +6,26 @@ vocabularies: `phi_t` for temporal codes and `phi_m` for modal codes. The
 matrices are later consumed as additive attention biases.
 
 Labeling passes run in a fixed order (intra-modal, temporal node-based,
-inter-modal node-based, then the edge-based derivations) and never
-overwrite an existing non-NONE label.
+inter-modal node-based, then the edge-based derivations). Each is mask
+algebra over per-node arrays: a symmetric, off-diagonal boolean N x N mask
+written with first-write precedence, `phi[mask & (phi == NONE)] = code`.
+
+`assemble_candidate_graphs` labels the candidates of one context with one
+`assemble_graph` call over the union of their images and slices each
+candidate out. That is exact: a pair's codes depend only on the two nodes'
+own attributes, the text nodes and the groundings in one (step, image)
+scope, all the same in the union as in the candidate. The exception is a
+candidate that repeats an image: the copies share a `unit_id`, so their
+node pairs are INTRA_VIS, but the union holds one copy and the slice would
+read them from its NONE diagonal, so they are set from the candidate.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import IntEnum
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -67,10 +79,6 @@ class TmegGraph:
     def n_nodes(self) -> int:
         return len(self.nodes)
 
-    def cls_indices(self, modality: str) -> list[int]:
-        return [n.global_index for n in self.nodes
-                if n.kind == "cls" and n.modality == modality]
-
     def validate(self):
         """Raise ValueError unless both code matrices are N x N, symmetric,
         NONE on the diagonal and inside their code vocabularies."""
@@ -81,7 +89,7 @@ class TmegGraph:
                 raise ValueError(f"{name} has shape {phi.shape}, expected {(n, n)}")
             if not (phi == phi.T).all():
                 raise ValueError(f"{name} not symmetric")
-            if (np.diag(phi) != 0).any():
+            if phi.diagonal().any():
                 raise ValueError(f"{name} has a non-NONE diagonal entry")
             if phi.size and (phi.min() < 0 or phi.max() >= n_codes):
                 raise ValueError(f"{name} has codes outside [0, {n_codes})")
@@ -120,192 +128,200 @@ def build_nodes(steps: list[Step], candidate: list[StepImage]) -> list[Node]:
     if not steps:
         raise ValueError("build_nodes: steps must be non-empty")
     nodes: list[Node] = []
-
-    def add(**kw) -> Node:
-        node = Node(global_index=len(nodes), **kw)
-        nodes.append(node)
-        return node
-
     for step in steps:
-        unit = f"step{step.index}"
-        add(modality="text", kind="cls", step_index=step.index,
-            unit_id=unit, local_index=0)
-        span_map: dict[int, NounPhrase] = {}
-        for phrase in step.noun_phrases:
-            for pos in range(phrase.span[0], phrase.span[1]):
-                span_map[pos] = phrase
+        t, unit = step.index, f"step{step.index}"
+        span_map = {pos: phrase for phrase in step.noun_phrases
+                    for pos in range(phrase.span[0], phrase.span[1])}
+        nodes.append(Node(len(nodes), "text", "cls", t, unit, 0))
         for pos, tok in enumerate(step.tokens):
             phrase = span_map.get(pos)
-            add(modality="text", kind="token", step_index=step.index,
-                unit_id=unit, local_index=pos + 1, token=tok,
-                entity_id=phrase.entity_id if phrase else None,
-                phrase=phrase)
-        add(modality="text", kind="sep", step_index=step.index,
-            unit_id=unit, local_index=len(step.tokens) + 1)
-
+            nodes.append(Node(len(nodes), "text", "token", t, unit, pos + 1,
+                              entity_id=phrase.entity_id if phrase else None,
+                              token=tok, phrase=phrase))
+        nodes.append(Node(len(nodes), "text", "sep", t, unit, len(step.tokens) + 1))
     for pos, image in enumerate(candidate, start=1):
-        add(modality="visual", kind="cls", step_index=pos,
-            unit_id=image.image_id, local_index=0)
+        nodes.append(Node(len(nodes), "visual", "cls", pos, image.image_id, 0))
         for oi, obj in enumerate(image.objects):
-            add(modality="visual", kind="object", step_index=pos,
-                unit_id=image.image_id, local_index=oi + 1, obj=obj)
+            nodes.append(Node(len(nodes), "visual", "object", pos, image.image_id,
+                              oi + 1, obj=obj))
     return nodes
+
+
+def node_arrays(nodes: list[Node]) -> SimpleNamespace:
+    """What the labeling passes read, as arrays: per node `unit`, `step`,
+    `entity` (integer codes, -1: none), `text`, `cls`; per object node
+    `objects`, `obj_unit`, `features`, `boxes`; per token with a phrase
+    `grounders`, and per (such token, object) the phrase's box for the
+    object's image, `grounding`, valid where `has_grounding`."""
+    units: dict[str, int] = {}
+    entities: dict[str, int] = {}
+    unit = np.array([units.setdefault(n.unit_id, len(units)) for n in nodes], dtype=np.int64)
+    objs = [n for n in nodes if n.kind == "object"]
+    grounders = [n for n in nodes if n.phrase is not None]
+    objects = np.array([n.global_index for n in objs], dtype=np.int64)
+    boxes = np.zeros((len(grounders), len(units), 4))
+    has_box = np.zeros((len(grounders), len(units)), dtype=bool)
+    for k, n in enumerate(grounders):
+        for image_id, box in n.phrase.grounding_boxes.items():
+            if image_id in units:
+                boxes[k, units[image_id]] = box.as_list()
+                has_box[k, units[image_id]] = True
+    return SimpleNamespace(
+        unit=unit,
+        step=np.array([n.step_index for n in nodes], dtype=np.int64),
+        entity=np.array([entities.setdefault(n.entity_id, len(entities))
+                         if n.entity_id else -1 for n in nodes], dtype=np.int64),
+        text=np.array([n.modality == "text" for n in nodes], dtype=bool),
+        cls=np.array([n.kind == "cls" for n in nodes], dtype=bool),
+        objects=objects,
+        obj_unit=unit[objects],
+        features=np.array([n.obj.feature for n in objs] or np.zeros((0, 0)), dtype=np.float64),
+        boxes=np.array([n.obj.box.as_list() for n in objs], dtype=np.float64).reshape(-1, 4),
+        grounders=np.array([n.global_index for n in grounders], dtype=np.int64),
+        grounding=boxes[:, unit[objects]],
+        has_grounding=has_box[:, unit[objects]],
+    )
 
 
 # ----------------------------------------------------------------------
 # labeling passes
 
 
-def _set(phi: np.ndarray, i: int, j: int, code: int):
-    """Symmetric write; existing non-NONE labels take precedence."""
-    if i == j:
-        return
-    if phi[i, j] == 0:
-        phi[i, j] = code
-        phi[j, i] = code
+def _write(phi: np.ndarray, mask: np.ndarray, code):
+    """First write wins: `code` lands where `mask` holds and `phi` is NONE."""
+    np.copyto(phi, code, where=mask & (phi == 0))
 
 
-def intra_modal_labels(nodes: list[Node], phi_m: np.ndarray):
-    by_unit: dict[str, list[Node]] = {}
-    for n in nodes:
-        by_unit.setdefault(n.unit_id, []).append(n)
-    for unit_nodes in by_unit.values():
-        code = (ModalCode.INTRA_TEXT if unit_nodes[0].modality == "text"
-                else ModalCode.INTRA_VIS)
-        for a in unit_nodes:
-            for b in unit_nodes:
-                if a.global_index < b.global_index:
-                    _set(phi_m, a.global_index, b.global_index, code)
-    # graph-level aggregation: each CLS connects to every node of its modality
-    for cls in nodes:
-        if cls.kind != "cls":
-            continue
-        code = (ModalCode.INTRA_TEXT if cls.modality == "text"
-                else ModalCode.INTRA_VIS)
-        for other in nodes:
-            if other.modality == cls.modality and other is not cls:
-                _set(phi_m, cls.global_index, other.global_index, code)
+def _embed(n: int, rows: np.ndarray, cols: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """N x N mask holding `block` at (rows, cols), symmetrised."""
+    mask = np.zeros((n, n), dtype=bool)
+    mask[np.ix_(rows, cols)] = block
+    return mask | mask.T
 
 
-def temporal_text_labels(nodes: list[Node], phi_t: np.ndarray):
-    tokens = [n for n in nodes if n.kind == "token" and n.entity_id]
-    for a in tokens:
-        for b in tokens:
-            if (a.global_index < b.global_index
-                    and a.step_index != b.step_index
-                    and a.entity_id == b.entity_id):
-                _set(phi_t, a.global_index, b.global_index, TemporalCode.TEXT_NODE)
+def intra_modal_labels(arr: SimpleNamespace, phi_m: np.ndarray):
+    """Same unit, or same modality with either node a CLS. Text nodes come
+    first, so a pair with a text node is INTRA_TEXT."""
+    text, cls = arr.text, arr.cls
+    mask = (arr.unit[:, None] == arr.unit) | ((text[:, None] == text) & (cls[:, None] | cls))
+    np.fill_diagonal(mask, False)
+    _write(phi_m, mask, np.where(text[:, None] | text,
+                                 ModalCode.INTRA_TEXT, ModalCode.INTRA_VIS))
 
 
-def temporal_visual_labels(nodes: list[Node], phi_t: np.ndarray, lambda_t: float):
+def temporal_text_labels(arr: SimpleNamespace, phi_t: np.ndarray):
+    """Tokens of the same entity in different steps."""
+    ent = arr.entity
+    mask = (ent[:, None] == ent) & (ent >= 0) & (arr.step[:, None] != arr.step)
+    _write(phi_t, mask, TemporalCode.TEXT_NODE)
+
+
+def temporal_visual_labels(arr: SimpleNamespace, phi_t: np.ndarray, lambda_t: float):
+    """Objects of different images whose features lie closer than lambda_t.
+    numpy's sum may round differently from `euclidean`'s dot product, so
+    pairs within 1e-9 relative of lambda_t are re-measured with `euclidean`:
+    every decision is `euclidean(u, v) < lambda_t`."""
     if lambda_t <= 0:
         raise ValueError("lambda_t must be > 0")
-    objs = [n for n in nodes if n.kind == "object"]
-    for a in objs:
-        for b in objs:
-            if a.global_index < b.global_index and a.unit_id != b.unit_id:
-                if euclidean(a.obj.feature, b.obj.feature) < lambda_t:
-                    _set(phi_t, a.global_index, b.global_index, TemporalCode.VIS_NODE)
+    f = arr.features
+    dist = np.sqrt(np.square(f[:, None, :] - f[None, :, :]).sum(axis=-1))
+    for i, j in np.argwhere(np.abs(dist - lambda_t) <= 1e-9 * lambda_t):
+        dist[i, j] = euclidean(f[i], f[j])
+    near = (dist < lambda_t) & (arr.obj_unit[:, None] != arr.obj_unit)
+    _write(phi_t, _embed(len(phi_t), arr.objects, arr.objects, near),
+           TemporalCode.VIS_NODE)
 
 
-def inter_modal_labels(nodes: list[Node], phi_m: np.ndarray, lambda_m: float):
-    objs_by_image: dict[str, list[Node]] = {}
-    for n in nodes:
-        if n.kind == "object":
-            objs_by_image.setdefault(n.unit_id, []).append(n)
-    for tnode in nodes:
-        if tnode.kind != "token" or tnode.phrase is None:
-            continue
-        for image_id, gbox in tnode.phrase.grounding_boxes.items():
-            for onode in objs_by_image.get(image_id, []):
-                if iou(gbox, onode.obj.box) > lambda_m:
-                    _set(phi_m, tnode.global_index, onode.global_index,
-                         ModalCode.INTER_NODE)
+def inter_modal_labels(arr: SimpleNamespace, phi_m: np.ndarray, lambda_m: float):
+    """A token and an object whose IoU, between the token phrase's grounding
+    box for the object's image and the object's box, exceeds lambda_m.
+    The IoU repeats `iou`'s float operations elementwise."""
+    gx1, gy1, gx2, gy2 = np.moveaxis(arr.grounding, -1, 0)
+    bx1, by1, bx2, by2 = arr.boxes.T
+    ix = np.maximum(0.0, np.minimum(gx2, bx2) - np.maximum(gx1, bx1))
+    iy = np.maximum(0.0, np.minimum(gy2, by2) - np.maximum(gy1, by1))
+    inter = ix * iy
+    union = (gx2 - gx1) * (gy2 - gy1) + (bx2 - bx1) * (by2 - by1) - inter
+    overlap = np.divide(inter, union, out=np.zeros_like(inter), where=inter > 0)
+    linked = arr.has_grounding & (overlap > lambda_m)
+    _write(phi_m, _embed(len(phi_m), arr.grounders, arr.objects, linked),
+           ModalCode.INTER_NODE)
 
 
-def derive_edge_based_labels(nodes: list[Node], phi_t: np.ndarray, phi_m: np.ndarray):
+def derive_edge_based_labels(arr: SimpleNamespace, phi_t: np.ndarray, phi_m: np.ndarray):
     """Edge-based relations over entity pairs; node-based labels keep precedence.
 
     Temporal: for entities a != b each mentioned in two steps t != t', the
     cross pairs (a tokens @ t, b tokens @ t') and (b @ t, a @ t') get EDGE.
     Inter-modal: for entities a != b in one step both node-linked to objects
     of the same image, the cross pairs (a tokens, b's objects) and
-    (b tokens, a's objects) get INTER_EDGE.
+    (b tokens, a's objects) get INTER_EDGE. Both are boolean matrix products
+    over entity tokens; an object linked to two entities is "b's" for each.
     """
-    # tokens grouped by (step, entity)
-    by_step_entity: dict[tuple[int, str], list[Node]] = {}
-    for n in nodes:
-        if n.kind == "token" and n.entity_id:
-            by_step_entity.setdefault((n.step_index, n.entity_id), []).append(n)
-    steps_of_entity: dict[str, set[int]] = {}
-    for (t, e) in by_step_entity:
-        steps_of_entity.setdefault(e, set()).add(t)
-
-    entities = sorted(steps_of_entity)
-    for ai, a in enumerate(entities):
-        for b in entities[ai + 1:]:
-            shared = steps_of_entity[a] & steps_of_entity[b]
-            for t in sorted(shared):
-                for t2 in sorted(shared):
-                    if t == t2:
-                        continue
-                    for na in by_step_entity[(t, a)]:
-                        for nb in by_step_entity[(t2, b)]:
-                            _set(phi_t, na.global_index, nb.global_index,
-                                 TemporalCode.EDGE)
+    n, tok = len(phi_t), np.flatnonzero(arr.entity >= 0)
+    step, ent = arr.step[tok], arr.entity[tok]
+    same_step = step[:, None] == step
+    same_ent = ent[:, None] == ent
+    mentioned = same_step @ same_ent        # [i, j]: j's entity occurs in i's step
+    _write(phi_t, _embed(n, tok, tok, mentioned & mentioned.T & ~same_step & ~same_ent),
+           TemporalCode.EDGE)
 
     # inter-modal edge-based, recovered from node-based links in phi_m
-    links: dict[tuple[int, str, str], set[int]] = {}
-    node_by_idx = nodes
-    for tnode in nodes:
-        if tnode.kind != "token" or not tnode.entity_id:
-            continue
-        for j in np.nonzero(phi_m[tnode.global_index] == ModalCode.INTER_NODE)[0]:
-            onode = node_by_idx[int(j)]
-            if onode.kind == "object":
-                key = (tnode.step_index, onode.unit_id, tnode.entity_id)
-                links.setdefault(key, set()).add(onode.global_index)
-    by_scope: dict[tuple[int, str], list[tuple[str, set[int]]]] = {}
-    for (t, image_id, ent), objset in links.items():
-        by_scope.setdefault((t, image_id), []).append((ent, objset))
-    for (t, image_id), ent_links in by_scope.items():
-        ent_links.sort()
-        for ai in range(len(ent_links)):
-            for bi in range(ai + 1, len(ent_links)):
-                ent_a, objs_a = ent_links[ai]
-                ent_b, objs_b = ent_links[bi]
-                for tok in by_step_entity.get((t, ent_a), []):
-                    for oj in objs_b:
-                        _set(phi_m, tok.global_index, oj, ModalCode.INTER_EDGE)
-                for tok in by_step_entity.get((t, ent_b), []):
-                    for oj in objs_a:
-                        _set(phi_m, tok.global_index, oj, ModalCode.INTER_EDGE)
+    linked = phi_m[np.ix_(tok, arr.objects)] == ModalCode.INTER_NODE
+    same_image = arr.obj_unit[:, None] == arr.obj_unit
+    own = (same_step & same_ent) @ linked @ same_image   # own entity links o's image
+    other = (same_step & ~same_ent) @ linked             # another entity links o
+    _write(phi_m, _embed(n, tok, arr.objects, own & other), ModalCode.INTER_EDGE)
 
 
 # ----------------------------------------------------------------------
 # assembly
 
 
-def assemble_graph(
-    steps: list[Step],
-    candidate: list[StepImage],
-    lambda_t: float = DEFAULT_LAMBDA_T,
-    lambda_m: float = DEFAULT_LAMBDA_M,
-    candidate_index: int = -1,
-) -> TmegGraph:
+def assemble_graph(steps: list[Step], candidate: list[StepImage],
+                   lambda_t: float = DEFAULT_LAMBDA_T, lambda_m: float = DEFAULT_LAMBDA_M,
+                   candidate_index: int = -1) -> TmegGraph:
     nodes = build_nodes(steps, candidate)
-    n = len(nodes)
-    phi_t = np.zeros((n, n), dtype=np.int8)
-    phi_m = np.zeros((n, n), dtype=np.int8)
-    intra_modal_labels(nodes, phi_m)
-    temporal_text_labels(nodes, phi_t)
-    temporal_visual_labels(nodes, phi_t, lambda_t)
-    inter_modal_labels(nodes, phi_m, lambda_m)
-    derive_edge_based_labels(nodes, phi_t, phi_m)
-    graph = TmegGraph(nodes=nodes, phi_t=phi_t, phi_m=phi_m,
-                      candidate_index=candidate_index)
+    arr = node_arrays(nodes)
+    phi_t = np.zeros((len(nodes), len(nodes)), dtype=np.int8)
+    phi_m = np.zeros_like(phi_t)
+    intra_modal_labels(arr, phi_m)
+    temporal_text_labels(arr, phi_t)
+    temporal_visual_labels(arr, phi_t, lambda_t)
+    inter_modal_labels(arr, phi_m, lambda_m)
+    derive_edge_based_labels(arr, phi_t, phi_m)
+    graph = TmegGraph(nodes, phi_t, phi_m, candidate_index)
     graph.validate()
     return graph
+
+
+def assemble_candidate_graphs(steps: list[Step], candidates: list[list[StepImage]],
+                              lambda_t: float = DEFAULT_LAMBDA_T,
+                              lambda_m: float = DEFAULT_LAMBDA_M) -> list[TmegGraph]:
+    """One graph per candidate, equal to `assemble_graph(steps, candidate,
+    ..., candidate_index=c)`, labeled by one `assemble_graph` call over the
+    union of the candidates' images (see the module docstring)."""
+    union: dict[str, StepImage] = {}
+    for image in itertools.chain.from_iterable(candidates):
+        if union.setdefault(image.image_id, image) is not image:
+            raise ValueError(f"two different images share the id {image.image_id!r}")
+    whole = assemble_graph(steps, list(union.values()), lambda_t, lambda_m)
+    text = [node.global_index for node in whole.nodes if node.modality == "text"]
+    rows: dict[str, list[int]] = {}     # image id -> its nodes in `whole`
+    for node in whole.nodes[len(text):]:
+        rows.setdefault(node.unit_id, []).append(node.global_index)
+    graphs = []
+    for ci, cand in enumerate(candidates):
+        idx = np.array(text + [i for image in cand for i in rows[image.image_id]])
+        sub = idx[:, None], idx
+        phi_m = whole.phi_m[sub]
+        repeat = idx[:, None] == idx     # node pairs of a repeated image's copies
+        np.fill_diagonal(repeat, False)
+        phi_m[repeat] = ModalCode.INTRA_VIS
+        graph = TmegGraph(build_nodes(steps, cand), whole.phi_t[sub], phi_m, ci)
+        graph.validate()
+        graphs.append(graph)
+    return graphs
 
 
 # ----------------------------------------------------------------------
@@ -313,15 +329,7 @@ def assemble_graph(
 
 
 def _rle(matrix: np.ndarray) -> list[list[int]]:
-    flat = matrix.reshape(-1)
-    runs: list[list[int]] = []
-    for v in flat:
-        v = int(v)
-        if runs and runs[-1][0] == v:
-            runs[-1][1] += 1
-        else:
-            runs.append([v, 1])
-    return runs
+    return [[v, len(list(run))] for v, run in itertools.groupby(matrix.reshape(-1).tolist())]
 
 
 def dump_graph(graph: TmegGraph) -> dict:
@@ -329,19 +337,9 @@ def dump_graph(graph: TmegGraph) -> dict:
     return {
         "n_nodes": graph.n_nodes,
         "candidate_index": graph.candidate_index,
-        "nodes": [
-            {
-                "global_index": n.global_index,
-                "modality": n.modality,
-                "kind": n.kind,
-                "step_index": n.step_index,
-                "unit_id": n.unit_id,
-                "local_index": n.local_index,
-                "entity_id": n.entity_id,
-                "token": n.token,
-            }
-            for n in graph.nodes
-        ],
+        "nodes": [{f: getattr(n, f) for f in (
+            "global_index", "modality", "kind", "step_index", "unit_id",
+            "local_index", "entity_id", "token")} for n in graph.nodes],
         "phi_t_rle": _rle(graph.phi_t),
         "phi_m_rle": _rle(graph.phi_m),
     }

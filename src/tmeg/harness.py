@@ -145,9 +145,13 @@ class PreparedInstance:
 
 def prepare_instances(corpus: D.Corpus, instances: list[D.TaskInstance],
                       lambda_t: float, lambda_m: float) -> list[PreparedInstance]:
+    """Resolve every instance, then label each (document, context) group
+    once: all cloze, coherence and ordering instances of a document that
+    share a context window get their graphs from one
+    `assemble_candidate_graphs` call."""
     docs = {doc.doc_id: doc for doc in corpus.documents}
     images = corpus.image_index()
-    prepared = []
+    resolved = []
     for inst in instances:
         doc = docs.get(inst.doc_id)
         if doc is None:
@@ -158,20 +162,30 @@ def prepare_instances(corpus: D.Corpus, instances: list[D.TaskInstance],
             raise TrainError(
                 f"instance for {inst.doc_id}: context steps {missing} "
                 f"not in the document")
-        steps = [step_by_index[i] for i in inst.context_steps]
-        graphs = []
-        for ci, cand in enumerate(inst.candidates):
-            try:
-                imgs = [images[r] for r in cand]
-            except KeyError as exc:
-                raise TrainError(
-                    f"instance for {inst.doc_id}: unresolved image ref {exc}")
-            graphs.append(G.assemble_graph(steps, imgs, lambda_t, lambda_m,
-                                           candidate_index=ci))
-        n_a = len(inst.candidates[0])
-        with_images = [pos for pos, s in enumerate(steps) if s.images]
-        aligned = np.array(with_images[:n_a], dtype=np.int64)
-        prepared.append(PreparedInstance(inst, graphs, aligned))
+        try:
+            cands = [[images[r] for r in cand] for cand in inst.candidates]
+        except KeyError as exc:
+            raise TrainError(
+                f"instance for {inst.doc_id}: unresolved image ref {exc}")
+        resolved.append(([step_by_index[i] for i in inst.context_steps], cands))
+
+    groups: dict[tuple, list[int]] = {}
+    for k, inst in enumerate(instances):
+        groups.setdefault((inst.doc_id, tuple(inst.context_steps)), []).append(k)
+    prepared: list[PreparedInstance] = [None] * len(instances)
+    for members in groups.values():
+        steps = resolved[members[0]][0]
+        graphs = iter(G.assemble_candidate_graphs(
+            steps, [c for k in members for c in resolved[k][1]], lambda_t, lambda_m))
+        for k in members:
+            inst = instances[k]
+            inst_graphs = [next(graphs) for _ in inst.candidates]
+            for ci, graph in enumerate(inst_graphs):
+                graph.candidate_index = ci
+            n_a = len(inst.candidates[0])
+            with_images = [pos for pos, s in enumerate(steps) if s.images]
+            aligned = np.array(with_images[:n_a], dtype=np.int64)
+            prepared[k] = PreparedInstance(inst, inst_graphs, aligned)
     return prepared
 
 

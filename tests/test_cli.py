@@ -254,3 +254,28 @@ class TestCorruptCheckpoint:
         with open(ckpt + ".json", "rb") as src, open(bad + ".json", "wb") as dst:
             dst.write(src.read())
         assert main(eval_argv(bad, tasks, corpus_path)) == 4
+
+
+class TestMalformedTasks:
+
+    @pytest.mark.parametrize("mutate", [
+        lambda d: [1, 2],
+        lambda d: dict(d, context_steps=None),
+        lambda d: dict(d, context_steps=3),
+        lambda d: dict(d, candidates=None),
+        lambda d: dict(d, candidates=[]),
+        lambda d: dict(d, candidates=d["candidates"][:1] + [[]]),
+        lambda d: dict(d, candidates=d["candidates"][:1] + [None]),
+        lambda d: dict(d, gold_index=9),
+        lambda d: dict(d, gold_index=-1),
+    ], ids=["not-an-object", "null-context", "int-context", "null-candidates",
+            "no-candidates", "empty-candidate", "null-candidate", "gold-too-large",
+            "gold-negative"])
+    def test_malformed_task_line_exits_3(self, eval_files, mutate):
+        tmp_path, corpus_path, tasks, ckpt, _ = eval_files
+        with open(tasks) as fh:
+            lines = fh.read().splitlines()
+        bad = os.path.join(tmp_path, "bad_tasks.jsonl")
+        with open(bad, "w") as fh:
+            fh.write("\n".join(lines[:1] + [json.dumps(mutate(json.loads(lines[0])))]))
+        assert main(eval_argv(ckpt, bad, corpus_path)) == 3
