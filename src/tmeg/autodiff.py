@@ -6,6 +6,12 @@ topological order. Only the operations the encoder and losses need are
 implemented; all of them support a leading batch dimension where it makes
 sense (matmul uses numpy's stacked-matrix semantics).
 
+Three composed operations are fused into single tape nodes: `softmax`,
+`layer_norm` and the biased `attention` block. Each repeats, operation for
+operation, the float arithmetic of the chain it replaces, so values and
+gradients are bit-identical to the composed graph, while the tape holds
+one node and only the arrays its backward pass needs.
+
 Inside `no_grad()` operations record nothing: results carry neither parents
 nor a backward closure, so each intermediate array is freed as soon as the
 forward pass stops using it.
@@ -387,6 +393,60 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
             x._accumulate((g * r + gs) * e)
 
     return Tensor(e * r, parents=(x,), backward=bw)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
+              bias: Tensor | None = None, key_bias=None) -> Tensor:
+    """Biased scaled dot-product attention with logits laid out [key, query]:
+    softmax((k @ qᵀ) * scale + bias + key_bias, axis=-2)ᵀ @ v.
+
+    q, k, v are (..., N, d); `bias` is a tensor broadcastable to the
+    (..., N, N) logits and `key_bias` a constant array (the -inf mask of
+    padded keys). One tape node whose forward and backward repeat, operation
+    for operation, the arithmetic of that chain composed from `@`, `*`, `+`,
+    `softmax` and `@`. It keeps only the exp numerator and its column sums
+    for the backward pass; without a tape it works in one buffer. The input
+    arrays are never written."""
+    x = k.data @ q.data.swapaxes(-1, -2)
+    x *= scale
+    if bias is not None:
+        x += bias.data
+    if key_bias is not None:
+        x += key_bias
+    # max propagates NaN, so this sees a NaN anywhere in the logits
+    m = x.max(axis=-2, keepdims=True)
+    if np.isnan(m).any():
+        raise ValueError("softmax received NaN input")
+    x += -m
+    e = np.exp(x, out=x)
+    s = e.sum(axis=-2, keepdims=True)
+    r = s ** -1.0
+    parents = (q, k, v) if bias is None else (q, k, v, bias)
+    if not (_grad_enabled and any(p.requires_grad for p in parents)):
+        e *= r
+        return Tensor(e.swapaxes(-1, -2) @ v.data)
+
+    def bw(g):
+        # every (..., N, N) temporary is written in place into `g_x`
+        g_x = np.multiply(e, r)
+        if v.requires_grad:
+            v._accumulate(g_x @ g)
+        g_attn = (g @ v.data.swapaxes(-1, -2)).swapaxes(-1, -2)
+        gs = (g_attn * e).sum(axis=-2, keepdims=True) * -1.0 * s ** -2.0
+        np.multiply(g_attn, r, out=g_x)
+        del g_attn
+        g_x += gs
+        g_x *= e
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(_unbroadcast(g_x, bias.data.shape))
+        g_x *= scale
+        if k.requires_grad:
+            k._accumulate(g_x @ q.data)
+        if q.requires_grad:
+            q._accumulate((k.data.swapaxes(-1, -2) @ g_x).swapaxes(-1, -2))
+
+    return Tensor((e * r).swapaxes(-1, -2) @ v.data, parents=parents,
+                  backward=bw)
 
 
 def logsumexp(x: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:

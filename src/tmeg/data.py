@@ -340,7 +340,9 @@ def load_corpus(path) -> Corpus:
 def save_corpus(corpus: Corpus, path):
     validate_corpus(corpus)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(corpus_to_dict(corpus), fh, sort_keys=True, separators=(",", ":"))
+        # json.dumps uses the C encoder; json.dump to a file never does
+        fh.write(json.dumps(corpus_to_dict(corpus), sort_keys=True,
+                            separators=(",", ":")))
 
 
 def save_task_instances(instances: list[TaskInstance], path):

@@ -124,12 +124,15 @@ def euclidean(u: np.ndarray, v: np.ndarray) -> float:
 def build_nodes(steps: list[Step], candidate: list[StepImage]) -> list[Node]:
     """Node order: per step [CLS, tokens..., SEP]; then per candidate image
     [CLS, objects...]. Token nodes covered by a noun-phrase span carry the
-    phrase's entity_id."""
+    phrase's entity_id, which must be non-empty: the labeling passes read
+    an empty id as no entity."""
     if not steps:
         raise ValueError("build_nodes: steps must be non-empty")
     nodes: list[Node] = []
     for step in steps:
         t, unit = step.index, f"step{step.index}"
+        if any(not phrase.entity_id for phrase in step.noun_phrases):
+            raise ValueError(f"build_nodes: step {t} has an empty entity_id")
         span_map = {pos: phrase for phrase in step.noun_phrases
                     for pos in range(phrase.span[0], phrase.span[1])}
         nodes.append(Node(len(nodes), "text", "cls", t, unit, 0))

@@ -254,8 +254,9 @@ def _batch_loss(model: TmegModel, prepared: list[PreparedInstance],
 
 def evaluate_prepared(model: TmegModel, prepared: list[PreparedInstance],
                       effect: AblationEffect,
-                      batch_size: int = 64) -> tuple[dict, list]:
-    """Accuracy per task plus a per-instance prediction log."""
+                      batch_size: int) -> tuple[dict, list]:
+    """Accuracy per task plus a per-instance prediction log, scored in
+    chunks of `batch_size` instances."""
     if not prepared:
         raise TrainError("cannot evaluate an empty instance list")
     log = []
@@ -284,7 +285,7 @@ def evaluate(model: TmegModel, instances: list[D.TaskInstance],
     effect = apply_ablation(config)
     prepared = prepare_instances(corpus, instances, config.lambda_t,
                                  config.lambda_m)
-    acc, _ = evaluate_prepared(model, prepared, effect)
+    acc, _ = evaluate_prepared(model, prepared, effect, config.batch_size)
     return MetricsReport(
         per_task_accuracy=acc,
         average_accuracy=float(np.mean(list(acc.values()))),
@@ -370,7 +371,8 @@ def train(config: RunConfig, train_corpus: D.Corpus | None = None,
             grad_eval(loss, model.store)
             adam_step(model.store, config.learning_rate)
             losses.append(float(loss.data))
-        acc, _ = evaluate_prepared(model, valid_prep, effect)
+        acc, _ = evaluate_prepared(model, valid_prep, effect,
+                                   config.batch_size)
         valid_acc = float(np.mean(list(acc.values())))
         curves.append({
             "epoch": epoch,
@@ -388,7 +390,7 @@ def train(config: RunConfig, train_corpus: D.Corpus | None = None,
                 break
     _restore(model.store, best_snap)
 
-    acc, _ = evaluate_prepared(model, valid_prep, effect)
+    acc, _ = evaluate_prepared(model, valid_prep, effect, config.batch_size)
     report = MetricsReport(
         per_task_accuracy=acc,
         average_accuracy=float(np.mean(list(acc.values()))),

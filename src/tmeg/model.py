@@ -22,10 +22,13 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .autodiff import (
-    Tensor, concat, gather_codes, layer_norm, linear, logsumexp, softmax,
+    Tensor, attention, concat, gather_codes, layer_norm, linear, logsumexp,
 )
 from .graph import TmegGraph, N_MODAL_CODES, N_TEMPORAL_CODES
 from .optim import ParamStore, config_hash
+
+# (temporal, modal) code of each entry of the (C_t, C_m) code-pair grid
+_CODE_PAIRS = np.indices((N_TEMPORAL_CODES, N_MODAL_CODES))
 
 
 @dataclass
@@ -394,22 +397,33 @@ class TmegModel:
 
         `head` is one head index (the result is shaped like phi) or
         slice(None) for every head ((B, H, N, N) from (B, N, N) codes).
-        NONE codes always read exactly 0 (masked, not learnable)."""
-        total = None
-        for table_name, phi, off in (("bias_t", phi_t, zero_t),
-                                     ("bias_m", phi_m, zero_m)):
-            if off:
-                continue
-            vals = gather_codes(self.p(table_name)[layer, head], phi)
-            total = vals if total is None else total + vals
-        return total
+        NONE codes always read exactly 0 (masked, not learnable).
+
+        With both tables live this is one gather, at phi_t * C_m + phi_m,
+        from a table over every (temporal, modal) code pair whose entries are
+        the two tables' gathers over the code-pair grid, summed."""
+        if zero_t and zero_m:
+            return None
+        if zero_t:
+            return gather_codes(self.p("bias_m")[layer, head], phi_m)
+        if zero_m:
+            return gather_codes(self.p("bias_t")[layer, head], phi_t)
+        phi_m = np.asarray(phi_m)
+        if phi_m.size and (phi_m.min() < 0 or phi_m.max() >= N_MODAL_CODES):
+            raise IndexError(f"edge code out of range [0, {N_MODAL_CODES})")
+        pair_t, pair_m = _CODE_PAIRS
+        table = (gather_codes(self.p("bias_t")[layer, head], pair_t)
+                 + gather_codes(self.p("bias_m")[layer, head], pair_m))
+        return gather_codes(table.reshape(*table.shape[:-2], -1),
+                            np.asarray(phi_t) * N_MODAL_CODES + phi_m)
 
     def _transformer_layer(self, h: Tensor, prefix: str, n_heads: int,
-                           bias=None) -> Tensor:
+                           bias: Tensor | None = None,
+                           key_bias: np.ndarray | None = None) -> Tensor:
         """Post-norm encoder layer over (B, N, dim), all heads at once.
 
-        `bias` is added to the (B, H, N, N) attention logits; it carries the
-        edge-code biases and the -inf mask of padded keys."""
+        `bias` (the edge-code biases) and `key_bias` (the -inf mask of
+        padded keys) are added to the (B, H, N, N) attention logits."""
         *lead, n, dim = h.shape
         dh = dim // n_heads
 
@@ -419,13 +433,10 @@ class TmegModel:
         q = split_heads(linear(h, self.p(f"{prefix}/wq"), self.p(f"{prefix}/bq")))
         k = split_heads(linear(h, self.p(f"{prefix}/wk")))
         v = split_heads(linear(h, self.p(f"{prefix}/wv"), self.p(f"{prefix}/bv")))
-        # logits[..., i, j] = k_i . q_j / sqrt(d_head) (+ biases)
-        logits = (k @ q.swapaxes(-1, -2)) * (1.0 / math.sqrt(dh))
-        if bias is not None:
-            logits = logits + bias
-        attn = softmax(logits, axis=-2)  # normalize over keys i for each j
-        merged = (attn.swapaxes(-1, -2) @ v).swapaxes(-2, -3).reshape(
-            *lead, n, dim)
+        # logits[..., i, j] = k_i . q_j / sqrt(d_head) (+ biases), normalized
+        # over keys i for each query j
+        merged = attention(q, k, v, 1.0 / math.sqrt(dh), bias, key_bias)
+        merged = merged.swapaxes(-2, -3).reshape(*lead, n, dim)
         out = linear(merged, self.p(f"{prefix}/wo"), self.p(f"{prefix}/bo"))
         h1 = layer_norm(out + h, self.p(f"{prefix}/ln1_g"), self.p(f"{prefix}/ln1_b"))
         ffn = linear(
@@ -438,10 +449,8 @@ class TmegModel:
                      layer: int, zero_t: bool = False, zero_m: bool = False,
                      key_bias: np.ndarray | None = None) -> Tensor:
         bias = self._edge_bias(layer, slice(None), phi_t, phi_m, zero_t, zero_m)
-        if key_bias is not None:
-            bias = key_bias if bias is None else bias + key_bias
         return self._transformer_layer(h, f"enc{layer}", self.config.n_heads,
-                                       bias)
+                                       bias, key_bias)
 
     def fusion_stack(self, h: Tensor, phi_t: np.ndarray, phi_m: np.ndarray,
                      zero_t: bool = False, zero_m: bool = False,
@@ -489,7 +498,7 @@ class TmegModel:
         h = pair_seq
         for l in range(self.config.scorer_layers):
             h = self._transformer_layer(h, f"sc{l}", self.config.scorer_heads,
-                                        key_bias)
+                                        key_bias=key_bias)
         lead = h[:, 0]
         hidden = linear(lead, self.p("scorer/out_w1"),
                         self.p("scorer/out_b1")).tanh()

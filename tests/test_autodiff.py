@@ -15,8 +15,8 @@ from scipy.special import logsumexp as scipy_logsumexp
 from scipy.special import softmax as scipy_softmax
 
 from tmeg.autodiff import (
-    Tensor, concat, embed_lookup, gather_codes, layer_norm, linear, logsumexp,
-    no_grad, softmax,
+    Tensor, attention, concat, embed_lookup, gather_codes, layer_norm, linear,
+    logsumexp, no_grad, softmax,
 )
 
 
@@ -200,7 +200,7 @@ class TestComposedOps:
         check_op(lambda x, g, b: (layer_norm(x, g, b) ** 2.0).sum(),
                  (3, 5), (5,), (5,), tol=1e-5)
 
-    @pytest.mark.parametrize("op", ["softmax", "layer_norm"])
+    @pytest.mark.parametrize("op", ["softmax", "layer_norm", "attention"])
     def test_fused_op_repeats_composed_arithmetic(self, op):
         """The one-node ops must equal, bit for bit, the same formula
         composed from elementary tape ops, in values and gradients."""
@@ -214,20 +214,43 @@ class TestComposedOps:
             var = (centered * centered).mean(axis=-1, keepdims=True)
             return centered / (var + 1e-12).sqrt() * g + b
 
+        # attention as the encoder runs it: heads split from (B, N, H, d)
+        # rows, edge codes with NONE entries, the last key of graph 0 padded
+        codes = np.random.default_rng(6).integers(0, 4, size=(3, 6, 6))
+        key_bias = np.zeros((3, 1, 6, 1))
+        key_bias[0, 0, -1] = -np.inf
+
+        def attention_inputs(q, k, v, table):
+            return (q.swapaxes(1, 2), k.swapaxes(1, 2), v.swapaxes(1, 2),
+                    0.5, gather_codes(table, codes))
+
+        def fused_attention(*leaves):
+            return attention(*attention_inputs(*leaves), key_bias)
+
+        def composed_attention(*leaves):
+            q, k, v, scale, bias = attention_inputs(*leaves)
+            logits = (k @ q.swapaxes(-1, -2)) * scale + bias + key_bias
+            return softmax(logits, axis=-2).swapaxes(-1, -2) @ v
+
         rng = np.random.default_rng(5)
         if op == "softmax":
             shapes = [(3, 2, 6, 6)]
             fused, composed = (lambda x: softmax(x, axis=-2)), composed_softmax
-        else:
+        elif op == "layer_norm":
             shapes = [(3, 6, 8), (8,), (8,)]
             fused, composed = layer_norm, composed_layer_norm
+        else:
+            shapes = [(3, 6, 2, 4)] * 3 + [(2, 4)]
+            fused, composed = fused_attention, composed_attention
         arrays = [rng.normal(size=s) for s in shapes]
-        weights = rng.normal(size=shapes[0])
+        weights = None
         results = []
         for fn in (fused, composed):
             leaves = [Tensor(a, requires_grad=True) for a in arrays]
             # the op input is an interior node, as in the encoder
             out = fn(leaves[0] * 1.0, *leaves[1:])
+            if weights is None:
+                weights = rng.normal(size=out.shape)
             (out * weights).sum().backward()
             results.append([out.data] + [t.grad for t in leaves])
         for got, want in zip(*results):
@@ -298,6 +321,39 @@ class TestGatherCodes:
     def test_out_of_range_code_rejected(self):
         with pytest.raises(IndexError):
             gather_codes(Tensor(np.zeros((2, 3))), np.full((2, 2), 3))
+
+
+class TestAttention:
+
+    key_bias = np.array([0.0, 0.0, 0.0, -np.inf])[None, None, :, None]
+
+    def test_grad_matches_central_differences(self):
+        weights = np.random.default_rng(2).normal(size=(2, 2, 4, 3))
+        check_op(lambda q, k, v, b: (attention(q, k, v, 0.7, b, self.key_bias)
+                                     * weights).sum(),
+                 (2, 2, 4, 3), (2, 2, 4, 3), (2, 2, 4, 3), (2, 4, 4))
+
+    def test_no_grad_same_values_no_tape_inputs_untouched(self):
+        rng = np.random.default_rng(3)
+        arrays = [rng.normal(size=s) for s in [(2, 2, 4, 3)] * 3 + [(2, 4, 4)]]
+        key_bias = np.broadcast_to(self.key_bias, (2, 1, 4, 1)).copy()
+        before = [a.copy() for a in arrays] + [key_bias.copy()]
+        q, k, v, b = [Tensor(a, requires_grad=True) for a in arrays]
+        taped = attention(q, k, v, 0.7, b, key_bias)
+        with no_grad():
+            free = attention(q, k, v, 0.7, b, key_bias)
+        assert taped.requires_grad and taped._parents
+        assert not free.requires_grad
+        assert free._parents == () and free._backward is None
+        np.testing.assert_array_equal(free.data, taped.data)
+        for now, then in zip(arrays + [key_bias], before):
+            np.testing.assert_array_equal(now, then)
+
+    def test_rejects_nan(self):
+        x = Tensor(np.zeros((1, 3, 2)))
+        bias = Tensor(np.array([[0.0, np.nan, 0.0]] * 3))
+        with pytest.raises(ValueError):
+            attention(x, x, x, 1.0, bias)
 
 
 class TestNoGrad:

@@ -279,3 +279,15 @@ class TestMalformedTasks:
         with open(bad, "w") as fh:
             fh.write("\n".join(lines[:1] + [json.dumps(mutate(json.loads(lines[0])))]))
         assert main(eval_argv(ckpt, bad, corpus_path)) == 3
+
+
+def test_empty_entity_id_in_corpus_exits_3(eval_files):
+    tmp_path, corpus_path, tasks, ckpt, _ = eval_files
+    with open(corpus_path) as fh:
+        payload = json.load(fh)
+    step = payload["documents"][0]["steps"][0]
+    step["noun_phrases"][0]["entity_id"] = ""
+    bad = os.path.join(tmp_path, "empty_entity.json")
+    with open(bad, "w") as fh:
+        json.dump(payload, fh)
+    assert main(eval_argv(ckpt, tasks, bad)) == 3

@@ -1,5 +1,8 @@
 """Document model, synthetic generation, and task-instance tests."""
 
+import io
+import json
+
 import numpy as np
 import pytest
 
@@ -108,6 +111,23 @@ class TestCorpusIO:
         save_corpus(corpus, p1)
         save_corpus(corpus, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_save_bytes_equal_pure_python_encoder(self, tmp_path):
+        corpus = generate_synthetic_corpus(SyntheticConfig(num_docs=4, seed=2))
+        path = tmp_path / "corpus.json"
+        save_corpus(corpus, path)
+        want = io.StringIO()
+        json.dump(corpus_to_dict(corpus), want, sort_keys=True,
+                  separators=(",", ":"))
+        assert path.read_bytes() == want.getvalue().encode("utf-8")
+
+    def test_empty_entity_id_rejected_on_load(self, tmp_path):
+        payload = corpus_to_dict(generate_synthetic_corpus(tiny_config()))
+        payload["documents"][0]["steps"][0]["noun_phrases"][0]["entity_id"] = ""
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CorpusError, match="empty entity_id"):
+            load_corpus(path)
 
     def test_malformed_json_reports_location(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -315,6 +315,20 @@ class TestWideOracle:
         with pytest.raises(ValueError):
             assemble_candidate_graphs([step], [[a], [b]])
 
+    def test_empty_entity_id_rejected(self):
+        """The labeler reads "" as no entity while the oracle reads it as
+        one more entity, so graphs refuse it (corpus loading does too)."""
+        box, far = BoundingBox(0.1, 0.1, 0.4, 0.4), BoundingBox(0.6, 0.6, 0.9, 0.9)
+        image = StepImage("im", [ObjectFeature(np.zeros(2), box, 1.0),
+                                 ObjectFeature(np.ones(2), far, 1.0)])
+        step = Step(index=1, tokens=["a", "b"], images=[], noun_phrases=[
+            NounPhrase((0, 1), "e0", {"im": box}),
+            NounPhrase((1, 2), "", {"im": far})])
+        with pytest.raises(ValueError, match="empty entity_id"):
+            build_nodes([step], [image])
+        with pytest.raises(ValueError, match="empty entity_id"):
+            assemble_graph([step], [image])
+
 
 # ----------------------------------------------------------------------
 # geometry

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.special import erf, softmax as scipy_softmax
 
-from tmeg.autodiff import Tensor
+from tmeg.autodiff import Tensor, gather_codes
 from tmeg.data import SyntheticConfig, build_vocab, generate_synthetic_corpus
 from tmeg.harness import (
     RunConfig, apply_ablation, make_instances, prepare_instances, _batch_loss,
@@ -238,6 +238,50 @@ class TestEdgeBias:
         phi_m = np.zeros((2, 2), dtype=np.int64)
         bias = model._edge_bias(0, 0, phi_t, phi_m, False, False)
         np.testing.assert_allclose(bias.data, [[0.0, 2.5], [2.5, 0.0]])
+
+
+    @pytest.mark.parametrize("zero_t", [False, True])
+    @pytest.mark.parametrize("zero_m", [False, True])
+    @pytest.mark.parametrize("head", [1, slice(None)])
+    def test_one_gather_matches_per_table_gathers(self, zero_t, zero_m, head):
+        """The combined code-pair gather reads exactly the sum of one gather
+        per table, and passes both tables the same gradients."""
+        rng = np.random.default_rng(4)
+        model, _ = build_model()
+        phi = [random_phi(rng, 7) for _ in range(3)]
+        phi_t = np.stack([p[0] for p in phi])
+        phi_m = np.stack([p[1] for p in phi])
+        layer = 1
+        tables = {name: Tensor(model.store[name].value.copy(), requires_grad=True)
+                  for name in ("bias_t", "bias_m")}
+        want = None
+        for name, codes, off in (("bias_t", phi_t, zero_t),
+                                 ("bias_m", phi_m, zero_m)):
+            if not off:
+                vals = gather_codes(tables[name][layer, head], codes)
+                want = vals if want is None else want + vals
+        got = model._edge_bias(layer, head, phi_t, phi_m, zero_t, zero_m)
+        if want is None:
+            assert got is None
+            return
+        np.testing.assert_array_equal(got.data, want.data)
+        weights = rng.normal(size=got.shape)
+        (want * weights).sum().backward()
+        (got * weights).sum().backward()
+        for name, table in tables.items():
+            mine = model.store[name].tensor.grad
+            if table.grad is None:
+                assert mine is None or not mine.any()
+            else:
+                np.testing.assert_allclose(mine, table.grad, rtol=1e-12,
+                                           atol=1e-12)
+
+    def test_out_of_range_modal_code_rejected(self):
+        model, _ = build_model()
+        phi_t = np.zeros((3, 3), dtype=np.int64)
+        phi_m = np.full((3, 3), model.store["bias_m"].value.shape[-1])
+        with pytest.raises(IndexError):
+            model._edge_bias(0, 0, phi_t, phi_m, False, False)
 
 
 class TestEncoderShapes:
