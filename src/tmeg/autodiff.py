@@ -130,9 +130,6 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     # ------------------------------------------------------------------
     # arithmetic
 
@@ -342,7 +339,7 @@ def gather_codes(table: Tensor, codes) -> Tensor:
     say). `codes` is (*batch, N, M) with entries in [0, C). The result is
     (*batch, *lead, N, M) with out[b, a, i, j] = table[a, codes[b, i, j]],
     except that code 0 (NONE) reads exactly 0 and receives no gradient.
-    The backward pass is a single weighted bincount over every leading row.
+    The backward pass is one weighted bincount of the codes per leading row.
     """
     codes = np.asarray(codes)
     lead = table.shape[:-1]
@@ -364,12 +361,10 @@ def gather_codes(table: Tensor, codes) -> Tensor:
         if not table.requires_grad:
             return
         g = np.moveaxis(g, tuple(range(nb, nb + len(lead))),
-                        tuple(range(len(lead))))
-        flat = (codes.reshape(1, -1)
-                + (np.arange(n_rows) * n_codes)[:, None]).ravel()
-        grad = np.bincount(flat, weights=g.reshape(-1),
-                           minlength=n_rows * n_codes)
-        grad = grad.reshape(n_rows, n_codes)
+                        tuple(range(len(lead)))).reshape(n_rows, -1)
+        flat = codes.ravel()
+        grad = np.stack([np.bincount(flat, weights=row, minlength=n_codes)
+                         for row in g])
         grad[:, 0] = 0.0
         table._accumulate(grad.reshape(table.shape))
 
@@ -496,12 +491,3 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     if bias is not None:
         out = out + bias
     return out
-
-
-def embed_lookup(table: Tensor, index) -> Tensor:
-    """Row retrieval from an embedding table; `index` may be an int array."""
-    n = table.shape[0]
-    idx = np.asarray(index)
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise IndexError(f"embedding index out of range [0, {n})")
-    return table[idx]

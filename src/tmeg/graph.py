@@ -12,7 +12,9 @@ written with first-write precedence, `phi[mask & (phi == NONE)] = code`.
 
 `assemble_candidate_graphs` labels the candidates of one context with one
 `assemble_graph` call over the union of their images and slices each
-candidate out. That is exact: a pair's codes depend only on the two nodes'
+candidate out: its code matrices and its rows of the union's node arrays.
+Every candidate shares the union's text `Node`s; only its visual nodes are
+built for it. That is exact: a pair's codes depend only on the two nodes'
 own attributes, the text nodes and the groundings in one (step, image)
 scope, all the same in the union as in the candidate. The exception is a
 candidate that repeats an image: the copies share a `unit_id`, so their
@@ -23,7 +25,7 @@ read them from its NONE diagonal, so they are set from the candidate.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 from types import SimpleNamespace
 
@@ -53,6 +55,9 @@ class ModalCode(IntEnum):
 N_TEMPORAL_CODES = len(TemporalCode)
 N_MODAL_CODES = len(ModalCode)
 
+NODE_KINDS = ("cls", "sep", "token", "object")   # `Node.kind` by its array code
+CLS, SEP, TOKEN, OBJECT = range(len(NODE_KINDS))
+
 
 @dataclass
 class Node:
@@ -74,6 +79,12 @@ class TmegGraph:
     phi_t: np.ndarray
     phi_m: np.ndarray
     candidate_index: int = -1
+    # the arrays the model batches from: `node_arrays(nodes)` unless given
+    arrays: SimpleNamespace | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.arrays is None:
+            self.arrays = node_arrays(self.nodes)
 
     @property
     def n_nodes(self) -> int:
@@ -142,26 +153,38 @@ def build_nodes(steps: list[Step], candidate: list[StepImage]) -> list[Node]:
                               entity_id=phrase.entity_id if phrase else None,
                               token=tok, phrase=phrase))
         nodes.append(Node(len(nodes), "text", "sep", t, unit, len(step.tokens) + 1))
+    return nodes + _visual_nodes(candidate, len(nodes))
+
+
+def _visual_nodes(candidate: list[StepImage], start: int) -> list[Node]:
+    """The candidate's image nodes, numbered from global index `start`."""
+    nodes: list[Node] = []
     for pos, image in enumerate(candidate, start=1):
-        nodes.append(Node(len(nodes), "visual", "cls", pos, image.image_id, 0))
+        nodes.append(Node(start + len(nodes), "visual", "cls", pos, image.image_id, 0))
         for oi, obj in enumerate(image.objects):
-            nodes.append(Node(len(nodes), "visual", "object", pos, image.image_id,
-                              oi + 1, obj=obj))
+            nodes.append(Node(start + len(nodes), "visual", "object", pos,
+                              image.image_id, oi + 1, obj=obj))
     return nodes
 
 
 def node_arrays(nodes: list[Node]) -> SimpleNamespace:
-    """What the labeling passes read, as arrays: per node `unit`, `step`,
-    `entity` (integer codes, -1: none), `text`, `cls`; per object node
-    `objects`, `obj_unit`, `features`, `boxes`; per token with a phrase
-    `grounders`, and per (such token, object) the phrase's box for the
-    object's image, `grounding`, valid where `has_grounding`."""
-    units: dict[str, int] = {}
-    entities: dict[str, int] = {}
+    """A node list as arrays. The model batches from `n_text` (text nodes
+    come first); per node `kind` (a code into NODE_KINDS) and `step`; per
+    text node `token` ("" at CLS and SEP); per object node `features` and
+    `boxes` (x1, y1, x2, y2). Labeling also reads per node `unit`, `entity`
+    (codes, -1: none), `text`, `cls`; per object node `objects`, `obj_unit`;
+    per phrase token `grounders`, and per (such token, object) the phrase's
+    box for the object's image, `grounding`, valid where `has_grounding`."""
+    modality = [n.modality for n in nodes]
+    n_text = modality.count("text")
+    if modality != ["text"] * n_text + ["visual"] * (len(nodes) - n_text):
+        raise ValueError("expected contiguous text-then-visual node layout")
+    units, entities = {}, {}
     unit = np.array([units.setdefault(n.unit_id, len(units)) for n in nodes], dtype=np.int64)
-    objs = [n for n in nodes if n.kind == "object"]
+    kind = np.array([NODE_KINDS.index(n.kind) for n in nodes], dtype=np.int8)
+    objs = [n.obj for n in nodes if n.kind == "object"]
     grounders = [n for n in nodes if n.phrase is not None]
-    objects = np.array([n.global_index for n in objs], dtype=np.int64)
+    objects = np.flatnonzero(kind == OBJECT)
     boxes = np.zeros((len(grounders), len(units), 4))
     has_box = np.zeros((len(grounders), len(units)), dtype=bool)
     for k, n in enumerate(grounders):
@@ -170,16 +193,19 @@ def node_arrays(nodes: list[Node]) -> SimpleNamespace:
                 boxes[k, units[image_id]] = box.as_list()
                 has_box[k, units[image_id]] = True
     return SimpleNamespace(
+        n_text=n_text,
+        kind=kind,
+        token=np.array([n.token or "" for n in nodes[:n_text]], dtype=str),
         unit=unit,
         step=np.array([n.step_index for n in nodes], dtype=np.int64),
         entity=np.array([entities.setdefault(n.entity_id, len(entities))
                          if n.entity_id else -1 for n in nodes], dtype=np.int64),
-        text=np.array([n.modality == "text" for n in nodes], dtype=bool),
-        cls=np.array([n.kind == "cls" for n in nodes], dtype=bool),
+        text=np.arange(len(nodes)) < n_text,
+        cls=kind == CLS,
         objects=objects,
         obj_unit=unit[objects],
-        features=np.array([n.obj.feature for n in objs] or np.zeros((0, 0)), dtype=np.float64),
-        boxes=np.array([n.obj.box.as_list() for n in objs], dtype=np.float64).reshape(-1, 4),
+        features=np.array([o.feature for o in objs] or np.zeros((0, 0)), dtype=np.float64),
+        boxes=np.array([o.box.as_list() for o in objs], dtype=np.float64).reshape(-1, 4),
         grounders=np.array([n.global_index for n in grounders], dtype=np.int64),
         grounding=boxes[:, unit[objects]],
         has_grounding=has_box[:, unit[objects]],
@@ -293,7 +319,7 @@ def assemble_graph(steps: list[Step], candidate: list[StepImage],
     temporal_visual_labels(arr, phi_t, lambda_t)
     inter_modal_labels(arr, phi_m, lambda_m)
     derive_edge_based_labels(arr, phi_t, phi_m)
-    graph = TmegGraph(nodes, phi_t, phi_m, candidate_index)
+    graph = TmegGraph(nodes, phi_t, phi_m, candidate_index, arr)
     graph.validate()
     return graph
 
@@ -309,19 +335,28 @@ def assemble_candidate_graphs(steps: list[Step], candidates: list[list[StepImage
         if union.setdefault(image.image_id, image) is not image:
             raise ValueError(f"two different images share the id {image.image_id!r}")
     whole = assemble_graph(steps, list(union.values()), lambda_t, lambda_m)
-    text = [node.global_index for node in whole.nodes if node.modality == "text"]
-    rows: dict[str, list[int]] = {}     # image id -> its nodes in `whole`
-    for node in whole.nodes[len(text):]:
-        rows.setdefault(node.unit_id, []).append(node.global_index)
+    arr, n_text = whole.arrays, whole.arrays.n_text
+    sizes = [1 + len(image.objects) for image in union.values()]
+    rows = {image_id: np.arange(start, start + size)   # image id -> its nodes in `whole`
+            for image_id, start, size in zip(
+                union, itertools.accumulate(sizes, initial=n_text), sizes)}
+    obj_row = np.cumsum(arr.kind == OBJECT) - 1        # node -> its row of features, boxes
     graphs = []
     for ci, cand in enumerate(candidates):
-        idx = np.array(text + [i for image in cand for i in rows[image.image_id]])
+        idx = np.concatenate([np.arange(n_text)] + [rows[image.image_id] for image in cand])
         sub = idx[:, None], idx
         phi_m = whole.phi_m[sub]
         repeat = idx[:, None] == idx     # node pairs of a repeated image's copies
         np.fill_diagonal(repeat, False)
         phi_m[repeat] = ModalCode.INTRA_VIS
-        graph = TmegGraph(build_nodes(steps, cand), whole.phi_t[sub], phi_m, ci)
+        visual = _visual_nodes(cand, n_text)
+        kind = arr.kind[idx]
+        objects = obj_row[idx[kind == OBJECT]]
+        step = np.array([n.step_index for n in visual], dtype=np.int64)
+        arrays = SimpleNamespace(n_text=n_text, kind=kind, token=arr.token,
+                                 step=np.concatenate([arr.step[:n_text], step]),
+                                 features=arr.features[objects], boxes=arr.boxes[objects])
+        graph = TmegGraph(whole.nodes[:n_text] + visual, whole.phi_t[sub], phi_m, ci, arrays)
         graph.validate()
         graphs.append(graph)
     return graphs

@@ -1,10 +1,11 @@
 """Training, evaluation, ablations, transfer, and the balance-parameter sweep.
 
-Each minibatch of instances runs as one padded batch of (document,
-candidate) graphs, whatever their shapes; evaluation builds no autodiff
-tape. All randomness flows from named streams derived from the master
-seed, so a (seed, config, corpus) triple reproduces byte-identical metrics
-and checkpoints.
+Each training minibatch runs as one padded batch of (document, candidate)
+graphs, whatever their shapes. Evaluation builds no autodiff tape and
+scores each distinct graph once: a candidate shared by instances of one
+(document, context) group is one graph. All randomness flows from named
+streams derived from the master seed, so a (seed, config, corpus) triple
+reproduces byte-identical metrics and checkpoints.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import json
 import time
 import zlib
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
@@ -56,6 +57,8 @@ class RunConfig:
     def __post_init__(self):
         if self.patience < 1:
             raise TrainError("patience must be >= 1")
+        if self.max_epochs < 1:
+            raise TrainError("max_epochs must be >= 1")
         if self.batch_size < 1:
             raise TrainError("batch_size must be >= 1")
         if self.ablation not in ABLATIONS:
@@ -68,8 +71,7 @@ class RunConfig:
         return lb
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        return d
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":
@@ -148,11 +150,13 @@ def prepare_instances(corpus: D.Corpus, instances: list[D.TaskInstance],
     """Resolve every instance, then label each (document, context) group
     once: all cloze, coherence and ordering instances of a document that
     share a context window get their graphs from one
-    `assemble_candidate_graphs` call."""
+    `assemble_candidate_graphs` call over the group's distinct candidates.
+    A repeated candidate is labelled once; each repeat is a copy with its
+    own `candidate_index` sharing the nodes, code matrices and arrays."""
     docs = {doc.doc_id: doc for doc in corpus.documents}
     images = corpus.image_index()
-    resolved = []
-    for inst in instances:
+    resolved, groups = [], {}
+    for k, inst in enumerate(instances):
         doc = docs.get(inst.doc_id)
         if doc is None:
             raise TrainError(f"instance references unknown doc {inst.doc_id}")
@@ -168,24 +172,22 @@ def prepare_instances(corpus: D.Corpus, instances: list[D.TaskInstance],
             raise TrainError(
                 f"instance for {inst.doc_id}: unresolved image ref {exc}")
         resolved.append(([step_by_index[i] for i in inst.context_steps], cands))
-
-    groups: dict[tuple, list[int]] = {}
-    for k, inst in enumerate(instances):
         groups.setdefault((inst.doc_id, tuple(inst.context_steps)), []).append(k)
+
     prepared: list[PreparedInstance] = [None] * len(instances)
     for members in groups.values():
         steps = resolved[members[0]][0]
-        graphs = iter(G.assemble_candidate_graphs(
-            steps, [c for k in members for c in resolved[k][1]], lambda_t, lambda_m))
+        distinct = {tuple(refs): cand for k in members
+                    for refs, cand in zip(instances[k].candidates, resolved[k][1])}
+        graphs = dict(zip(distinct, G.assemble_candidate_graphs(
+            steps, list(distinct.values()), lambda_t, lambda_m)))
+        with_images = [pos for pos, s in enumerate(steps) if s.images]
         for k in members:
             inst = instances[k]
-            inst_graphs = [next(graphs) for _ in inst.candidates]
-            for ci, graph in enumerate(inst_graphs):
-                graph.candidate_index = ci
-            n_a = len(inst.candidates[0])
-            with_images = [pos for pos, s in enumerate(steps) if s.images]
-            aligned = np.array(with_images[:n_a], dtype=np.int64)
-            prepared[k] = PreparedInstance(inst, inst_graphs, aligned)
+            prepared[k] = PreparedInstance(
+                inst, [replace(graphs[tuple(cand)], candidate_index=ci)
+                       for ci, cand in enumerate(inst.candidates)],
+                np.array(with_images[:len(inst.candidates[0])], dtype=np.int64))
     return prepared
 
 
@@ -252,30 +254,35 @@ def _batch_loss(model: TmegModel, prepared: list[PreparedInstance],
 # evaluation
 
 
+def score_prepared(model: TmegModel, prepared: list[PreparedInstance],
+                   effect: AblationEffect, batch_size: int) -> list[np.ndarray]:
+    """Each instance's candidate scores, without a tape. Graphs that share
+    their code matrices are copies of one graph (see `prepare_instances`):
+    each distinct graph is scored once, in chunks of `batch_size` x N_c
+    graphs, and its score fanned back out to every copy."""
+    distinct = {id(g.phi_t): g for p in prepared for g in p.graphs}
+    graphs, chunk = list(distinct.values()), batch_size * len(prepared[0].graphs)
+    with no_grad():
+        scores = dict(zip(distinct, np.concatenate([
+            model.score_graphs(graphs[k:k + chunk], effect.zero_t, effect.zero_m).data
+            for k in range(0, len(graphs), chunk)])))
+    return [np.array([scores[id(g.phi_t)] for g in p.graphs]) for p in prepared]
+
+
 def evaluate_prepared(model: TmegModel, prepared: list[PreparedInstance],
                       effect: AblationEffect,
                       batch_size: int) -> tuple[dict, list]:
-    """Accuracy per task plus a per-instance prediction log, scored in
-    chunks of `batch_size` instances."""
+    """Accuracy per task plus a per-instance prediction log."""
     if not prepared:
         raise TrainError("cannot evaluate an empty instance list")
-    log = []
-    by_task: dict[str, list[int]] = {}
-    for start in range(0, len(prepared), batch_size):
-        chunk = prepared[start:start + batch_size]
-        with no_grad():
-            scores = _batch_scores(model, chunk, effect)[0]
-        for p, row in zip(chunk, scores.data):
-            pred_idx = int(np.argmax(row))  # ties resolve to the lowest index
-            correct = int(pred_idx == p.instance.gold_index)
-            by_task.setdefault(p.instance.task_kind, []).append(correct)
-            log.append({
-                "doc_id": p.instance.doc_id,
-                "task_kind": p.instance.task_kind,
-                "predicted": pred_idx,
-                "gold": p.instance.gold_index,
-                "correct": correct,
-            })
+    log, by_task = [], {}
+    for p, row in zip(prepared, score_prepared(model, prepared, effect, batch_size)):
+        pred_idx = int(np.argmax(row))  # ties resolve to the lowest index
+        correct = int(pred_idx == p.instance.gold_index)
+        by_task.setdefault(p.instance.task_kind, []).append(correct)
+        log.append({"doc_id": p.instance.doc_id, "task_kind": p.instance.task_kind,
+                    "predicted": pred_idx, "gold": p.instance.gold_index,
+                    "correct": correct})
     acc = {task: float(np.mean(v)) for task, v in sorted(by_task.items())}
     return acc, log
 
@@ -353,10 +360,7 @@ def train(config: RunConfig, train_corpus: D.Corpus | None = None,
                                    config.lambda_t, config.lambda_m)
 
     curves = []
-    best_acc = -1.0
-    best_epoch = 0
-    best_snap = _snapshot(model.store)
-    stale = 0
+    best_acc, best_epoch, best_task_acc, best_snap, stale = -1.0, 0, None, None, 0
     for epoch in range(1, config.max_epochs + 1):
         order = np.random.default_rng([config.seed, epoch]).permutation(
             len(train_prep))
@@ -371,8 +375,7 @@ def train(config: RunConfig, train_corpus: D.Corpus | None = None,
             grad_eval(loss, model.store)
             adam_step(model.store, config.learning_rate)
             losses.append(float(loss.data))
-        acc, _ = evaluate_prepared(model, valid_prep, effect,
-                                   config.batch_size)
+        acc, _ = evaluate_prepared(model, valid_prep, effect, config.batch_size)
         valid_acc = float(np.mean(list(acc.values())))
         curves.append({
             "epoch": epoch,
@@ -380,25 +383,18 @@ def train(config: RunConfig, train_corpus: D.Corpus | None = None,
             "valid_accuracy": valid_acc,
         })
         if valid_acc > best_acc:
-            best_acc = valid_acc
-            best_epoch = epoch
+            best_acc, best_epoch, best_task_acc = valid_acc, epoch, acc
             best_snap = _snapshot(model.store)
             stale = 0
         else:
             stale += 1
             if stale >= config.patience:
                 break
+    # the best epoch's accuracies are those of the restored parameters
     _restore(model.store, best_snap)
-
-    acc, _ = evaluate_prepared(model, valid_prep, effect, config.batch_size)
-    report = MetricsReport(
-        per_task_accuracy=acc,
-        average_accuracy=float(np.mean(list(acc.values()))),
-        curves=curves,
-        config=config.to_dict(),
-        seed=config.seed,
-        wall_clock_seconds=time.monotonic() - t0,
-    )
+    report = MetricsReport(per_task_accuracy=best_task_acc, average_accuracy=best_acc,
+                           curves=curves, config=config.to_dict(), seed=config.seed,
+                           wall_clock_seconds=time.monotonic() - t0)
     return TrainResult(model=model, report=report, best_epoch=best_epoch)
 
 

@@ -8,10 +8,11 @@ per-unit CLS rows, applies an InfoNCE-style coherence loss between aligned
 text/image representations, and ranks candidates with a small plain
 transformer scorer.
 
-Graphs of any shapes run as one batch: `prepare_batch` pads them to a
-shared [text block | visual block] layout, and padded rows are masked out
-of attention as keys, so each graph's scores match scoring it alone. All
-heads of a layer run as one (B, H, N, d_head) computation.
+Graphs of any shapes run as one batch: `prepare_batch` gathers the node
+arrays each graph got at assembly and pads them to a shared
+[text block | visual block] layout, with no loop over nodes. Padded rows
+are masked out of attention as keys, so each graph's scores match scoring
+it alone. All heads of a layer run as one (B, H, N, d_head) computation.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from .autodiff import (
     Tensor, attention, concat, gather_codes, layer_norm, linear, logsumexp,
 )
-from .graph import TmegGraph, N_MODAL_CODES, N_TEMPORAL_CODES
+from .graph import CLS, N_MODAL_CODES, N_TEMPORAL_CODES, OBJECT, SEP, TmegGraph
 from .optim import ParamStore, config_hash
 
 # (temporal, modal) code of each entry of the (C_t, C_m) code-pair grid
@@ -38,7 +39,7 @@ class ModelConfig:
     n_layers: int = 4
     ffn_multiplier: int = 4
     scorer_layers: int = 2
-    scorer_d: int | None = None  # None -> d_model; 512 mirrors the full-size preset
+    scorer_d: int | None = None  # None -> d_model; the paper's scorer is 512 wide
     scorer_heads: int = 8
     tau: float = 0.07
     k_negatives: int = 8
@@ -80,13 +81,6 @@ class ModelConfig:
 
     def hash(self) -> str:
         return config_hash(self.to_dict())
-
-
-def full_size_config(**overrides) -> ModelConfig:
-    """Preset mirroring the reported scorer width (512, 2 layers, 8 heads)."""
-    kw = dict(scorer_d=512, scorer_layers=2, scorer_heads=8)
-    kw.update(overrides)
-    return ModelConfig(**kw)
 
 
 # ----------------------------------------------------------------------
@@ -246,92 +240,67 @@ def _key_bias(valid: np.ndarray) -> np.ndarray | None:
     return np.where(valid, 0.0, -np.inf)[:, None, :, None]
 
 
-def _pad_rows(rows: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """Ragged index lists as a zero-padded (B, width) array plus lengths."""
-    counts = np.array([len(r) for r in rows], dtype=np.int64)
-    out = np.zeros((len(rows), int(counts.max())), dtype=np.int64)
-    for b, r in enumerate(rows):
-        out[b, :len(r)] = r
-    return out, counts
+def _scatter(mask: np.ndarray, parts: list[np.ndarray], fill=0,
+             dtype=np.int64) -> np.ndarray:
+    """`parts`, concatenated, laid out over the True entries of `mask`."""
+    out = np.full(mask.shape + parts[0].shape[1:], fill, dtype=dtype)
+    out[mask] = np.concatenate(parts)
+    return out
+
+
+def _left_pack(mask: np.ndarray, offset: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's True columns (+ offset), left-aligned and zero-padded; counts."""
+    counts = mask.sum(axis=1)
+    return _scatter(np.arange(counts.max()) < counts[:, None],
+                    [np.nonzero(mask)[1] + offset]), counts
 
 
 def prepare_batch(graphs: list[TmegGraph], vocab: dict[str, int],
                   config: ModelConfig) -> GraphBatch:
+    """Gathers and padding over each graph's node arrays: graph b's nodes,
+    in order, fill the True entries of node_mask[b]."""
     if not graphs:
         raise ValueError("empty graph batch")
-    splits = []
-    for g in graphs:
-        nt = sum(1 for n in g.nodes if n.modality == "text")
-        if any(n.modality != "text" for n in g.nodes[:nt]) or any(
-                n.modality != "visual" for n in g.nodes[nt:]):
-            raise ValueError("expected contiguous text-then-visual node layout")
-        splits.append(nt)
-    n_text = max(splits)
-    n_vis = max(len(g.nodes) - nt for g, nt in zip(graphs, splits))
+    arrays = [g.arrays for g in graphs]
+    counts = np.array([(a.n_text, len(a.kind) - a.n_text) for a in arrays])
+    n_text, n_vis = (int(c) for c in counts.max(axis=0))
     if n_text > config.max_positions:
         raise ValueError(
             f"{n_text} text nodes exceed max_positions={config.max_positions}")
-
-    cls_id = config.token_vocab_size
-    sep_id = config.token_vocab_size + 1
-
-    def token_row(node) -> int:
-        if node.kind == "cls":
-            return cls_id
-        if node.kind == "sep":
-            return sep_id
-        return vocab.get(node.token, 0)
-
-    B = len(graphs)
-    N = n_text + n_vis
-    token_ids = np.zeros((B, n_text), dtype=np.int64)
-    text_segments = np.zeros((B, n_text), dtype=np.int64)
-    vis_features = np.zeros((B, n_vis, config.d_v))
-    vis_boxes = np.zeros((B, n_vis, 6))
-    vis_segments = np.zeros((B, n_vis), dtype=np.int64)
-    vis_cls_mask = np.zeros((B, n_vis))
-    node_mask = np.zeros((B, N), dtype=bool)
-    phi_t = np.zeros((B, N, N), dtype=np.int64)
-    phi_m = np.zeros((B, N, N), dtype=np.int64)
-    text_cls, vis_cls = [], []
-    for b, (g, nt) in enumerate(zip(graphs, splits)):
-        text, vis = g.nodes[:nt], g.nodes[nt:]
-        nv = len(vis)
-        token_ids[b, :nt] = [token_row(n) for n in text]
-        text_segments[b, :nt] = [n.step_index for n in text]
-        vis_segments[b, :nv] = [n.step_index for n in vis]
-        for k, node in enumerate(vis):
-            if node.kind == "cls":
-                vis_cls_mask[b, k] = 1.0
-            elif node.kind == "object":
-                if node.obj.feature.shape != (config.d_v,):
-                    raise ValueError("object feature dimension mismatch")
-                vis_features[b, k] = node.obj.feature
-                box = node.obj.box
-                vis_boxes[b, k] = [box.x1, box.y1, box.x2, box.y2,
-                                   box.x2 - box.x1, box.y2 - box.y1]
-        node_mask[b, :nt] = True
-        node_mask[b, n_text:n_text + nv] = True
-        if nt == n_text and nv == n_vis:
-            phi_t[b] = g.phi_t
-            phi_m[b] = g.phi_m
-        else:
-            rows = np.flatnonzero(node_mask[b])
-            phi_t[b][np.ix_(rows, rows)] = g.phi_t
-            phi_m[b][np.ix_(rows, rows)] = g.phi_m
-        text_cls.append([k for k, n in enumerate(text) if n.kind == "cls"])
-        vis_cls.append([n_text + k for k, n in enumerate(vis) if n.kind == "cls"])
-    if text_segments.size and text_segments.max() > config.max_steps:
+    node_mask = np.concatenate([np.arange(n_text) < counts[:, :1],
+                                np.arange(n_vis) < counts[:, 1:]], axis=1)
+    kind = _scatter(node_mask, [a.kind for a in arrays], fill=-1, dtype=np.int8)
+    step = _scatter(node_mask, [a.step for a in arrays])
+    text_kind, vis_kind = kind[:, :n_text], kind[:, n_text:]
+    if n_text and step[:, :n_text].max() > config.max_steps:
         raise ValueError("step index exceeds max_steps")
-    text_cls_idx, n_text_cls = _pad_rows(text_cls)
-    vis_cls_idx, n_vis_cls = _pad_rows(vis_cls)
+
+    tokens, where = np.unique(np.concatenate([a.token for a in arrays]),
+                              return_inverse=True)
+    rows = np.array([vocab.get(tok, 0) for tok in tokens], dtype=np.int64)
+    token_ids = _scatter(node_mask[:, :n_text], [rows[where]])
+    token_ids[text_kind == CLS] = config.token_vocab_size
+    token_ids[text_kind == SEP] = config.token_vocab_size + 1
+    features = [a.features for a in arrays if a.features.size]
+    if any(f.shape[1] != config.d_v for f in features):
+        raise ValueError("object feature dimension mismatch")
+    boxes = np.concatenate([a.boxes for a in arrays])
+    objects = vis_kind == OBJECT
+    pairs = node_mask[:, :, None] & node_mask[:, None, :]
+    text_cls_idx, n_text_cls = _left_pack(text_kind == CLS)
+    vis_cls_idx, n_vis_cls = _left_pack(vis_kind == CLS, n_text)
     return GraphBatch(
-        size=B, n_nodes=N, n_text=n_text,
+        size=len(graphs), n_nodes=n_text + n_vis, n_text=n_text,
         token_ids=token_ids, text_positions=np.arange(n_text, dtype=np.int64),
-        text_segments=text_segments, vis_features=vis_features,
-        vis_boxes=vis_boxes, vis_segments=vis_segments,
-        vis_cls_mask=vis_cls_mask, node_mask=node_mask, phi_t=phi_t,
-        phi_m=phi_m, text_cls_idx=text_cls_idx, vis_cls_idx=vis_cls_idx,
+        text_segments=step[:, :n_text],
+        vis_features=_scatter(objects, [np.zeros((0, config.d_v))] + features, dtype=np.float64),
+        vis_boxes=_scatter(objects, [np.concatenate(
+            [boxes, boxes[:, 2:] - boxes[:, :2]], axis=1)], dtype=np.float64),
+        vis_segments=step[:, n_text:],
+        vis_cls_mask=(vis_kind == CLS).astype(np.float64), node_mask=node_mask,
+        phi_t=_scatter(pairs, [g.phi_t.ravel() for g in graphs]),
+        phi_m=_scatter(pairs, [g.phi_m.ravel() for g in graphs]),
+        text_cls_idx=text_cls_idx, vis_cls_idx=vis_cls_idx,
         n_text_cls=n_text_cls, n_vis_cls=n_vis_cls,
     )
 

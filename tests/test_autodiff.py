@@ -15,7 +15,7 @@ from scipy.special import logsumexp as scipy_logsumexp
 from scipy.special import softmax as scipy_softmax
 
 from tmeg.autodiff import (
-    Tensor, attention, concat, embed_lookup, gather_codes, layer_norm, linear,
+    Tensor, attention, concat, gather_codes, layer_norm, linear,
     logsumexp, no_grad, softmax,
 )
 
@@ -264,16 +264,6 @@ class TestComposedOps:
         check_op(lambda x, w, b: (linear(x, w, b) ** 2.0).sum(),
                  (4, 3), (3, 2), (2,))
 
-    def test_embed_lookup_range_check(self):
-        table = Tensor(np.zeros((3, 2)))
-        with pytest.raises(IndexError):
-            embed_lookup(table, np.array([3]))
-
-    def test_embed_lookup_accumulates(self):
-        table = Tensor(np.eye(3), requires_grad=True)
-        embed_lookup(table, np.array([0, 0, 2])).sum().backward()
-        # row 0 is looked up twice, row 2 once; each row has 3 columns
-        np.testing.assert_array_equal(table.grad.sum(axis=1), [6.0, 0.0, 3.0])
 
 
 class TestGatherCodes:
@@ -312,6 +302,32 @@ class TestGatherCodes:
         weights = rng.normal(size=out_shape)
         check_op(lambda t: (gather_codes(t, codes) * weights).sum(),
                  table_shape)
+
+    @pytest.mark.parametrize("table_shape,code_shape", [
+        ((7,), (9, 9)),
+        ((4, 7), (3, 9, 9)),
+        ((2, 4, 7), (3, 9, 9)),
+    ])
+    def test_grad_bit_identical_to_one_flat_bincount(self, table_shape,
+                                                     code_shape):
+        """Reference: one bincount over an offset (rows x codes) index,
+        which sums each bin's elements in the same order."""
+        rng = np.random.default_rng(4)
+        codes = self.codes(rng, code_shape, table_shape[-1])
+        lead, nb = table_shape[:-1], len(code_shape) - 2
+        g = rng.normal(size=code_shape[:-2] + lead + code_shape[-2:])
+        table = Tensor(rng.normal(size=table_shape), requires_grad=True)
+        (gather_codes(table, codes) * g).sum().backward()
+
+        n_rows, n_codes = int(np.prod(lead)), table_shape[-1]
+        moved = np.moveaxis(g, tuple(range(nb, nb + len(lead))),
+                            tuple(range(len(lead))))
+        flat = (codes.reshape(1, -1)
+                + (np.arange(n_rows) * n_codes)[:, None]).ravel()
+        want = np.bincount(flat, weights=moved.reshape(-1),
+                           minlength=n_rows * n_codes).reshape(n_rows, n_codes)
+        want[:, 0] = 0.0
+        np.testing.assert_array_equal(table.grad, want.reshape(table_shape))
 
     def test_none_code_gets_no_gradient(self):
         table = Tensor(np.ones((2, 3)), requires_grad=True)
@@ -394,11 +410,6 @@ class TestGraphMechanics:
         t = Tensor(np.zeros(3), requires_grad=True)
         with pytest.raises(ValueError):
             t.backward()
-
-    def test_detach_blocks_gradient(self):
-        t = Tensor(np.ones(3), requires_grad=True)
-        (t.detach() * t).sum().backward()
-        np.testing.assert_array_equal(t.grad, np.ones(3))
 
     def test_shared_subexpression_accumulates(self):
         t = Tensor(np.array([2.0]), requires_grad=True)

@@ -21,7 +21,7 @@ from tmeg.data import (
 from tmeg.graph import (
     DEFAULT_LAMBDA_M, DEFAULT_LAMBDA_T, ModalCode, TemporalCode,
     assemble_candidate_graphs, assemble_graph, build_nodes, dump_graph,
-    euclidean, iou,
+    euclidean, iou, node_arrays,
 )
 from tmeg.harness import make_instances, prepare_instances
 
@@ -306,6 +306,54 @@ class TestWideOracle:
                     steps, [images[r] for r in cand], candidate_index=ci))
                 n_graphs += 1
         assert n_graphs == 96
+
+    @pytest.mark.parametrize("shape", ["uniform", "default"])
+    def test_prepared_graphs_equal_one_assembly_per_candidate(self, shape):
+        """On 80-document corpora with all three tasks, every prepared
+        graph equals assembling its candidate alone: node dump,
+        candidate_index, code matrices with their dtypes, and node arrays.
+        Repeated candidates share one graph's nodes, matrices and arrays."""
+        kw = (dict(steps_min=7, steps_max=7, tokens_per_step_min=3,
+                   tokens_per_step_max=3, entity_vocab_size=24,
+                   token_vocab_size=30, objects_per_image_min=3,
+                   objects_per_image_max=3, images_per_step=1,
+                   feature_noise_sigma=0.1, roster_size=3, box_grid=True)
+              if shape == "uniform" else {})
+        for seed in (1, 2):
+            corpus = generate_synthetic_corpus(
+                SyntheticConfig(num_docs=80, seed=seed, **kw))
+            instances = make_instances(corpus, ["cloze", "coherence", "ordering"],
+                                       4, seed)
+            prepared = prepare_instances(corpus, instances, DEFAULT_LAMBDA_T,
+                                         DEFAULT_LAMBDA_M)
+            images = corpus.image_index()
+            docs = {d.doc_id: {s.index: s for s in d.steps} for d in corpus.documents}
+            alone = {}
+            for p in prepared:
+                steps = [docs[p.instance.doc_id][i] for i in p.instance.context_steps]
+                for ci, (cand, g) in enumerate(zip(p.instance.candidates, p.graphs)):
+                    assert g.candidate_index == ci
+                    key = (p.instance.doc_id, tuple(p.instance.context_steps), tuple(cand))
+                    if key in alone:    # a repeat: the first graph with its own index
+                        first = alone[key][0]
+                        assert all(getattr(g, f) is getattr(first, f)
+                                   for f in ("nodes", "phi_t", "phi_m", "arrays"))
+                        continue
+                    ref = assemble_graph(steps, [images[r] for r in cand],
+                                         candidate_index=ci)
+                    alone[key] = g, ref
+                    assert dump_graph(g) == dump_graph(ref)
+                    for got, want in ((g.phi_t, ref.phi_t), (g.phi_m, ref.phi_m)):
+                        assert got.dtype == want.dtype == np.int8
+                        np.testing.assert_array_equal(got, want)
+            for g, ref in alone.values():
+                want = node_arrays(ref.nodes)
+                assert g.arrays.n_text == want.n_text
+                for name in ("kind", "step", "token", "features", "boxes"):
+                    got = getattr(g.arrays, name)
+                    assert got.dtype == getattr(want, name).dtype, name
+                    np.testing.assert_array_equal(got, getattr(want, name))
+            assert len(alone) < sum(len(p.graphs) for p in prepared)
 
     def test_images_sharing_an_id_rejected(self):
         box = BoundingBox(0.1, 0.1, 0.4, 0.4)

@@ -13,12 +13,13 @@ import numpy as np
 import pytest
 
 from tmeg.data import Corpus, SyntheticConfig, build_vocab, generate_synthetic_corpus
+from tmeg.autodiff import no_grad
 from tmeg.harness import (
-    RunConfig, TrainError, apply_ablation, evaluate, load_model,
-    make_instances, prepare_instances, save_model, sweep_lambda_b, train,
-    transfer,
+    RunConfig, TrainError, _batch_scores, apply_ablation, evaluate,
+    evaluate_prepared, load_model, make_instances, prepare_instances,
+    save_model, score_prepared, sweep_lambda_b, train, transfer,
 )
-from tmeg.model import ModelConfig, TmegModel
+from tmeg.model import ModelConfig, TmegModel, init_params
 from tmeg.optim import CheckpointError
 
 
@@ -52,6 +53,8 @@ class TestRunConfig:
     def test_rejects_bad_patience_and_batch(self):
         with pytest.raises(TrainError):
             tiny_run_config(patience=0)
+        with pytest.raises(TrainError):
+            tiny_run_config(max_epochs=0)
         with pytest.raises(TrainError):
             tiny_run_config(batch_size=0)
 
@@ -161,6 +164,21 @@ class TestTraining:
         assert result.best_epoch == 1
         assert len(result.report.curves) == 3
 
+    def test_report_accuracies_equal_a_fresh_evaluation(self):
+        """The report keeps the best epoch's validation accuracies instead
+        of validating the restored parameters again."""
+        cfg = tiny_run_config(max_epochs=3)
+        valid = tiny_corpus(seed=1)
+        result = train(cfg, tiny_corpus(seed=0), valid)
+        instances = make_instances(valid, cfg.tasks, cfg.n_candidates, cfg.seed + 1)
+        prepared = prepare_instances(valid, instances, cfg.lambda_t, cfg.lambda_m)
+        acc, _ = evaluate_prepared(result.model, prepared, apply_ablation(cfg),
+                                   cfg.batch_size)
+        assert result.report.per_task_accuracy == acc
+        assert result.report.average_accuracy == float(np.mean(list(acc.values())))
+        assert result.report.average_accuracy == (
+            result.report.curves[result.best_epoch - 1]["valid_accuracy"])
+
     def test_vocab_overflow_rejected(self):
         cfg = tiny_run_config()
         cfg.model = ModelConfig(d_model=8, n_heads=2, n_layers=1,
@@ -185,6 +203,43 @@ class TestEvaluate:
         report = evaluate(model, instances, corpus, cfg)
         expected = np.mean([i.gold_index == 0 for i in instances])
         assert report.per_task_accuracy["cloze"] == pytest.approx(expected)
+
+    def test_distinct_graphs_scored_once_match_per_instance_batches(self):
+        """Oracle for deduplicated scoring: per-instance `_batch_scores`
+        within 1e-10, and the prediction log and accuracies of scoring
+        chunks of `batch_size` instances, on a ragged three-task corpus."""
+        corpus = generate_synthetic_corpus(SyntheticConfig(num_docs=4, d_v=4, seed=2))
+        cfg = tiny_run_config(tasks=["cloze", "coherence", "ordering"],
+                              n_candidates=4)
+        model = TmegModel(cfg.model, build_vocab(corpus),
+                          store=init_params(cfg.model, seed=0, init_scale=0.3))
+        instances = make_instances(corpus, cfg.tasks, cfg.n_candidates, 2)
+        prepared = prepare_instances(corpus, instances, cfg.lambda_t, cfg.lambda_m)
+        effect = apply_ablation(cfg)
+        graphs = [g for p in prepared for g in p.graphs]
+        assert len({id(g.phi_t) for g in graphs}) < len(graphs)
+
+        with no_grad():
+            single = [_batch_scores(model, [p], effect)[0].data[0] for p in prepared]
+            chunked = np.concatenate([
+                _batch_scores(model, prepared[k:k + cfg.batch_size], effect)[0].data
+                for k in range(0, len(prepared), cfg.batch_size)])
+        np.testing.assert_allclose(score_prepared(model, prepared, effect,
+                                                  cfg.batch_size),
+                                   single, rtol=0, atol=1e-10)
+
+        want_log, by_task = [], {}
+        for p, row in zip(prepared, chunked):
+            inst = p.instance
+            correct = int(int(np.argmax(row)) == inst.gold_index)
+            by_task.setdefault(inst.task_kind, []).append(correct)
+            want_log.append({"doc_id": inst.doc_id, "task_kind": inst.task_kind,
+                             "predicted": int(np.argmax(row)),
+                             "gold": inst.gold_index, "correct": correct})
+        acc, log = evaluate_prepared(model, prepared, effect, cfg.batch_size)
+        assert log == want_log
+        assert acc == {t: float(np.mean(v)) for t, v in sorted(by_task.items())}
+        assert len({entry["predicted"] for entry in log}) > 1
 
     def test_metrics_json_excludes_wall_clock(self):
         corpus = tiny_corpus()

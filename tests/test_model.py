@@ -18,7 +18,7 @@ from tmeg.harness import (
     RunConfig, apply_ablation, make_instances, prepare_instances, _batch_loss,
 )
 from tmeg.model import (
-    ModelConfig, TmegModel, coherence_loss, full_size_config, init_params,
+    GraphBatch, ModelConfig, TmegModel, coherence_loss, init_params,
     prediction_loss, prediction_loss_batch, prepare_batch, total_loss,
 )
 from tmeg.optim import finite_difference_check, grad_eval
@@ -98,6 +98,73 @@ def mixed_structure_setup(init_scale=0.3):
     return model, prepare_instances(corpus, instances, 7.0, 0.5)
 
 
+def node_walking_prepare_batch(graphs, vocab, config):
+    """Reference batching that reads every field from the graphs' `Node`s
+    one node at a time."""
+    splits = [sum(1 for n in g.nodes if n.modality == "text") for g in graphs]
+    n_text = max(splits)
+    n_vis = max(len(g.nodes) - nt for g, nt in zip(graphs, splits))
+    special = {"cls": config.token_vocab_size, "sep": config.token_vocab_size + 1}
+    B, N = len(graphs), n_text + n_vis
+    token_ids = np.zeros((B, n_text), dtype=np.int64)
+    text_segments = np.zeros((B, n_text), dtype=np.int64)
+    vis_features = np.zeros((B, n_vis, config.d_v))
+    vis_boxes = np.zeros((B, n_vis, 6))
+    vis_segments = np.zeros((B, n_vis), dtype=np.int64)
+    vis_cls_mask = np.zeros((B, n_vis))
+    node_mask = np.zeros((B, N), dtype=bool)
+    phi_t = np.zeros((B, N, N), dtype=np.int64)
+    phi_m = np.zeros((B, N, N), dtype=np.int64)
+    text_cls, vis_cls = [], []
+    for b, (g, nt) in enumerate(zip(graphs, splits)):
+        text, vis = g.nodes[:nt], g.nodes[nt:]
+        token_ids[b, :nt] = [special.get(n.kind, vocab.get(n.token, 0)) for n in text]
+        text_segments[b, :nt] = [n.step_index for n in text]
+        vis_segments[b, :len(vis)] = [n.step_index for n in vis]
+        for k, node in enumerate(vis):
+            if node.kind == "cls":
+                vis_cls_mask[b, k] = 1.0
+            else:
+                box = node.obj.box
+                vis_features[b, k] = node.obj.feature
+                vis_boxes[b, k] = [box.x1, box.y1, box.x2, box.y2,
+                                   box.x2 - box.x1, box.y2 - box.y1]
+        node_mask[b, :nt] = True
+        node_mask[b, n_text:n_text + len(vis)] = True
+        rows = np.flatnonzero(node_mask[b])
+        phi_t[b][np.ix_(rows, rows)] = g.phi_t
+        phi_m[b][np.ix_(rows, rows)] = g.phi_m
+        text_cls.append([k for k, n in enumerate(text) if n.kind == "cls"])
+        vis_cls.append([n_text + k for k, n in enumerate(vis) if n.kind == "cls"])
+
+    def pad(rows):
+        counts = np.array([len(r) for r in rows], dtype=np.int64)
+        out = np.zeros((len(rows), int(counts.max())), dtype=np.int64)
+        for b, r in enumerate(rows):
+            out[b, :len(r)] = r
+        return out, counts
+
+    (text_cls_idx, n_text_cls), (vis_cls_idx, n_vis_cls) = pad(text_cls), pad(vis_cls)
+    return GraphBatch(
+        size=B, n_nodes=N, n_text=n_text, token_ids=token_ids,
+        text_positions=np.arange(n_text, dtype=np.int64),
+        text_segments=text_segments, vis_features=vis_features,
+        vis_boxes=vis_boxes, vis_segments=vis_segments,
+        vis_cls_mask=vis_cls_mask, node_mask=node_mask, phi_t=phi_t,
+        phi_m=phi_m, text_cls_idx=text_cls_idx, vis_cls_idx=vis_cls_idx,
+        n_text_cls=n_text_cls, n_vis_cls=n_vis_cls)
+
+
+def assert_same_batch(got, want):
+    for f in dataclasses.fields(GraphBatch):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), f.name
+            np.testing.assert_array_equal(a, b, err_msg=f.name)
+        else:
+            assert a == b, f.name
+
+
 def random_phi(rng, n):
     phi_t = rng.integers(0, 4, size=(n, n))
     phi_m = rng.integers(0, 5, size=(n, n))
@@ -120,11 +187,6 @@ class TestConfig:
     def test_tau_positive(self):
         with pytest.raises(ValueError):
             ModelConfig(tau=0.0)
-
-    def test_full_size_preset(self):
-        cfg = full_size_config()
-        assert cfg.scorer_dim == 512
-        assert cfg.scorer_layers == 2 and cfg.scorer_heads == 8
 
     def test_hash_tracks_content(self):
         assert small_config().hash() == small_config().hash()
@@ -362,14 +424,37 @@ class TestEncoderShapes:
             phi_m[np.ix_(perm, perm)][None]).data[0]
         np.testing.assert_allclose(out_p, out[perm], atol=1e-10)
 
+    @pytest.mark.parametrize("shape", ["uniform", "ragged"])
+    def test_array_batching_equals_node_walking(self, shape):
+        """Every GraphBatch field and dtype equals the node-walking
+        reference, over mixed chunks of all three tasks, with arrays sliced
+        from a group's union graph or derived from a graph's own nodes."""
+        kw = (dict(steps_min=7, steps_max=7, tokens_per_step_min=3,
+                   tokens_per_step_max=3, objects_per_image_min=3,
+                   objects_per_image_max=3, images_per_step=1)
+              if shape == "uniform" else {})
+        corpus = generate_synthetic_corpus(
+            SyntheticConfig(num_docs=4, d_v=4, seed=3, **kw))
+        model = TmegModel(small_config(), build_vocab(corpus), seed=0)
+        vocab = dict(list(model.vocab.items())[:-3])   # some tokens unknown
+        instances = make_instances(corpus, ["cloze", "coherence", "ordering"], 4, 3)
+        graphs = [g for p in prepare_instances(corpus, instances, 7.0, 0.5)
+                  for g in p.graphs]
+        chunks = [graphs[:4], graphs[-4:]] + [graphs[k:k + 24]
+                                              for k in range(0, len(graphs), 24)]
+        chunks.append([dataclasses.replace(g, arrays=None) for g in chunks[-1]])
+        for chunk in chunks:
+            assert_same_batch(prepare_batch(chunk, vocab, model.config),
+                              node_walking_prepare_batch(chunk, vocab, model.config))
+
     def test_unknown_token_maps_to_unk_row(self):
         model, corpus = build_model()
         instances = make_instances(corpus, ["cloze"], 3, 0)
+        # node tables are built with the graphs, so the corpus changes first
+        for step in corpus.documents[0].steps:
+            step.tokens = ["never-seen-token"] * len(step.tokens)
         prepared = prepare_instances(corpus, instances[:1], 7.0, 0.5)
         graphs = prepared[0].graphs
-        for node in graphs[0].nodes:
-            if node.kind == "token":
-                node.token = "never-seen-token"
         batch = prepare_batch(graphs, model.vocab, model.config)
         token_rows = batch.token_ids[0]
         kinds = [n.kind for n in graphs[0].nodes if n.modality == "text"]
