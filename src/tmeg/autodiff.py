@@ -7,10 +7,12 @@ implemented; all of them support a leading batch dimension where it makes
 sense (matmul uses numpy's stacked-matrix semantics).
 
 Three composed operations are fused into single tape nodes: `softmax`,
-`layer_norm` and the biased `attention` block. Each repeats, operation for
-operation, the float arithmetic of the chain it replaces, so values and
-gradients are bit-identical to the composed graph, while the tape holds
-one node and only the arrays its backward pass needs.
+`layer_norm` and `encoder_layer`, a whole post-norm transformer layer with
+graph-biased attention. Each repeats, operation for operation, the float
+arithmetic of the chain it replaces, sharing private helpers for the
+softmax and layer-norm arithmetic, so values and gradients are
+bit-identical to the composed graph, while the tape holds one node and
+only the arrays its backward pass needs.
 
 Inside `no_grad()` operations record nothing: results carry neither parents
 nor a backward closure, so each intermediate array is freed as soon as the
@@ -298,18 +300,6 @@ class Tensor:
 
         return Tensor(val, parents=(self,), backward=bw)
 
-    def gelu(self):
-        """Exact Gaussian-error linear unit: x * Phi(x)."""
-        x = self.data
-        cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
-
-        def bw(g):
-            if self.requires_grad:
-                pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-                self._accumulate(g * (cdf + x * pdf))
-
-        return Tensor(x * cdf, parents=(self,), backward=bw)
-
 
 # ----------------------------------------------------------------------
 # composed operations
@@ -371,77 +361,118 @@ def gather_codes(table: Tensor, codes) -> Tensor:
     return Tensor(vals, parents=(table,), backward=bw)
 
 
+# ----------------------------------------------------------------------
+# arithmetic shared by the fused operations
+
+_LN_EPS = 1e-12   # variance floor of every layer norm
+
+
+def _softmax_parts(x: np.ndarray, axis: int, out=None):
+    """Exp numerator e = exp(x - max), its sums s and r = s ** -1 along
+    `axis`; the softmax is e * r. With `out=x` the numerator overwrites x."""
+    m = x.max(axis=axis, keepdims=True)
+    # max propagates NaN, so this sees a NaN anywhere in x
+    if np.isnan(m).any():
+        raise ValueError("softmax received NaN input")
+    e = np.add(x, -m, out=out)
+    np.exp(e, out=e)
+    s = e.sum(axis=axis, keepdims=True)
+    return e, s, s ** -1.0
+
+
+def _softmax_backward(g, e, s, r, axis: int, out=None) -> np.ndarray:
+    """Gradient of the softmax input, (g * r + gs) * e, from the gradient g
+    of its output; written into `out` when given."""
+    gs = (g * e).sum(axis=axis, keepdims=True) * -1.0 * s ** -2.0
+    gx = np.multiply(g, r, out=out)
+    gx += gs
+    gx *= e
+    return gx
+
+
+def _ln_stats(x: np.ndarray, eps: float, out=None):
+    """Centred rows c, std and inverse std of `x` over its last axis; the
+    normalised rows are c * inv. With `out=x` the centred rows overwrite x."""
+    inv_n = 1.0 / x.shape[-1]
+    c = np.add(x, -(x.sum(axis=-1, keepdims=True) * inv_n), out=out)
+    sd = np.sqrt((c * c).sum(axis=-1, keepdims=True) * inv_n + eps)
+    return c, sd, sd ** -1.0
+
+
+def _ln_affine(c, inv, gamma: np.ndarray, beta: np.ndarray, out=None):
+    """(c * inv) * gamma + beta, written into `out` when given."""
+    y = np.multiply(c, inv, out=out)
+    y *= gamma
+    y += beta
+    return y
+
+
+def _ln_backward(g, c, sd, inv, gamma: Tensor, beta: Tensor) -> np.ndarray:
+    """Accumulate the gamma and beta gradients of a layer norm and return
+    the gradient of its input."""
+    if beta.requires_grad:
+        beta._accumulate(_unbroadcast(g, beta.data.shape))
+    if gamma.requires_grad:
+        gamma._accumulate(_unbroadcast(g * (c * inv), gamma.data.shape))
+    inv_n = 1.0 / c.shape[-1]
+    g_xhat = g * gamma.data
+    g_sd = (g_xhat * c).sum(axis=-1, keepdims=True) * -1.0 * sd ** -2.0
+    g_sq = g_sd * 0.5 / sd * inv_n * c   # d/dc of c * c, taken once
+    g_c = np.multiply(g_xhat, inv, out=g_xhat)
+    g_c += g_sq
+    g_c += g_sq
+    g_c += (-g_c.sum(axis=-1, keepdims=True)) * inv_n
+    return g_c
+
+
+def _gelu_cdf(x: np.ndarray) -> np.ndarray:
+    """Phi(x) = 0.5 * (1 + erf(x / sqrt 2)); the exact GELU is x * Phi(x)."""
+    cdf = x / math.sqrt(2.0)
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    return cdf
+
+
+def _gelu_backward(g, x, cdf) -> np.ndarray:
+    """Gradient of x * Phi(x): g * (Phi(x) + x * pdf(x))."""
+    d = -0.5 * x
+    d *= x
+    np.exp(d, out=d)
+    d /= math.sqrt(2.0 * math.pi)
+    d *= x
+    d += cdf
+    d *= g
+    return d
+
+
+def _linear_backward(g, x, weight: Tensor, bias: Tensor | None) -> np.ndarray:
+    """Accumulate the weight and bias gradients of x @ weight + bias and
+    return the gradient of x."""
+    if weight.requires_grad:
+        weight._accumulate(_unbroadcast(x.swapaxes(-1, -2) @ g,
+                                        weight.data.shape))
+    if bias is not None and bias.requires_grad:
+        bias._accumulate(_unbroadcast(g, bias.data.shape))
+    return g @ weight.data.swapaxes(-1, -2)
+
+
+# ----------------------------------------------------------------------
+# fused operations
+
+
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax; shift by the (detached) max.
 
     One tape node whose forward and backward repeat, operation for
     operation, the arithmetic of the composed exp(x - max) / sum graph."""
-    if np.isnan(x.data).any():
-        raise ValueError("softmax received NaN input")
-    e = np.exp(x.data + (-x.data.max(axis=axis, keepdims=True)))
-    s = e.sum(axis=axis, keepdims=True)
-    r = s ** -1.0
+    e, s, r = _softmax_parts(x.data, axis)
 
     def bw(g):
         if x.requires_grad:
-            gs = (g * e).sum(axis=axis, keepdims=True) * -1.0 * s ** -2.0
-            x._accumulate((g * r + gs) * e)
+            x._accumulate(_softmax_backward(g, e, s, r, axis))
 
     return Tensor(e * r, parents=(x,), backward=bw)
-
-
-def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
-              bias: Tensor | None = None, key_bias=None) -> Tensor:
-    """Biased scaled dot-product attention with logits laid out [key, query]:
-    softmax((k @ qᵀ) * scale + bias + key_bias, axis=-2)ᵀ @ v.
-
-    q, k, v are (..., N, d); `bias` is a tensor broadcastable to the
-    (..., N, N) logits and `key_bias` a constant array (the -inf mask of
-    padded keys). One tape node whose forward and backward repeat, operation
-    for operation, the arithmetic of that chain composed from `@`, `*`, `+`,
-    `softmax` and `@`. It keeps only the exp numerator and its column sums
-    for the backward pass; without a tape it works in one buffer. The input
-    arrays are never written."""
-    x = k.data @ q.data.swapaxes(-1, -2)
-    x *= scale
-    if bias is not None:
-        x += bias.data
-    if key_bias is not None:
-        x += key_bias
-    # max propagates NaN, so this sees a NaN anywhere in the logits
-    m = x.max(axis=-2, keepdims=True)
-    if np.isnan(m).any():
-        raise ValueError("softmax received NaN input")
-    x += -m
-    e = np.exp(x, out=x)
-    s = e.sum(axis=-2, keepdims=True)
-    r = s ** -1.0
-    parents = (q, k, v) if bias is None else (q, k, v, bias)
-    if not (_grad_enabled and any(p.requires_grad for p in parents)):
-        e *= r
-        return Tensor(e.swapaxes(-1, -2) @ v.data)
-
-    def bw(g):
-        # every (..., N, N) temporary is written in place into `g_x`
-        g_x = np.multiply(e, r)
-        if v.requires_grad:
-            v._accumulate(g_x @ g)
-        g_attn = (g @ v.data.swapaxes(-1, -2)).swapaxes(-1, -2)
-        gs = (g_attn * e).sum(axis=-2, keepdims=True) * -1.0 * s ** -2.0
-        np.multiply(g_attn, r, out=g_x)
-        del g_attn
-        g_x += gs
-        g_x *= e
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(_unbroadcast(g_x, bias.data.shape))
-        g_x *= scale
-        if k.requires_grad:
-            k._accumulate(g_x @ q.data)
-        if q.requires_grad:
-            q._accumulate((k.data.swapaxes(-1, -2) @ g_x).swapaxes(-1, -2))
-
-    return Tensor((e * r).swapaxes(-1, -2) @ v.data, parents=parents,
-                  backward=bw)
 
 
 def logsumexp(x: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
@@ -452,33 +483,156 @@ def logsumexp(x: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
     return s
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = _LN_EPS) -> Tensor:
     """Row-wise layer normalization over the last axis, then affine.
 
     One tape node whose forward and backward repeat, operation for
     operation, the arithmetic of the composed graph
     (x - mean) / sqrt(var + eps) * gamma + beta."""
-    inv_n = 1.0 / x.shape[-1]
-    c = x.data + (-(x.data.sum(axis=-1, keepdims=True) * inv_n))
-    sd = np.sqrt((c * c).sum(axis=-1, keepdims=True) * inv_n + eps)
-    inv = sd ** -1.0
-    xhat = c * inv
+    c, sd, inv = _ln_stats(x.data, eps)
 
     def bw(g):
-        if beta.requires_grad:
-            beta._accumulate(_unbroadcast(g, beta.data.shape))
-        if gamma.requires_grad:
-            gamma._accumulate(_unbroadcast(g * xhat, gamma.data.shape))
-        if not x.requires_grad:
-            return
-        g_xhat = g * gamma.data
-        g_sd = (g_xhat * c).sum(axis=-1, keepdims=True) * -1.0 * sd ** -2.0
-        g_sq = g_sd * 0.5 / sd * inv_n * c   # d/dc of c * c, taken once
-        g_c = g_xhat * inv + g_sq + g_sq
-        x._accumulate(g_c + (-g_c.sum(axis=-1, keepdims=True)) * inv_n)
+        g_x = _ln_backward(g, c, sd, inv, gamma, beta)
+        if x.requires_grad:
+            x._accumulate(g_x)
 
-    return Tensor(xhat * gamma.data + beta.data, parents=(x, gamma, beta),
-                  backward=bw)
+    return Tensor(_ln_affine(c, inv, gamma.data, beta.data),
+                  parents=(x, gamma, beta), backward=bw)
+
+
+def encoder_layer(h: Tensor, params, n_heads: int, bias: Tensor | None = None,
+                  key_bias=None) -> Tensor:
+    """Post-norm transformer encoder layer over (..., N, dim) rows, all
+    heads at once, as one tape node.
+
+    `params` are the layer's 15 tensors in the order wq, bq, wk, wv, bv,
+    wo, bo, ln1_g, ln1_b, ffn_w1, ffn_b1, ffn_w2, ffn_b2, ln2_g, ln2_b.
+    The layer computes, with heads split from and merged back into the
+    last axis and attention logits laid out [key, query]:
+
+        q, k, v = h @ wq + bq, h @ wk, h @ wv + bv
+        a  = softmax((k @ qᵀ) / sqrt(d_head) + bias + key_bias, axis=-2)ᵀ @ v
+        h1 = layer_norm(a @ wo + bo + h, ln1_g, ln1_b)
+        out = layer_norm(gelu(h1 @ ffn_w1 + ffn_b1) @ ffn_w2 + ffn_b2 + h1,
+                         ln2_g, ln2_b)
+
+    `bias` is a tensor broadcastable to the (..., H, N, N) logits (the
+    edge-code biases) and `key_bias` a constant array (the -inf mask of
+    padded keys). Forward and backward repeat, operation for operation, the
+    arithmetic of that chain composed from `linear`, `softmax`,
+    `layer_norm` and the exact GELU. For backward the node keeps only the
+    layer input, q, k and v, the exp numerator and its sums, each layer
+    norm's centred rows, std and inverse, and the FFN pre-activation and
+    its Phi; it recomputes the rest. Without a tape it works in place and
+    frees each intermediate once it is used. The input arrays are never
+    written."""
+    (wq, bq, wk, wv, bv, wo, bo, g1, b1, w1, c1, w2, c2, g2, b2) = params
+    x = h.data
+    *lead, n, dim = x.shape
+    dh = dim // n_heads
+    scale = 1.0 / math.sqrt(dh)
+
+    def split(a):  # (..., N, dim) -> (..., H, N, d_head), a view
+        return a.reshape(*lead, n, n_heads, dh).swapaxes(-2, -3)
+
+    def merge(a):  # (..., H, N, d_head) -> (..., N, dim)
+        return a.swapaxes(-2, -3).reshape(*lead, n, dim)
+
+    def project(w, b):
+        out = x @ w.data
+        if b is not None:
+            out += b.data
+        return split(out)
+
+    q, k, v = project(wq, bq), project(wk, None), project(wv, bv)
+    # logits[..., i, j] = k_i . q_j * scale (+ biases), normalized over keys i
+    logits = k @ q.swapaxes(-1, -2)
+    logits *= scale
+    if bias is not None:
+        logits += bias.data
+    if key_bias is not None:
+        logits += key_bias
+    e, s, r = _softmax_parts(logits, -2, out=logits)
+    del logits
+    parents = (h, *params) if bias is None else (h, *params, bias)
+    taped = _grad_enabled and any(p.requires_grad for p in parents)
+
+    if not taped:
+        e *= r
+        a = merge(e.swapaxes(-1, -2) @ v)
+        del q, k, v, e
+        o = a @ wo.data
+        del a
+        o += bo.data
+        o += x
+        c, _, inv = _ln_stats(o, _LN_EPS, out=o)
+        h1 = _ln_affine(c, inv, g1.data, b1.data, out=c)
+        f = h1 @ w1.data
+        f += c1.data
+        act = _gelu_cdf(f)
+        act *= f
+        del f
+        y = act @ w2.data
+        del act
+        y += c2.data
+        y += h1
+        del h1
+        c, _, inv = _ln_stats(y, _LN_EPS, out=y)
+        return Tensor(_ln_affine(c, inv, g2.data, b2.data, out=c))
+
+    a = merge((e * r).swapaxes(-1, -2) @ v)
+    o = a @ wo.data
+    del a
+    o += bo.data
+    o += x
+    ln1 = _ln_stats(o, _LN_EPS, out=o)
+    del o
+    h1 = _ln_affine(ln1[0], ln1[2], g1.data, b1.data)
+    f = h1 @ w1.data
+    f += c1.data
+    cdf = _gelu_cdf(f)
+    y = (f * cdf) @ w2.data
+    y += c2.data
+    y += h1
+    del h1
+    ln2 = _ln_stats(y, _LN_EPS, out=y)
+    del y
+
+    def bw(g):
+        # feed-forward block and its residual
+        g_y = _ln_backward(g, *ln2, g2, b2)
+        h1 = _ln_affine(ln1[0], ln1[2], g1.data, b1.data)
+        g_f = _gelu_backward(_linear_backward(g_y, f * cdf, w2, c2), f, cdf)
+        g_h1 = _linear_backward(g_f, h1, w1, c1)
+        del g_f, h1
+        g_h1 += g_y
+        del g_y
+        # attention block and its residual
+        g_o = _ln_backward(g_h1, *ln1, g1, b1)
+        del g_h1
+        p = np.multiply(e, r)
+        g_a = split(_linear_backward(g_o, merge(p.swapaxes(-1, -2) @ v), wo, bo))
+        g_v = p @ g_a
+        g_attn = (g_a @ v.swapaxes(-1, -2)).swapaxes(-1, -2)
+        del g_a
+        g_x = _softmax_backward(g_attn, e, s, r, -2, out=p)
+        del g_attn, p
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(_unbroadcast(g_x, bias.data.shape))
+        g_x *= scale
+        g_k = g_x @ q
+        g_q = (k.swapaxes(-1, -2) @ g_x).swapaxes(-1, -2)
+        del g_x
+        # input projections; the input gradient sums the residual, key,
+        # query and value terms in the order the composed chain's tape does
+        g_h = g_o + _linear_backward(merge(g_k), x, wk, None)
+        g_h += _linear_backward(merge(g_q), x, wq, bq)
+        g_h += _linear_backward(merge(g_v), x, wv, bv)
+        if h.requires_grad:
+            h._accumulate(g_h)
+
+    return Tensor(_ln_affine(ln2[0], ln2[2], g2.data, b2.data),
+                  parents=parents, backward=bw)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:

@@ -17,8 +17,9 @@ import numpy as np
 from . import data as D
 from . import graph as G
 from .harness import (
-    MetricsReport, RunConfig, TrainError, apply_ablation, evaluate,
-    load_model, make_instances, save_model, sweep_lambda_b, train, transfer,
+    MetricsReport, RunConfig, TrainError, apply_ablation, config_kwargs,
+    evaluate, load_model, make_instances, save_model, sweep_lambda_b, train,
+    transfer,
 )
 from .model import TmegModel
 from .optim import CheckpointError, finite_difference_check
@@ -63,7 +64,8 @@ def _maybe_dump_graphs(args, corpus, instances, cfg: RunConfig):
 
 def cmd_gen_data(args):
     with open(args.config, "r", encoding="utf-8") as fh:
-        cfg = D.SyntheticConfig(**json.load(fh))
+        cfg = D.SyntheticConfig(**config_kwargs(
+            D.SyntheticConfig, json.load(fh), "synthetic config"))
     if args.seed is not None:
         cfg.seed = args.seed
     corpus = D.generate_synthetic_corpus(cfg, domain_tag=args.domain_tag)

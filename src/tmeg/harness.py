@@ -13,13 +13,13 @@ from __future__ import annotations
 import json
 import time
 import zlib
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, fields, asdict, replace
 
 import numpy as np
 
 from . import data as D
 from . import graph as G
-from .autodiff import Tensor, concat, no_grad
+from .autodiff import Tensor, no_grad
 from .model import (
     ModelConfig, TmegModel, coherence_loss, prediction_loss_batch,
     param_spec, prepare_batch, total_loss,
@@ -75,10 +75,27 @@ class RunConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":
-        d = dict(d)
-        if "model" in d and isinstance(d["model"], dict):
-            d["model"] = ModelConfig(**d["model"])
+        """A RunConfig from its JSON form. A value that is not an object,
+        at the top level or as "model", or an unknown key raises
+        ValueError naming it."""
+        d = config_kwargs(RunConfig, d, "run config")
+        if "model" in d:
+            d["model"] = ModelConfig(**config_kwargs(ModelConfig, d["model"],
+                                                     "run config \"model\""))
         return RunConfig(**d)
+
+
+def config_kwargs(cls, obj, what: str) -> dict:
+    """`obj` as keyword arguments for dataclass `cls`: it must be a JSON
+    object whose keys all name fields of `cls`, or ValueError names the
+    offender."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, not "
+                         f"{type(obj).__name__}")
+    unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"{what}: unknown key {unknown[0]!r}")
+    return dict(obj)
 
 
 @dataclass
@@ -223,7 +240,7 @@ def _batch_loss(model: TmegModel, prepared: list[PreparedInstance],
     n_c = scores.shape[1]
     gold_graph = np.arange(len(prepared)) * n_c + gold
     n_a = [len(p.instance.candidates[0]) for p in prepared]
-    coh_terms = []
+    kept, text_rows, neg_pairs = [], [], []
     for ip, p in enumerate(prepared):
         pool = [(gold_graph[jp], r) for jp in range(len(prepared)) if jp != ip
                 for r in range(n_a[jp])]
@@ -234,20 +251,34 @@ def _batch_loss(model: TmegModel, prepared: list[PreparedInstance],
             raise TrainError("cannot sample coherence negatives")
         k = min(config.model.k_negatives, len(pool))
         chosen = rng.choice(len(pool), size=k, replace=False)
-        g = gold_graph[ip]
-        n = int(min(p.aligned_rows.size, batch.n_vis_cls[g]))
+        n = int(min(p.aligned_rows.size, batch.n_vis_cls[gold_graph[ip]]))
         if n == 0:
             continue
-        neg_graphs, neg_rows = np.array(pool)[chosen].T
-        coh_terms.append(coherence_loss(
-            ht[np.full(n, g), p.aligned_rows[:n]], hv[g, :n],
-            hv[neg_graphs, neg_rows],
-            config.model.tau, config.model.coherence_inclusive,
-        ).reshape(1))
-    if not coh_terms:
+        kept.append(gold_graph[ip])
+        text_rows.append(p.aligned_rows[:n])
+        neg_pairs.append(np.array(pool)[chosen])
+    if not kept:
         return pred
-    coh = concat(coh_terms, axis=0).mean()
+    # every instance at once, padded to the most rows and negatives
+    graphs = np.array(kept)[:, None]
+    text_rows, n_rows = _pad_rows(text_rows)
+    neg_pairs, n_neg = _pad_rows(neg_pairs)
+    coh = coherence_loss(
+        ht[graphs, text_rows], hv[graphs, np.arange(text_rows.shape[1])],
+        hv[neg_pairs[..., 0], neg_pairs[..., 1]],
+        config.model.tau, config.model.coherence_inclusive, n_rows, n_neg)
     return total_loss(pred, coh, effect.lambda_b)
+
+
+def _pad_rows(parts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Arrays of varying length stacked into one, zero-padded to the
+    longest along the first axis; and their lengths."""
+    counts = np.array([len(a) for a in parts])
+    out = np.zeros((len(parts), counts.max()) + parts[0].shape[1:],
+                   dtype=np.int64)
+    for i, a in enumerate(parts):
+        out[i, :len(a)] = a
+    return out, counts
 
 
 # ----------------------------------------------------------------------

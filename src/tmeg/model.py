@@ -17,19 +17,22 @@ it alone. All heads of a layer run as one (B, H, N, d_head) computation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from .autodiff import (
-    Tensor, attention, concat, gather_codes, layer_norm, linear, logsumexp,
+    Tensor, concat, encoder_layer, gather_codes, linear, logsumexp,
 )
 from .graph import CLS, N_MODAL_CODES, N_TEMPORAL_CODES, OBJECT, SEP, TmegGraph
 from .optim import ParamStore, config_hash
 
 # (temporal, modal) code of each entry of the (C_t, C_m) code-pair grid
 _CODE_PAIRS = np.indices((N_TEMPORAL_CODES, N_MODAL_CODES))
+
+# a transformer layer's parameters, in the order `encoder_layer` takes them
+_LAYER_PARAMS = ("wq", "bq", "wk", "wv", "bv", "wo", "bo", "ln1_g", "ln1_b",
+                 "ffn_w1", "ffn_b1", "ffn_w2", "ffn_b2", "ln2_g", "ln2_b")
 
 
 @dataclass
@@ -389,30 +392,13 @@ class TmegModel:
     def _transformer_layer(self, h: Tensor, prefix: str, n_heads: int,
                            bias: Tensor | None = None,
                            key_bias: np.ndarray | None = None) -> Tensor:
-        """Post-norm encoder layer over (B, N, dim), all heads at once.
+        """Post-norm encoder layer over (B, N, dim), all heads at once, as
+        one `encoder_layer` tape node.
 
         `bias` (the edge-code biases) and `key_bias` (the -inf mask of
         padded keys) are added to the (B, H, N, N) attention logits."""
-        *lead, n, dim = h.shape
-        dh = dim // n_heads
-
-        def split_heads(x):  # (B, N, dim) -> (B, H, N, d_head)
-            return x.reshape(*lead, n, n_heads, dh).swapaxes(-2, -3)
-
-        q = split_heads(linear(h, self.p(f"{prefix}/wq"), self.p(f"{prefix}/bq")))
-        k = split_heads(linear(h, self.p(f"{prefix}/wk")))
-        v = split_heads(linear(h, self.p(f"{prefix}/wv"), self.p(f"{prefix}/bv")))
-        # logits[..., i, j] = k_i . q_j / sqrt(d_head) (+ biases), normalized
-        # over keys i for each query j
-        merged = attention(q, k, v, 1.0 / math.sqrt(dh), bias, key_bias)
-        merged = merged.swapaxes(-2, -3).reshape(*lead, n, dim)
-        out = linear(merged, self.p(f"{prefix}/wo"), self.p(f"{prefix}/bo"))
-        h1 = layer_norm(out + h, self.p(f"{prefix}/ln1_g"), self.p(f"{prefix}/ln1_b"))
-        ffn = linear(
-            linear(h1, self.p(f"{prefix}/ffn_w1"), self.p(f"{prefix}/ffn_b1")).gelu(),
-            self.p(f"{prefix}/ffn_w2"), self.p(f"{prefix}/ffn_b2"))
-        return layer_norm(ffn + h1, self.p(f"{prefix}/ln2_g"),
-                          self.p(f"{prefix}/ln2_b"))
+        params = [self.p(f"{prefix}/{name}") for name in _LAYER_PARAMS]
+        return encoder_layer(h, params, n_heads, bias, key_bias)
 
     def fusion_layer(self, h: Tensor, phi_t: np.ndarray, phi_m: np.ndarray,
                      layer: int, zero_t: bool = False, zero_m: bool = False,
@@ -493,39 +479,63 @@ class TmegModel:
 # losses
 
 
-def _normalize_rows(x: Tensor, eps_check: bool = True) -> Tensor:
-    norms = (x * x).sum(axis=-1, keepdims=True).sqrt()
-    if eps_check and (norms.data == 0).any():
+def _normalize_rows(x: Tensor, valid: np.ndarray) -> Tensor:
+    """Rows of x scaled to unit norm. Rows where `valid` is False are
+    padding: they are exempt from the zero-norm check and divided by
+    sqrt(|x|^2 + 1), so they and their gradients stay finite."""
+    sq = (x * x).sum(axis=-1, keepdims=True)
+    if (sq.data[valid] == 0).any():
         raise ValueError("cosine similarity undefined for zero-norm vector")
-    return x / norms
+    if not valid.all():
+        sq = sq + np.where(valid, 0.0, 1.0)[..., None]
+    return x / sq.sqrt()
 
 
 def coherence_loss(ht: Tensor, hv_pos: Tensor, negatives: Tensor,
-                   tau: float, inclusive: bool = True) -> Tensor:
+                   tau: float, inclusive: bool = True,
+                   n_rows=None, n_neg=None) -> Tensor:
     """InfoNCE-style alignment loss averaged over aligned steps.
 
-    ht, hv_pos: (n, d) aligned text/image representations; negatives: (K, d).
-    With `inclusive` the positive appears in the denominator, which bounds
-    the loss below by 0; the literal negatives-only variant is kept for
+    One instance: ht, hv_pos (n, d) aligned text/image representations and
+    negatives (K, d). A batch of I instances: ht, hv_pos (I, n_max, d) and
+    negatives (I, K_max, d), padded to the longest, with `n_rows` (I,) and
+    `n_neg` (I,) counting each instance's real rows and negatives (by
+    default, none is padding). The loss is each instance's mean over its
+    rows, averaged over instances; padding rows are ignored and padded
+    negatives get a -inf logit. With
+    `inclusive` the positive appears in the denominator, which bounds the
+    loss below by 0; the literal negatives-only variant is kept for
     comparison.
     """
     if tau <= 0:
         raise ValueError("tau must be > 0")
-    if negatives.shape[0] < 1:
+    if ht.ndim == 2:
+        ht, hv_pos, negatives = (x.reshape(1, *x.shape)
+                                 for x in (ht, hv_pos, negatives))
+    n_inst = ht.shape[0]
+    n_rows = (np.full(n_inst, ht.shape[1]) if n_rows is None
+              else np.asarray(n_rows))
+    n_neg = (np.full(n_inst, negatives.shape[1]) if n_neg is None
+             else np.asarray(n_neg))
+    if (n_neg < 1).any():
         raise ValueError("need at least one negative")
-    t_hat = _normalize_rows(ht)
-    v_hat = _normalize_rows(hv_pos)
-    n_hat = _normalize_rows(negatives)
-    pos_sim = (t_hat * v_hat).sum(axis=-1, keepdims=True)  # (n, 1)
-    neg_sims = t_hat @ n_hat.swapaxes(-1, -2)              # (n, K)
-    pos_logit = pos_sim * (1.0 / tau)
-    neg_logits = neg_sims * (1.0 / tau)
-    if inclusive:
-        denom = logsumexp(concat([pos_logit, neg_logits], axis=-1),
-                          axis=-1, keepdims=True)
-    else:
-        denom = logsumexp(neg_logits, axis=-1, keepdims=True)
-    return (denom - pos_logit).mean()
+    if (n_rows < 1).any():
+        raise ValueError("need at least one aligned row")
+    rows = np.arange(ht.shape[1]) < n_rows[:, None]        # (I, n_max)
+    negs = np.arange(negatives.shape[1]) < n_neg[:, None]  # (I, K_max)
+    t_hat = _normalize_rows(ht, rows)
+    v_hat = _normalize_rows(hv_pos, rows)
+    n_hat = _normalize_rows(negatives, negs)
+    pos_logit = (t_hat * v_hat).sum(axis=-1, keepdims=True) * (1.0 / tau)
+    neg_logits = (t_hat @ n_hat.swapaxes(-1, -2)) * (1.0 / tau)
+    if not negs.all():
+        neg_logits = neg_logits + np.where(negs, 0.0, -np.inf)[:, None, :]
+    logits = (concat([pos_logit, neg_logits], axis=-1) if inclusive
+              else neg_logits)
+    per_row = logsumexp(logits, axis=-1, keepdims=True) - pos_logit
+    if not rows.all():
+        per_row = per_row * rows[..., None]
+    return (per_row.sum(axis=(1, 2)) * (1.0 / n_rows)).mean()
 
 
 def prediction_loss(scores: Tensor, gold: int) -> Tensor:

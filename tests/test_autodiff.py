@@ -4,6 +4,7 @@ Backward rules are checked against central finite differences computed in
 the tests themselves, plus closed-form identities where they exist.
 """
 
+import contextlib
 import math
 
 import numpy as np
@@ -15,8 +16,8 @@ from scipy.special import logsumexp as scipy_logsumexp
 from scipy.special import softmax as scipy_softmax
 
 from tmeg.autodiff import (
-    Tensor, attention, concat, gather_codes, layer_norm, linear,
-    logsumexp, no_grad, softmax,
+    Tensor, _gelu_backward, _gelu_cdf, concat, encoder_layer, gather_codes,
+    layer_norm, linear, logsumexp, no_grad, softmax,
 )
 
 
@@ -47,6 +48,26 @@ def check_op(build, *shapes, seed=0, tol=1e-6):
         num = numeric_grad(lambda: float(build(
             *[Tensor(x) for x in arrays]).data), a)
         np.testing.assert_allclose(t.grad, num, rtol=tol, atol=tol)
+
+
+def layer_shapes(dim, mult):
+    """Shapes of a transformer layer's 15 parameters, in `encoder_layer`
+    order."""
+    d, f = (dim,), (mult * dim,)
+    return [(dim, dim), d, (dim, dim), (dim, dim), d, (dim, dim), d, d, d,
+            (dim, mult * dim), f, (mult * dim, dim), d, d, d]
+
+
+def gelu(x):
+    """The exact GELU x * Phi(x) as one elementary tape node: the
+    reference the fused encoder layer's FFN must repeat."""
+    cdf = 0.5 * (1.0 + erf(x.data / math.sqrt(2.0)))
+
+    def bw(g):
+        pdf = np.exp(-0.5 * x.data * x.data) / math.sqrt(2.0 * math.pi)
+        x._accumulate(g * (cdf + x.data * pdf))
+
+    return Tensor(x.data * cdf, parents=(x,), backward=bw)
 
 
 class TestElementwiseGrads:
@@ -90,13 +111,16 @@ class TestElementwiseGrads:
             np.testing.assert_allclose(t.grad, num, rtol=1e-6, atol=1e-8)
 
     def test_gelu_matches_definition(self):
+        """The exact GELU of the encoder layer's FFN, x * Phi(x)."""
         x = np.linspace(-3.0, 3.0, 13)
-        out = Tensor(x).gelu()
         expected = x * 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
-        np.testing.assert_allclose(out.data, expected, rtol=1e-14)
+        np.testing.assert_allclose(x * _gelu_cdf(x), expected, rtol=1e-14)
 
     def test_gelu_grad(self):
-        check_op(lambda a: a.gelu().sum(), (9,), tol=1e-6)
+        x = np.random.default_rng(0).normal(size=9)
+        g = _gelu_backward(np.ones(9), x, _gelu_cdf(x))
+        num = numeric_grad(lambda: float((x * _gelu_cdf(x)).sum()), x)
+        np.testing.assert_allclose(g, num, rtol=1e-6, atol=1e-6)
 
 
 class TestMatmulAndShapes:
@@ -200,7 +224,7 @@ class TestComposedOps:
         check_op(lambda x, g, b: (layer_norm(x, g, b) ** 2.0).sum(),
                  (3, 5), (5,), (5,), tol=1e-5)
 
-    @pytest.mark.parametrize("op", ["softmax", "layer_norm", "attention"])
+    @pytest.mark.parametrize("op", ["softmax", "layer_norm", "encoder_layer"])
     def test_fused_op_repeats_composed_arithmetic(self, op):
         """The one-node ops must equal, bit for bit, the same formula
         composed from elementary tape ops, in values and gradients."""
@@ -214,23 +238,32 @@ class TestComposedOps:
             var = (centered * centered).mean(axis=-1, keepdims=True)
             return centered / (var + 1e-12).sqrt() * g + b
 
-        # attention as the encoder runs it: heads split from (B, N, H, d)
-        # rows, edge codes with NONE entries, the last key of graph 0 padded
+        # the layer as the encoder runs it: edge codes with NONE entries,
+        # the last key of graph 0 padded
         codes = np.random.default_rng(6).integers(0, 4, size=(3, 6, 6))
         key_bias = np.zeros((3, 1, 6, 1))
         key_bias[0, 0, -1] = -np.inf
 
-        def attention_inputs(q, k, v, table):
-            return (q.swapaxes(1, 2), k.swapaxes(1, 2), v.swapaxes(1, 2),
-                    0.5, gather_codes(table, codes))
+        def fused_encoder_layer(h, *rest):
+            return encoder_layer(h, rest[:-1], 2, gather_codes(rest[-1], codes),
+                                 key_bias)
 
-        def fused_attention(*leaves):
-            return attention(*attention_inputs(*leaves), key_bias)
+        def composed_encoder_layer(h, wq, bq, wk, wv, bv, wo, bo, g1, b1,
+                                   w1, c1, w2, c2, g2, b2, table):
+            B, n, dim = h.shape
 
-        def composed_attention(*leaves):
-            q, k, v, scale, bias = attention_inputs(*leaves)
-            logits = (k @ q.swapaxes(-1, -2)) * scale + bias + key_bias
-            return softmax(logits, axis=-2).swapaxes(-1, -2) @ v
+            def split(x):
+                return x.reshape(B, n, 2, dim // 2).swapaxes(-2, -3)
+
+            q, k, v = (split(linear(h, wq, bq)), split(linear(h, wk)),
+                       split(linear(h, wv, bv)))
+            logits = ((k @ q.swapaxes(-1, -2)) * (1.0 / math.sqrt(dim // 2))
+                      + gather_codes(table, codes) + key_bias)
+            merged = softmax(logits, axis=-2).swapaxes(-1, -2) @ v
+            merged = merged.swapaxes(-2, -3).reshape(B, n, dim)
+            h1 = layer_norm(linear(merged, wo, bo) + h, g1, b1)
+            ffn = linear(gelu(linear(h1, w1, c1)), w2, c2)
+            return layer_norm(ffn + h1, g2, b2)
 
         rng = np.random.default_rng(5)
         if op == "softmax":
@@ -240,8 +273,8 @@ class TestComposedOps:
             shapes = [(3, 6, 8), (8,), (8,)]
             fused, composed = layer_norm, composed_layer_norm
         else:
-            shapes = [(3, 6, 2, 4)] * 3 + [(2, 4)]
-            fused, composed = fused_attention, composed_attention
+            shapes = [(3, 6, 8)] + layer_shapes(8, 2) + [(2, 4)]
+            fused, composed = fused_encoder_layer, composed_encoder_layer
         arrays = [rng.normal(size=s) for s in shapes]
         weights = None
         results = []
@@ -339,37 +372,57 @@ class TestGatherCodes:
             gather_codes(Tensor(np.zeros((2, 3))), np.full((2, 2), 3))
 
 
-class TestAttention:
+class TestEncoderLayer:
 
-    key_bias = np.array([0.0, 0.0, 0.0, -np.inf])[None, None, :, None]
+    # graph 0's last key is padded; both code matrices hold NONE entries
+    key_bias = np.array([[0.0, 0.0, 0.0, -np.inf],
+                         [0.0, 0.0, 0.0, 0.0]])[:, None, :, None]
+    codes_t = np.random.default_rng(7).integers(0, 3, size=(2, 4, 4))
+    codes_m = np.random.default_rng(8).integers(0, 5, size=(2, 4, 4))
+
+    def build(self, h, *rest):
+        """h (2, 4, 8) through a two-head layer; the edge bias sums a
+        temporal and a modal table's gathers, as the encoder's does."""
+        params, table_t, table_m = rest[:15], rest[15], rest[16]
+        bias = (gather_codes(table_t, self.codes_t)
+                + gather_codes(table_m, self.codes_m))
+        return encoder_layer(h, params, 2, bias, self.key_bias)
+
+    def arrays(self, seed):
+        rng = np.random.default_rng(seed)
+        shapes = [(2, 4, 8)] + layer_shapes(8, 2) + [(2, 3), (2, 5)]
+        return [rng.normal(size=s) for s in shapes]
 
     def test_grad_matches_central_differences(self):
-        weights = np.random.default_rng(2).normal(size=(2, 2, 4, 3))
-        check_op(lambda q, k, v, b: (attention(q, k, v, 0.7, b, self.key_bias)
-                                     * weights).sum(),
-                 (2, 2, 4, 3), (2, 2, 4, 3), (2, 2, 4, 3), (2, 4, 4))
+        """Over h, all 15 layer parameters and both bias tables."""
+        assert (self.codes_t == 0).any() and (self.codes_m == 0).any()
+        weights = np.random.default_rng(2).normal(size=(2, 4, 8))
+        shapes = [a.shape for a in self.arrays(0)]
+        check_op(lambda *leaves: (self.build(*leaves) * weights).sum(),
+                 *shapes, seed=3)
 
     def test_no_grad_same_values_no_tape_inputs_untouched(self):
-        rng = np.random.default_rng(3)
-        arrays = [rng.normal(size=s) for s in [(2, 2, 4, 3)] * 3 + [(2, 4, 4)]]
-        key_bias = np.broadcast_to(self.key_bias, (2, 1, 4, 1)).copy()
-        before = [a.copy() for a in arrays] + [key_bias.copy()]
-        q, k, v, b = [Tensor(a, requires_grad=True) for a in arrays]
-        taped = attention(q, k, v, 0.7, b, key_bias)
+        arrays = self.arrays(3)
+        key_bias = self.key_bias.copy()
+        before = [a.copy() for a in arrays] + [key_bias]
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        taped = self.build(*leaves)
         with no_grad():
-            free = attention(q, k, v, 0.7, b, key_bias)
+            free = self.build(*leaves)
+        taped.sum().backward()
         assert taped.requires_grad and taped._parents
         assert not free.requires_grad
         assert free._parents == () and free._backward is None
         np.testing.assert_array_equal(free.data, taped.data)
-        for now, then in zip(arrays + [key_bias], before):
+        for now, then in zip(arrays + [self.key_bias], before):
             np.testing.assert_array_equal(now, then)
 
     def test_rejects_nan(self):
-        x = Tensor(np.zeros((1, 3, 2)))
-        bias = Tensor(np.array([[0.0, np.nan, 0.0]] * 3))
-        with pytest.raises(ValueError):
-            attention(x, x, x, 1.0, bias)
+        arrays = self.arrays(4)
+        arrays[-1][0, 1] = np.nan
+        for context in (contextlib.nullcontext, no_grad):
+            with context(), pytest.raises(ValueError, match="NaN"):
+                self.build(*[Tensor(a, requires_grad=True) for a in arrays])
 
 
 class TestNoGrad:

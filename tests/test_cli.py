@@ -116,6 +116,33 @@ class TestMakeTasks:
                      "--out", out]) == 3
 
 
+class TestMalformedConfig:
+
+    @pytest.mark.parametrize("command,config,named", [
+        ("gen-data", dict(SYN_CONFIG, bogus_key=1), "bogus_key"),
+        ("gen-data", [1, 2], "list"),
+        ("train", run_config_dict(batchsize=4), "batchsize"),
+        ("train", [1, 2], "list"),
+        ("train", run_config_dict(model=[1]), "model"),
+        ("train", run_config_dict(model={"d_model": 8, "bogus": 1}), "bogus"),
+        ("grad-check", run_config_dict(batchsize=4), "batchsize"),
+        ("transfer", run_config_dict(batchsize=4), "batchsize"),
+        ("sweep-lambda", run_config_dict(batchsize=4), "batchsize"),
+    ], ids=["gen-data-unknown-key", "gen-data-not-an-object",
+            "train-unknown-key", "train-not-an-object", "train-model-not-an-object",
+            "train-model-unknown-key", "grad-check-unknown-key",
+            "transfer-unknown-key", "sweep-lambda-unknown-key"])
+    def test_exits_2_naming_the_offender(self, tmp_path, capsys, command,
+                                         config, named):
+        path = os.path.join(tmp_path, "config.json")
+        with open(path, "w") as fh:
+            json.dump(config, fh)
+        extra = {"gen-data": ["--out", os.path.join(tmp_path, "out.json")],
+                 "transfer": ["--train", path, "--eval", path]}
+        assert main([command, "--config", path] + extra.get(command, [])) == 2
+        assert named in capsys.readouterr().err
+
+
 class TestTrainEval:
 
     def test_train_then_eval(self, workspace):

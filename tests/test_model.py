@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 from scipy.special import erf, softmax as scipy_softmax
 
-from tmeg.autodiff import Tensor, gather_codes
+from tmeg.autodiff import Tensor, concat, gather_codes, logsumexp
 from tmeg.data import SyntheticConfig, build_vocab, generate_synthetic_corpus
 from tmeg.harness import (
     RunConfig, apply_ablation, make_instances, prepare_instances, _batch_loss,
+    _batch_scores,
 )
 from tmeg.model import (
     GraphBatch, ModelConfig, TmegModel, coherence_loss, init_params,
@@ -163,6 +164,60 @@ def assert_same_batch(got, want):
             np.testing.assert_array_equal(a, b, err_msg=f.name)
         else:
             assert a == b, f.name
+
+
+def reference_coherence(ht, hv_pos, negatives, tau, inclusive=True):
+    """The InfoNCE formula for one instance of (n, d) rows, composed from
+    tape ops: the reference the batched coherence loss must repeat."""
+
+    def unit(x):
+        norms = (x * x).sum(axis=-1, keepdims=True).sqrt()
+        if (norms.data == 0).any():
+            raise ValueError("cosine similarity undefined for zero-norm vector")
+        return x / norms
+
+    t_hat, v_hat, n_hat = unit(ht), unit(hv_pos), unit(negatives)
+    pos_logit = (t_hat * v_hat).sum(axis=-1, keepdims=True) * (1.0 / tau)
+    neg_logits = (t_hat @ n_hat.swapaxes(-1, -2)) * (1.0 / tau)
+    if inclusive:
+        neg_logits = concat([pos_logit, neg_logits], axis=-1)
+    return (logsumexp(neg_logits, axis=-1, keepdims=True) - pos_logit).mean()
+
+
+def reference_batch_loss(model, prepared, effect, config, rng):
+    """`_batch_loss` with one `reference_coherence` per instance, averaged
+    over the instances with aligned rows: the per-instance loop."""
+    scores, ht, hv, batch = _batch_scores(model, prepared, effect)
+    gold = np.array([p.instance.gold_index for p in prepared])
+    pred = prediction_loss_batch(scores, gold)
+    n_c = scores.shape[1]
+    gold_graph = np.arange(len(prepared)) * n_c + gold
+    n_a = [len(p.instance.candidates[0]) for p in prepared]
+    terms = []
+    for ip, p in enumerate(prepared):
+        pool = [(gold_graph[jp], r) for jp in range(len(prepared)) if jp != ip
+                for r in range(n_a[jp])]
+        if not pool:
+            pool = [(ip * n_c + cj, r) for cj in range(n_c) if cj != gold[ip]
+                    for r in range(n_a[ip])]
+        k = min(config.model.k_negatives, len(pool))
+        chosen = rng.choice(len(pool), size=k, replace=False)
+        g = gold_graph[ip]
+        n = int(min(p.aligned_rows.size, batch.n_vis_cls[g]))
+        if n == 0:
+            continue
+        neg_graphs, neg_rows = np.array(pool)[chosen].T
+        terms.append(reference_coherence(
+            ht[np.full(n, g), p.aligned_rows[:n]], hv[g, :n],
+            hv[neg_graphs, neg_rows], config.model.tau,
+            config.model.coherence_inclusive).reshape(1))
+    return total_loss(pred, concat(terms, axis=0).mean(), effect.lambda_b)
+
+
+def assert_rel_close(got, want, rtol=1e-12, what=""):
+    """Agreement within rtol of the reference's largest magnitude."""
+    scale = max(float(np.abs(want).max()), 1e-300)
+    assert float(np.abs(got - want).max()) <= rtol * scale, what
 
 
 def random_phi(rng, n):
@@ -559,3 +614,80 @@ class TestLosses:
         assert float(total_loss(pred, coh, 0.5).data) == pytest.approx(4.0)
         assert float(total_loss(pred, coh, 0.0).data) == pytest.approx(2.0)
         assert float(total_loss(pred, None, 0.5).data) == pytest.approx(2.0)
+
+
+class TestBatchedCoherence:
+    """The batched coherence loss against the per-instance formula."""
+
+    n_rows = np.array([3, 1, 5, 2])
+    n_neg = np.array([4, 2, 4, 3])
+
+    def padded_inputs(self, seed, zero_padding):
+        rng = np.random.default_rng(seed)
+        ht, hv = rng.normal(size=(2, 4, 5, 6))
+        negs = rng.normal(size=(4, 4, 6))
+        if zero_padding:
+            for x, counts in ((ht, self.n_rows), (hv, self.n_rows),
+                              (negs, self.n_neg)):
+                x[np.arange(x.shape[1]) >= counts[:, None]] = 0.0
+        return ht, hv, negs
+
+    @pytest.mark.parametrize("inclusive", [True, False])
+    @pytest.mark.parametrize("zero_padding", [False, True])
+    def test_matches_per_instance_mean(self, inclusive, zero_padding):
+        """Ragged row and negative counts; zero padding rows never raise."""
+        arrays = self.padded_inputs(0, zero_padding)
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        got = coherence_loss(*leaves, 0.07, inclusive, self.n_rows, self.n_neg)
+        got.backward()
+        parts = []
+        for i, (n, k) in enumerate(zip(self.n_rows, self.n_neg)):
+            parts.append([Tensor(arrays[0][i, :n], requires_grad=True),
+                          Tensor(arrays[1][i, :n], requires_grad=True),
+                          Tensor(arrays[2][i, :k], requires_grad=True)])
+        want = concat([reference_coherence(*p, 0.07, inclusive).reshape(1)
+                       for p in parts], axis=0).mean()
+        want.backward()
+        assert np.isfinite(got.data)
+        assert_rel_close(got.data, want.data)
+        for j, (leaf, counts) in enumerate(zip(
+                leaves, (self.n_rows, self.n_rows, self.n_neg))):
+            for i, n in enumerate(counts):
+                assert_rel_close(leaf.grad[i, :n], parts[i][j].grad,
+                                 what=f"input {j}, instance {i}")
+                assert (leaf.grad[i, n:] == 0.0).all()
+
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    def test_zero_norm_real_row_raises(self, which):
+        arrays = self.padded_inputs(1, zero_padding=True)
+        arrays[which][3, 1] = 0.0   # a real row or negative of instance 3
+        with pytest.raises(ValueError, match="zero-norm"):
+            coherence_loss(*[Tensor(a) for a in arrays], 0.07, True,
+                           self.n_rows, self.n_neg)
+
+    @pytest.mark.parametrize("case", ["ragged", "row-less instance",
+                                      "one instance", "exclusive"])
+    def test_batch_loss_matches_per_instance_loop(self, case):
+        """Same negatives drawn, same loss and parameter gradients."""
+        model, prepared = mixed_structure_setup(init_scale=0.5)
+        assert len({p.aligned_rows.size for p in prepared}) > 1
+        # more negatives than any pool holds, so negative counts are ragged
+        model_cfg = dataclasses.replace(
+            model.config, k_negatives=64, coherence_inclusive=case != "exclusive")
+        if case == "row-less instance":
+            prepared[1] = dataclasses.replace(
+                prepared[1], aligned_rows=prepared[1].aligned_rows[:0])
+        elif case == "one instance":
+            prepared = prepared[:1]
+        cfg = RunConfig(model=model_cfg, n_candidates=3, seed=0)
+        effect = apply_ablation(cfg)
+        results = []
+        for fn in (_batch_loss, reference_batch_loss):
+            loss = fn(model, prepared, effect, cfg, np.random.default_rng(3))
+            grad_eval(loss, model.store)
+            results.append((loss.data, {name: p.tensor.grad.copy() for name, p
+                                        in model.store.params.items()}))
+        (got, got_grads), (want, want_grads) = results
+        assert_rel_close(got, want)
+        for name, g in want_grads.items():
+            assert_rel_close(got_grads[name], g, what=name)
