@@ -12,7 +12,10 @@ graph-biased attention. Each repeats, operation for operation, the float
 arithmetic of the chain it replaces, sharing private helpers for the
 softmax and layer-norm arithmetic, so values and gradients are
 bit-identical to the composed graph, while the tape holds one node and
-only the arrays its backward pass needs.
+only the arrays its backward pass needs. `encoder_layer` can also compute
+only chosen output rows (its `rows` argument), with keys and values still
+taken from every row: the encoder runs each stack's last layer that way,
+over just the rows that are read next.
 
 Inside `no_grad()` operations record nothing: results carry neither parents
 nor a backward closure, so each intermediate array is freed as soon as the
@@ -60,6 +63,20 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad
+
+
+def _scatter_sum(shape: tuple, idx, g: np.ndarray) -> np.ndarray:
+    """Zeros of `shape` with each element of g added at its position under
+    the numpy index `idx` (so g has the shape of zeros[idx]).
+
+    One weighted bincount over the flat target positions. It sums each
+    target's terms in occurrence order starting from 0.0, as
+    `np.add.at(zeros, idx, g)` does, so the result is bit-identical to it,
+    repeated indices included."""
+    n = math.prod(shape)
+    target = np.arange(n).reshape(shape)[idx]
+    return np.bincount(target.ravel(), weights=g.ravel(),
+                       minlength=n).reshape(shape)
 
 
 def _is_basic_index(idx) -> bool:
@@ -211,13 +228,14 @@ class Tensor:
         basic = _is_basic_index(idx)
 
         def bw(g):
-            if self.requires_grad:
+            if not self.requires_grad:
+                return
+            if basic:
                 full = np.zeros_like(self.data)
-                if basic:
-                    full[idx] = g
-                else:
-                    np.add.at(full, idx, g)
-                self._accumulate(full)
+                full[idx] = g
+            else:
+                full = _scatter_sum(self.data.shape, idx, g)
+            self._accumulate(full)
 
         return Tensor(self.data[idx], parents=(self,), backward=bw)
 
@@ -237,10 +255,6 @@ class Tensor:
                 self._accumulate(g.swapaxes(a, b))
 
         return Tensor(self.data.swapaxes(a, b), parents=(self,), backward=bw)
-
-    @property
-    def T(self):
-        return self.swapaxes(-1, -2)
 
     # ------------------------------------------------------------------
     # reductions and elementwise
@@ -501,7 +515,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = _LN_EPS) -> 
 
 
 def encoder_layer(h: Tensor, params, n_heads: int, bias: Tensor | None = None,
-                  key_bias=None) -> Tensor:
+                  key_bias=None, rows=None) -> Tensor:
     """Post-norm transformer encoder layer over (..., N, dim) rows, all
     heads at once, as one tape node.
 
@@ -525,26 +539,42 @@ def encoder_layer(h: Tensor, params, n_heads: int, bias: Tensor | None = None,
     norm's centred rows, std and inverse, and the FFN pre-activation and
     its Phi; it recomputes the rest. Without a tape it works in place and
     frees each intermediate once it is used. The input arrays are never
-    written."""
+    written.
+
+    `rows`, a (B, R) integer array over h of shape (B, N, dim), computes
+    only the output rows h[b, rows[b]], in that order, as (B, R, dim):
+    keys and values still come from every row, but queries, the residual,
+    the output projection, both layer norms and the FFN take only the R
+    selected rows, and the logits are (B, H, N, R), so `bias` must
+    broadcast to that. Each output row equals the full layer's row up to
+    the rounding of the smaller matrix products. Indices may repeat; the
+    backward sums a repeated row's query and residual gradients."""
     (wq, bq, wk, wv, bv, wo, bo, g1, b1, w1, c1, w2, c2, g2, b2) = params
     x = h.data
     *lead, n, dim = x.shape
     dh = dim // n_heads
     scale = 1.0 / math.sqrt(dh)
+    if rows is None:
+        xq = x
+    else:
+        if x.ndim != 3:
+            raise ValueError("encoder_layer rows need h of shape (B, N, dim)")
+        picked = (np.arange(x.shape[0])[:, None], np.asarray(rows))
+        xq = x[picked]
 
-    def split(a):  # (..., N, dim) -> (..., H, N, d_head), a view
-        return a.reshape(*lead, n, n_heads, dh).swapaxes(-2, -3)
+    def split(a):  # (..., M, dim) -> (..., H, M, d_head), a view
+        return a.reshape(*lead, a.shape[-2], n_heads, dh).swapaxes(-2, -3)
 
-    def merge(a):  # (..., H, N, d_head) -> (..., N, dim)
-        return a.swapaxes(-2, -3).reshape(*lead, n, dim)
+    def merge(a):  # (..., H, M, d_head) -> (..., M, dim)
+        return a.swapaxes(-2, -3).reshape(*lead, a.shape[-2], dim)
 
-    def project(w, b):
-        out = x @ w.data
+    def project(inp, w, b):
+        out = inp @ w.data
         if b is not None:
             out += b.data
         return split(out)
 
-    q, k, v = project(wq, bq), project(wk, None), project(wv, bv)
+    q, k, v = project(xq, wq, bq), project(x, wk, None), project(x, wv, bv)
     # logits[..., i, j] = k_i . q_j * scale (+ biases), normalized over keys i
     logits = k @ q.swapaxes(-1, -2)
     logits *= scale
@@ -564,7 +594,7 @@ def encoder_layer(h: Tensor, params, n_heads: int, bias: Tensor | None = None,
         o = a @ wo.data
         del a
         o += bo.data
-        o += x
+        o += xq
         c, _, inv = _ln_stats(o, _LN_EPS, out=o)
         h1 = _ln_affine(c, inv, g1.data, b1.data, out=c)
         f = h1 @ w1.data
@@ -584,7 +614,7 @@ def encoder_layer(h: Tensor, params, n_heads: int, bias: Tensor | None = None,
     o = a @ wo.data
     del a
     o += bo.data
-    o += x
+    o += xq
     ln1 = _ln_stats(o, _LN_EPS, out=o)
     del o
     h1 = _ln_affine(ln1[0], ln1[2], g1.data, b1.data)
@@ -625,9 +655,16 @@ def encoder_layer(h: Tensor, params, n_heads: int, bias: Tensor | None = None,
         del g_x
         # input projections; the input gradient sums the residual, key,
         # query and value terms in the order the composed chain's tape does
-        g_h = g_o + _linear_backward(merge(g_k), x, wk, None)
-        g_h += _linear_backward(merge(g_q), x, wq, bq)
-        g_h += _linear_backward(merge(g_v), x, wv, bv)
+        if rows is None:
+            g_h = g_o + _linear_backward(merge(g_k), x, wk, None)
+            g_h += _linear_backward(merge(g_q), x, wq, bq)
+            g_h += _linear_backward(merge(g_v), x, wv, bv)
+        else:
+            # the residual and query terms reach the selected rows only
+            g_h = _linear_backward(merge(g_k), x, wk, None)
+            g_h += _linear_backward(merge(g_v), x, wv, bv)
+            g_o += _linear_backward(merge(g_q), xq, wq, bq)
+            g_h += _scatter_sum(x.shape, picked, g_o)
         if h.requires_grad:
             h._accumulate(g_h)
 

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import json
 import time
+import types
+import typing
 import zlib
-from dataclasses import dataclass, field, fields, asdict, replace
+from dataclasses import dataclass, field, fields, asdict, is_dataclass, replace
 
 import numpy as np
 
@@ -87,15 +89,40 @@ class RunConfig:
 
 def config_kwargs(cls, obj, what: str) -> dict:
     """`obj` as keyword arguments for dataclass `cls`: it must be a JSON
-    object whose keys all name fields of `cls`, or ValueError names the
-    offender."""
+    object whose keys all name fields of `cls` and whose values fit the
+    fields' annotations (see `_fits`), or ValueError names the offender."""
     if not isinstance(obj, dict):
         raise ValueError(f"{what} must be a JSON object, not "
                          f"{type(obj).__name__}")
     unknown = sorted(set(obj) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError(f"{what}: unknown key {unknown[0]!r}")
+    hints = typing.get_type_hints(cls)
+    for key, value in obj.items():
+        if not _fits(value, hints[key]):
+            raise ValueError(f"{what}: {key!r} must be {_type_name(hints[key])}, "
+                             f"not {type(value).__name__}")
     return dict(obj)
+
+
+def _fits(value, tp) -> bool:
+    """Whether a JSON value fits annotation `tp`. An int fits a float
+    field, true/false fit only a bool field, null fits only an optional
+    field, and a nested dataclass takes an object (checked on its own)."""
+    if typing.get_origin(tp) in (typing.Union, types.UnionType):
+        return any(_fits(value, t) for t in typing.get_args(tp))
+    if typing.get_origin(tp) is list:
+        (item,) = typing.get_args(tp)
+        return isinstance(value, list) and all(_fits(v, item) for v in value)
+    if tp is float:
+        tp = (int, float)
+    elif is_dataclass(tp):
+        tp = dict
+    return isinstance(value, tp) and (tp is bool or not isinstance(value, bool))
+
+
+def _type_name(tp) -> str:
+    return tp.__name__ if isinstance(tp, type) else str(tp)
 
 
 @dataclass

@@ -13,6 +13,11 @@ arrays each graph got at assembly and pads them to a shared
 [text block | visual block] layout, with no loop over nodes. Padded rows
 are masked out of attention as keys, so each graph's scores match scoring
 it alone. All heads of a layer run as one (B, H, N, d_head) computation.
+
+Each stack's last layer computes only the rows that are read next: the
+last fusion layer only the text and visual CLS rows, which are all the
+reasoning head reads, and the last scorer layer only the leading CLS row
+its readout reads. Keys and values in those layers still span every row.
 """
 
 from __future__ import annotations
@@ -67,6 +72,8 @@ class ModelConfig:
     def __post_init__(self):
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
+        if self.n_layers < 1 or self.scorer_layers < 1:
+            raise ValueError("n_layers and scorer_layers must be >= 1")
         sd = self.scorer_d if self.scorer_d is not None else self.d_model
         if sd % self.scorer_heads != 0:
             raise ValueError("scorer_d must be divisible by scorer_heads")
@@ -218,6 +225,11 @@ class GraphBatch:
     @property
     def n_vis(self) -> int:
         return self.n_nodes - self.n_text
+
+    def cls_rows(self) -> np.ndarray:
+        """(B, N_t + N_a) rows of each graph's text, then visual, CLS
+        nodes; padded slots point at row 0."""
+        return np.concatenate([self.text_cls_idx, self.vis_cls_idx], axis=1)
 
     def key_bias(self) -> np.ndarray | None:
         """Additive (B, 1, N, 1) logit mask for padded node keys."""
@@ -391,44 +403,62 @@ class TmegModel:
 
     def _transformer_layer(self, h: Tensor, prefix: str, n_heads: int,
                            bias: Tensor | None = None,
-                           key_bias: np.ndarray | None = None) -> Tensor:
+                           key_bias: np.ndarray | None = None,
+                           rows: np.ndarray | None = None) -> Tensor:
         """Post-norm encoder layer over (B, N, dim), all heads at once, as
         one `encoder_layer` tape node.
 
         `bias` (the edge-code biases) and `key_bias` (the -inf mask of
-        padded keys) are added to the (B, H, N, N) attention logits."""
+        padded keys) are added to the (B, H, N, N) attention logits. With
+        `rows` (B, R) only those query rows are computed: the output is
+        (B, R, dim) and `bias` must be (B, H, N, R)."""
         params = [self.p(f"{prefix}/{name}") for name in _LAYER_PARAMS]
-        return encoder_layer(h, params, n_heads, bias, key_bias)
+        return encoder_layer(h, params, n_heads, bias, key_bias, rows)
 
     def fusion_layer(self, h: Tensor, phi_t: np.ndarray, phi_m: np.ndarray,
                      layer: int, zero_t: bool = False, zero_m: bool = False,
-                     key_bias: np.ndarray | None = None) -> Tensor:
+                     key_bias: np.ndarray | None = None,
+                     rows: np.ndarray | None = None) -> Tensor:
+        """One fusion layer; with `rows`, phi_t and phi_m are the (B, N, R)
+        code columns of those query rows."""
         bias = self._edge_bias(layer, slice(None), phi_t, phi_m, zero_t, zero_m)
         return self._transformer_layer(h, f"enc{layer}", self.config.n_heads,
-                                       bias, key_bias)
+                                       bias, key_bias, rows)
 
     def fusion_stack(self, h: Tensor, phi_t: np.ndarray, phi_m: np.ndarray,
                      zero_t: bool = False, zero_m: bool = False,
-                     key_bias: np.ndarray | None = None) -> Tensor:
-        for l in range(self.config.n_layers):
+                     key_bias: np.ndarray | None = None,
+                     rows: np.ndarray | None = None) -> Tensor:
+        """The fusion layers over (B, N, d). With `rows` (B, R) the result
+        is only h[b, rows[b]], (B, R, d): the last layer computes just
+        those query rows, over their edge-code columns phi[b, :, rows[b]]."""
+        last = self.config.n_layers - 1
+        for l in range(last):
             h = self.fusion_layer(h, phi_t, phi_m, l, zero_t, zero_m, key_bias)
-        return h
+        if rows is not None:
+            phi_t, phi_m = (np.take_along_axis(phi, rows[:, None, :], axis=2)
+                            for phi in (phi_t, phi_m))
+        return self.fusion_layer(h, phi_t, phi_m, last, zero_t, zero_m,
+                                 key_bias, rows)
 
     def run_encoder_batch(self, batch: GraphBatch, zero_t: bool = False,
-                          zero_m: bool = False) -> Tensor:
+                          zero_m: bool = False,
+                          rows: np.ndarray | None = None) -> Tensor:
+        """Fused node states (B, N, d), or only rows h[b, rows[b]]."""
         h = self.encode_nodes(batch)
         h = self.project_modalities(h, batch)
         return self.fusion_stack(h, batch.phi_t, batch.phi_m, zero_t, zero_m,
-                                 batch.key_bias())
+                                 batch.key_bias(), rows)
 
     # ------------------------------------------------------------------
     # reasoning head
 
     def extract_cls(self, h: Tensor, batch: GraphBatch) -> tuple[Tensor, Tensor]:
         """Per-unit CLS rows: (B, N_t, d) text and (B, N_a, d) visual,
-        padded to the batch's largest counts."""
-        rows = np.arange(batch.size)[:, None]
-        return h[rows, batch.text_cls_idx], h[rows, batch.vis_cls_idx]
+        padded to the batch's largest counts, split from the fusion
+        stack's (B, N_t + N_a, d) output at rows `batch.cls_rows()`."""
+        n_t = batch.text_cls_idx.shape[1]
+        return h[:, :n_t], h[:, n_t:]
 
     def assemble_pair(self, ht: Tensor, hv: Tensor) -> Tensor:
         """[CLS, text rows..., SEP, visual rows...] in scorer space."""
@@ -451,9 +481,14 @@ class TmegModel:
         CLS row. Its final map carries no bias, so no parameter direction
         shifts all candidate scores by the same constant."""
         h = pair_seq
-        for l in range(self.config.scorer_layers):
+        last = self.config.scorer_layers - 1
+        for l in range(last):
             h = self._transformer_layer(h, f"sc{l}", self.config.scorer_heads,
                                         key_bias=key_bias)
+        # the readout reads row 0 only, so the last layer computes it alone
+        h = self._transformer_layer(
+            h, f"sc{last}", self.config.scorer_heads, key_bias=key_bias,
+            rows=np.zeros((h.shape[0], 1), dtype=np.int64))
         lead = h[:, 0]
         hidden = linear(lead, self.p("scorer/out_w1"),
                         self.p("scorer/out_b1")).tanh()
@@ -462,7 +497,7 @@ class TmegModel:
     def score_batch(self, batch: GraphBatch, zero_t: bool = False,
                     zero_m: bool = False) -> tuple[Tensor, Tensor, Tensor]:
         """Scores (B,) plus the padded CLS rows that produced them."""
-        h = self.run_encoder_batch(batch, zero_t, zero_m)
+        h = self.run_encoder_batch(batch, zero_t, zero_m, batch.cls_rows())
         ht, hv = self.extract_cls(h, batch)
         scores = self.score_candidate(self.assemble_pair(ht, hv),
                                       batch.scorer_key_bias())

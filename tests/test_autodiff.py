@@ -143,8 +143,30 @@ class TestMatmulAndShapes:
         picked.sum().backward()
         np.testing.assert_array_equal(a.grad, [0.0, 2.0, 1.0, 0.0])
 
+    @pytest.mark.parametrize("shape,idx", [
+        ((6, 5), np.array([1, 1, 4, 0, 1])),
+        ((6, 5), (slice(None), np.array([2, 0, 2, 2]))),
+        ((3, 5, 4), (np.arange(3)[:, None], np.array([[0, 4, 0], [2, 2, 2],
+                                                      [1, 3, 1]]))),
+        ((4, 5, 3), (np.array([0, 3, 0, 0]), np.array([2, 1, 2, 2]))),
+        ((4, 5, 3), (np.array([[1, 1], [2, 1]]), slice(1, 4),
+                     np.array([0, 0]))),
+    ], ids=["2d-rows", "2d-columns", "3d-per-row", "3d-pairs", "3d-mixed"])
+    def test_fancy_index_backward_bit_identical_to_add_at(self, shape, idx):
+        """The scatter sums repeated targets in np.add.at's order."""
+        rng = np.random.default_rng(9)
+        a = Tensor(rng.normal(size=shape), requires_grad=True)
+        picked = a[idx]
+        g = rng.normal(size=picked.shape) * 10.0 ** rng.integers(
+            -8, 8, size=picked.shape)
+        (picked * g).sum().backward()
+        want = np.zeros(shape)
+        np.add.at(want, idx, g)
+        np.testing.assert_array_equal(a.grad, want)
+
     def test_reshape_and_swapaxes(self):
-        check_op(lambda a: (a.reshape(6, 2).T @ a.reshape(6, 2)).sum(), (3, 4))
+        check_op(lambda a: (a.reshape(6, 2).swapaxes(-1, -2)
+                            @ a.reshape(6, 2)).sum(), (3, 4))
 
     def test_reshape_accepts_tuple(self):
         t = Tensor(np.zeros((2, 3)), requires_grad=True)
@@ -415,6 +437,57 @@ class TestEncoderLayer:
         assert free._parents == () and free._backward is None
         np.testing.assert_array_equal(free.data, taped.data)
         for now, then in zip(arrays + [self.key_bias], before):
+            np.testing.assert_array_equal(now, then)
+
+    # rows of each graph to compute: repeats in both, as padded CLS slots
+    # pointing at row 0 give; graph 0's padded key is not queried
+    rows = np.array([[0, 2, 0], [3, 1, 3]])
+    picked = (np.arange(2)[:, None], rows)
+
+    def build_rows(self, h, *rest):
+        """`build` with only `rows` computed, over their code columns."""
+        params, table_t, table_m = rest[:15], rest[15], rest[16]
+        codes_t, codes_m = (np.take_along_axis(c, self.rows[:, None, :], axis=2)
+                            for c in (self.codes_t, self.codes_m))
+        bias = gather_codes(table_t, codes_t) + gather_codes(table_m, codes_m)
+        return encoder_layer(h, params, 2, bias, self.key_bias, self.rows)
+
+    def test_rows_grad_matches_central_differences(self):
+        """Over h, all 15 layer parameters and both bias tables."""
+        weights = np.random.default_rng(5).normal(size=(2, 3, 8))
+        shapes = [a.shape for a in self.arrays(0)]
+        check_op(lambda *leaves: (self.build_rows(*leaves) * weights).sum(),
+                 *shapes, seed=6)
+
+    def test_rows_match_full_layer_gathered(self):
+        """Values and gradients of the row-pruned layer equal the full
+        layer's, with the rows gathered after it."""
+        arrays = self.arrays(5)
+        weights = np.random.default_rng(6).normal(size=(2, 3, 8))
+        results = []
+        for fn in (self.build_rows,
+                   lambda *t: self.build(*t)[self.picked]):
+            leaves = [Tensor(a, requires_grad=True) for a in arrays]
+            out = fn(leaves[0] * 1.0, *leaves[1:])
+            (out * weights).sum().backward()
+            results.append([out.data] + [t.grad for t in leaves])
+        for got, want in zip(*results):
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0,
+                                       atol=1e-12 * np.abs(want).max())
+
+    def test_rows_no_grad_same_values_no_tape_inputs_untouched(self):
+        arrays = self.arrays(6)
+        before = [a.copy() for a in arrays] + [self.rows.copy()]
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        taped = self.build_rows(*leaves)
+        with no_grad():
+            free = self.build_rows(*leaves)
+        taped.sum().backward()
+        assert free.shape == (2, 3, 8)
+        assert free._parents == () and free._backward is None
+        np.testing.assert_array_equal(free.data, taped.data)
+        for now, then in zip(arrays + [self.rows], before):
             np.testing.assert_array_equal(now, then)
 
     def test_rejects_nan(self):

@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tmeg.cli import build_parser, main
-from tmeg.data import build_vocab, load_corpus
-from tmeg.harness import RunConfig, save_model
+from tmeg.data import SyntheticConfig, build_vocab, load_corpus
+from tmeg.harness import RunConfig, config_kwargs, save_model
 from tmeg.model import ModelConfig, TmegModel
 
 
@@ -128,10 +128,26 @@ class TestMalformedConfig:
         ("grad-check", run_config_dict(batchsize=4), "batchsize"),
         ("transfer", run_config_dict(batchsize=4), "batchsize"),
         ("sweep-lambda", run_config_dict(batchsize=4), "batchsize"),
+        ("train", run_config_dict(batch_size="4"), "batch_size"),
+        ("train", run_config_dict(max_epochs=True), "max_epochs"),
+        ("train", run_config_dict(learning_rate=False), "learning_rate"),
+        ("train", run_config_dict(seed=None), "seed"),
+        ("train", run_config_dict(tasks=["cloze", 1]), "tasks"),
+        ("train", run_config_dict(model={"d_model": "32"}), "d_model"),
+        ("train", run_config_dict(model={"tau": None}), "tau"),
+        ("gen-data", dict(SYN_CONFIG, num_docs="3"), "num_docs"),
+        ("gen-data", dict(SYN_CONFIG, feature_noise_sigma=True),
+         "feature_noise_sigma"),
+        ("gen-data", dict(SYN_CONFIG, box_grid=1), "box_grid"),
     ], ids=["gen-data-unknown-key", "gen-data-not-an-object",
             "train-unknown-key", "train-not-an-object", "train-model-not-an-object",
             "train-model-unknown-key", "grad-check-unknown-key",
-            "transfer-unknown-key", "sweep-lambda-unknown-key"])
+            "transfer-unknown-key", "sweep-lambda-unknown-key",
+            "train-str-for-int", "train-bool-for-int", "train-bool-for-float",
+            "train-null-for-int", "train-int-in-str-list",
+            "train-model-str-for-int", "train-model-null-for-float",
+            "gen-data-str-for-int", "gen-data-bool-for-float",
+            "gen-data-int-for-bool"])
     def test_exits_2_naming_the_offender(self, tmp_path, capsys, command,
                                          config, named):
         path = os.path.join(tmp_path, "config.json")
@@ -141,6 +157,16 @@ class TestMalformedConfig:
                  "transfer": ["--train", path, "--eval", path]}
         assert main([command, "--config", path] + extra.get(command, [])) == 2
         assert named in capsys.readouterr().err
+
+    def test_int_for_float_and_null_for_optional_accepted(self):
+        cfg = RunConfig.from_dict(run_config_dict(
+            learning_rate=1, lambda_b=None,
+            model={"tau": 1, "scorer_d": None, "lambda_b": 0}))
+        assert cfg.learning_rate == 1 and cfg.lambda_b is None
+        assert cfg.model.tau == 1 and cfg.model.scorer_d is None
+        syn = config_kwargs(SyntheticConfig, dict(
+            SYN_CONFIG, feature_noise_sigma=1, roster_size=None), "synthetic")
+        assert SyntheticConfig(**syn).roster_size is None
 
 
 class TestTrainEval:

@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 from scipy.special import erf, softmax as scipy_softmax
 
-from tmeg.autodiff import Tensor, concat, gather_codes, logsumexp
+from tmeg.autodiff import Tensor, concat, gather_codes, linear, logsumexp
 from tmeg.data import SyntheticConfig, build_vocab, generate_synthetic_corpus
 from tmeg.harness import (
-    RunConfig, apply_ablation, make_instances, prepare_instances, _batch_loss,
-    _batch_scores,
+    AblationEffect, RunConfig, apply_ablation, make_instances,
+    prepare_instances, _batch_loss, _batch_scores,
 )
 from tmeg.model import (
     GraphBatch, ModelConfig, TmegModel, coherence_loss, init_params,
@@ -238,6 +238,11 @@ class TestConfig:
     def test_scorer_divisibility_enforced(self):
         with pytest.raises(ValueError):
             ModelConfig(scorer_d=100, scorer_heads=8)
+
+    @pytest.mark.parametrize("field", ["n_layers", "scorer_layers"])
+    def test_at_least_one_layer_per_stack(self, field):
+        with pytest.raises(ValueError, match=field):
+            small_config(**{field: 0})
 
     def test_tau_positive(self):
         with pytest.raises(ValueError):
@@ -547,6 +552,67 @@ class TestScorer:
         prepared = prepare_instances(corpus, instances[:1], 7.0, 0.5)
         scores = model.score_graphs(prepared[0].graphs)
         np.testing.assert_array_equal(scores.data, np.zeros(3))
+
+
+def full_row_score_batch(model, batch, zero_t=False, zero_m=False):
+    """`score_batch` with every stack's last layer run over all rows and
+    the rows that are read gathered after it: the reference for the
+    row-pruned last layers."""
+    h = model.run_encoder_batch(batch, zero_t, zero_m)
+    graphs = np.arange(batch.size)[:, None]
+    ht, hv = h[graphs, batch.text_cls_idx], h[graphs, batch.vis_cls_idx]
+    seq = model.assemble_pair(ht, hv)
+    for l in range(model.config.scorer_layers):
+        seq = model._transformer_layer(seq, f"sc{l}", model.config.scorer_heads,
+                                       key_bias=batch.scorer_key_bias())
+    hidden = linear(seq[:, 0], model.p("scorer/out_w1"),
+                    model.p("scorer/out_b1")).tanh()
+    return linear(hidden, model.p("scorer/out_w2"))[:, 0], ht, hv
+
+
+class TestLastLayerRows:
+    """Each stack's last layer computes only the rows read next; the
+    results must match running it over every row."""
+
+    def uniform_setup(self):
+        model, corpus = build_model(seed=1, init_scale=0.5)
+        instances = make_instances(corpus, ["cloze"], 3, 0)
+        return model, prepare_instances(corpus, instances[:4], 7.0, 0.5)
+
+    @pytest.mark.parametrize("zero_t,zero_m", [
+        (False, False), (True, False), (False, True), (True, True)])
+    @pytest.mark.parametrize("shape", ["uniform", "ragged"])
+    def test_matches_full_rows(self, shape, zero_t, zero_m):
+        if shape == "uniform":
+            model, prepared = self.uniform_setup()
+        else:
+            model, prepared = mixed_structure_setup(init_scale=0.5)
+        graphs = [g for p in prepared for g in p.graphs]
+        batch = prepare_batch(graphs, model.vocab, model.config)
+        assert batch.node_mask.all() == (shape == "uniform")
+        got = model.score_batch(batch, zero_t, zero_m)
+        want = full_row_score_batch(model, batch, zero_t, zero_m)
+        for name, a, b in zip(("scores", "ht", "hv"), got, want):
+            assert a.shape == b.shape, name
+            np.testing.assert_allclose(a.data, b.data, rtol=0, atol=1e-12,
+                                       err_msg=name)
+
+        cfg = RunConfig(model=model.config, n_candidates=3, seed=0)
+        effect = AblationEffect(zero_t, zero_m, 0.1)
+        results = []
+        for reference in (False, True):
+            if reference:
+                model.score_batch = lambda b, t, m: full_row_score_batch(
+                    model, b, t, m)
+            loss = _batch_loss(model, prepared, effect, cfg,
+                               np.random.default_rng(2))
+            grad_eval(loss, model.store)
+            results.append((loss.data, {name: p.gradient.copy() for name, p
+                                        in model.store.params.items()}))
+        (got_loss, got_grads), (want_loss, want_grads) = results
+        assert_rel_close(got_loss, want_loss)
+        for name, g in want_grads.items():
+            assert_rel_close(got_grads[name], g, rtol=1e-10, what=name)
 
 
 class TestLosses:
