@@ -582,46 +582,32 @@ def encoder_layer(h: Tensor, params, n_heads: int, bias: Tensor | None = None,
         logits += bias.data
     if key_bias is not None:
         logits += key_bias
-    e, s, r = _softmax_parts(logits, -2, out=logits)
-    del logits
     parents = (h, *params) if bias is None else (h, *params, bias)
     taped = _grad_enabled and any(p.requires_grad for p in parents)
-
+    e, s, r = _softmax_parts(logits, -2, out=logits)
+    del logits
+    # without a tape, arrays backward would keep are overwritten or freed
+    p = np.multiply(e, r, out=None if taped else e)
+    a = merge(p.swapaxes(-1, -2) @ v)
+    del p
     if not taped:
-        e *= r
-        a = merge(e.swapaxes(-1, -2) @ v)
         del q, k, v, e
-        o = a @ wo.data
-        del a
-        o += bo.data
-        o += xq
-        c, _, inv = _ln_stats(o, _LN_EPS, out=o)
-        h1 = _ln_affine(c, inv, g1.data, b1.data, out=c)
-        f = h1 @ w1.data
-        f += c1.data
-        act = _gelu_cdf(f)
-        act *= f
-        del f
-        y = act @ w2.data
-        del act
-        y += c2.data
-        y += h1
-        del h1
-        c, _, inv = _ln_stats(y, _LN_EPS, out=y)
-        return Tensor(_ln_affine(c, inv, g2.data, b2.data, out=c))
-
-    a = merge((e * r).swapaxes(-1, -2) @ v)
     o = a @ wo.data
     del a
     o += bo.data
     o += xq
     ln1 = _ln_stats(o, _LN_EPS, out=o)
     del o
-    h1 = _ln_affine(ln1[0], ln1[2], g1.data, b1.data)
+    h1 = _ln_affine(ln1[0], ln1[2], g1.data, b1.data,
+                    out=None if taped else ln1[0])
     f = h1 @ w1.data
     f += c1.data
     cdf = _gelu_cdf(f)
-    y = (f * cdf) @ w2.data
+    act = np.multiply(f, cdf, out=None if taped else cdf)
+    if not taped:
+        del f, cdf
+    y = act @ w2.data
+    del act
     y += c2.data
     y += h1
     del h1
@@ -668,7 +654,8 @@ def encoder_layer(h: Tensor, params, n_heads: int, bias: Tensor | None = None,
         if h.requires_grad:
             h._accumulate(g_h)
 
-    return Tensor(_ln_affine(ln2[0], ln2[2], g2.data, b2.data),
+    return Tensor(_ln_affine(ln2[0], ln2[2], g2.data, b2.data,
+                             out=None if taped else ln2[0]),
                   parents=parents, backward=bw)
 
 

@@ -18,8 +18,8 @@ from . import data as D
 from . import graph as G
 from .harness import (
     MetricsReport, RunConfig, TrainError, apply_ablation, config_kwargs,
-    evaluate, load_model, make_instances, save_model, sweep_lambda_b, train,
-    transfer,
+    evaluate, load_model, make_instances, resolve_corpora, save_model,
+    sweep_lambda_b, train, transfer,
 )
 from .model import TmegModel
 from .optim import CheckpointError, finite_difference_check
@@ -153,8 +153,7 @@ def cmd_transfer(args):
 def cmd_sweep_lambda(args):
     cfg = _load_run_config(args.config, args.seed)
     values = [float(v) for v in args.values.split(",")]
-    train_corpus = D.load_corpus(cfg.train_corpus)
-    valid_corpus = D.load_corpus(cfg.valid_corpus)
+    train_corpus, valid_corpus = resolve_corpora(cfg)
     reports = sweep_lambda_b(cfg, values, train_corpus, valid_corpus)
     payload = [json.loads(r.to_json()) for r in reports]
     _emit_metrics(args, payload)
@@ -183,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("make-tasks", help="build task instances from a corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--task", required=True,
-                   choices=["cloze", "coherence", "ordering"])
+                   choices=D.TASK_KINDS)
     p.add_argument("--n-candidates", type=int, default=4)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_make_tasks)

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 MAX_OBJECTS_PER_IMAGE = 36
+TASK_KINDS = ("cloze", "coherence", "ordering")
 
 
 class CorpusError(Exception):
@@ -106,7 +107,7 @@ class Corpus:
 
 @dataclass
 class TaskInstance:
-    task_kind: str  # cloze | coherence | ordering
+    task_kind: str  # one of TASK_KINDS
     doc_id: str
     context_steps: list[int]
     candidates: list[list[str]]  # image-id sequences, all of length N_a
@@ -273,6 +274,12 @@ def corpus_to_dict(corpus: Corpus) -> dict:
     return {"d_v": corpus.d_v, "documents": docs}
 
 
+def _span_from_list(vals, where: str) -> tuple[int, int]:
+    if len(vals) != 2:
+        raise CorpusError(f"{where}: noun-phrase span must have 2 integers")
+    return int(vals[0]), int(vals[1])
+
+
 def corpus_from_dict(payload: dict) -> Corpus:
     try:
         d_v = int(payload["d_v"])
@@ -282,7 +289,8 @@ def corpus_from_dict(payload: dict) -> Corpus:
             for sd in dd["steps"]:
                 noun_phrases = [
                     NounPhrase(
-                        span=(int(nd["span"][0]), int(nd["span"][1])),
+                        span=_span_from_list(
+                            nd["span"], f"doc {dd['doc_id']} step {sd['index']}"),
                         entity_id=str(nd["entity_id"]),
                         grounding_boxes={
                             iid: BoundingBox.from_list(
@@ -375,6 +383,11 @@ def load_task_instances(path) -> list[TaskInstance]:
                 if not d["candidates"] or not all(
                         isinstance(c, list) and c for c in d["candidates"]):
                     raise ValueError("candidates must be non-empty lists of image ids")
+                if d["task_kind"] not in TASK_KINDS:
+                    raise ValueError(f"task_kind {d['task_kind']!r} is not one "
+                                     f"of {', '.join(TASK_KINDS)}")
+                if not isinstance(d["doc_id"], str):
+                    raise TypeError("doc_id must be a string")
                 inst = TaskInstance(
                     task_kind=d["task_kind"],
                     doc_id=d["doc_id"],

@@ -388,9 +388,11 @@ def _restore(store: ParamStore, snap: dict):
     store.step_count = snap["step"]
 
 
-def train(config: RunConfig, train_corpus: D.Corpus | None = None,
-          valid_corpus: D.Corpus | None = None) -> TrainResult:
-    t0 = time.monotonic()
+def resolve_corpora(config: RunConfig, train_corpus: D.Corpus | None = None,
+                    valid_corpus: D.Corpus | None = None
+                    ) -> tuple[D.Corpus, D.Corpus]:
+    """The given training and validation corpora, each loaded from its
+    configured path when not given; TrainError when it has neither."""
     if train_corpus is None:
         if config.train_corpus is None:
             raise TrainError("no training corpus given")
@@ -399,6 +401,14 @@ def train(config: RunConfig, train_corpus: D.Corpus | None = None,
         if config.valid_corpus is None:
             raise TrainError("no validation corpus given")
         valid_corpus = D.load_corpus(config.valid_corpus)
+    return train_corpus, valid_corpus
+
+
+def train(config: RunConfig, train_corpus: D.Corpus | None = None,
+          valid_corpus: D.Corpus | None = None) -> TrainResult:
+    t0 = time.monotonic()
+    train_corpus, valid_corpus = resolve_corpora(config, train_corpus,
+                                                 valid_corpus)
 
     effect = apply_ablation(config)
     vocab = D.build_vocab(train_corpus)
@@ -477,6 +487,11 @@ def load_model(path: str) -> TmegModel:
         sidecar = json.loads(text)
         config = ModelConfig(**sidecar["model_config"])
         vocab = sidecar["vocab"]
+        if not isinstance(vocab, dict) or not all(
+                type(i) is int and 0 <= i < config.token_vocab_size
+                for i in vocab.values()):
+            raise ValueError("vocab must map tokens to integer ids in "
+                             f"[0, {config.token_vocab_size})")
     except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"{path}.json: bad sidecar ({exc})") from exc
     store = load_checkpoint(path, expected_config_hash=config.hash())

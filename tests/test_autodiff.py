@@ -6,6 +6,7 @@ the tests themselves, plus closed-form identities where they exist.
 
 import contextlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -489,6 +490,28 @@ class TestEncoderLayer:
         np.testing.assert_array_equal(free.data, taped.data)
         for now, then in zip(arrays + [self.rows], before):
             np.testing.assert_array_equal(now, then)
+
+    def test_no_grad_frees_attention_arrays_once_used(self):
+        """Without a tape the peak allocation stays below twice the
+        (B, H, N, N) logits: the probabilities overwrite the logits, and
+        q, k, v and the probabilities are freed before the output
+        projection and the FFN allocate. At this shape the logits are six
+        times the layer input; keeping those arrays alive to the end of
+        the layer peaks above the bound."""
+        b, heads, n, dim = 64, 4, 48, 32
+        rng = np.random.default_rng(9)
+        params = [Tensor(rng.normal(size=s) * 0.1) for s in layer_shapes(dim, 2)]
+        h = Tensor(rng.normal(size=(b, n, dim)))
+        bias = Tensor(rng.normal(size=(1, heads, n, n)))
+        with no_grad():
+            encoder_layer(h, params, heads, bias)   # warm numpy's caches
+            tracemalloc.start()
+            try:
+                encoder_layer(h, params, heads, bias)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 2 * b * heads * n * n * 8
 
     def test_rejects_nan(self):
         arrays = self.arrays(4)

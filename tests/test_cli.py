@@ -255,6 +255,21 @@ class TestTransferSweep:
         payload = json.loads(capsys.readouterr().out)
         assert [r["config"]["lambda_b"] for r in payload] == [0.0, 0.1]
 
+    @pytest.mark.parametrize("missing,message", [
+        ("train_corpus", "no training corpus given"),
+        ("valid_corpus", "no validation corpus given"),
+    ])
+    def test_sweep_without_corpus_exits_5(self, workspace, capsys, missing,
+                                          message):
+        tmp_path, _, corpus_path = workspace
+        d = run_config_dict(**{"train_corpus": corpus_path,
+                               "valid_corpus": corpus_path, missing: None})
+        run_path = os.path.join(tmp_path, "run.json")
+        with open(run_path, "w") as fh:
+            json.dump(d, fh)
+        assert main(["sweep-lambda", "--config", run_path]) == 5
+        assert message in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def eval_files(tmp_path_factory):
@@ -321,9 +336,14 @@ class TestMalformedTasks:
         lambda d: dict(d, candidates=d["candidates"][:1] + [None]),
         lambda d: dict(d, gold_index=9),
         lambda d: dict(d, gold_index=-1),
+        lambda d: dict(d, task_kind=7),
+        lambda d: dict(d, task_kind="riddle"),
+        lambda d: dict(d, doc_id=[d["doc_id"]]),
+        lambda d: dict(d, doc_id=None),
     ], ids=["not-an-object", "null-context", "int-context", "null-candidates",
             "no-candidates", "empty-candidate", "null-candidate", "gold-too-large",
-            "gold-negative"])
+            "gold-negative", "int-task-kind", "unknown-task-kind", "list-doc-id",
+            "null-doc-id"])
     def test_malformed_task_line_exits_3(self, eval_files, mutate):
         tmp_path, corpus_path, tasks, ckpt, _ = eval_files
         with open(tasks) as fh:

@@ -129,6 +129,15 @@ class TestCorpusIO:
         with pytest.raises(CorpusError, match="empty entity_id"):
             load_corpus(path)
 
+    @pytest.mark.parametrize("span", [[0], [0, 1, 2]])
+    def test_span_not_two_integers_rejected(self, span):
+        payload = corpus_to_dict(generate_synthetic_corpus(tiny_config()))
+        step = payload["documents"][0]["steps"][1]
+        step["noun_phrases"][0]["span"] = span
+        where = f"doc {payload['documents'][0]['doc_id']} step {step['index']}"
+        with pytest.raises(CorpusError, match=f"{where}: noun-phrase span"):
+            corpus_from_dict(payload)
+
     def test_malformed_json_reports_location(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"d_v": 4, "documents": [')

@@ -299,6 +299,28 @@ class TestPersistence:
         with pytest.raises(CheckpointError):
             load_model(path)
 
+    @pytest.mark.parametrize("vocab", [
+        lambda n: ["a", "b"],
+        lambda n: {"a": 1, "b": n},
+        lambda n: {"a": -1},
+        lambda n: {"a": "1"},
+        lambda n: {"a": 1.0},
+        lambda n: {"a": True},
+    ], ids=["list", "id-past-table", "negative-id", "string-id", "float-id",
+            "bool-id"])
+    def test_malformed_sidecar_vocab_rejected(self, tmp_path, vocab):
+        corpus = tiny_corpus()
+        model = TmegModel(tiny_run_config().model, build_vocab(corpus), seed=0)
+        path = os.path.join(tmp_path, "model.ckpt")
+        save_model(path, model)
+        with open(path + ".json") as fh:
+            sidecar = json.load(fh)
+        sidecar["vocab"] = vocab(model.config.token_vocab_size)
+        with open(path + ".json", "w") as fh:
+            json.dump(sidecar, fh)
+        with pytest.raises(CheckpointError, match="vocab"):
+            load_model(path)
+
 
 class TestTransferAndSweep:
 
