@@ -8,8 +8,8 @@ import numpy as np
 
 from tmeg.autodiff import Tensor, layer_norm, softmax
 from tmeg.data import SyntheticConfig, build_vocab, generate_synthetic_corpus
-from tmeg.harness import RunConfig, apply_ablation, make_instances, \
-    prepare_instances, _batch_loss
+from tmeg.harness import RunConfig, make_instances, prepare_instances, \
+    _batch_loss
 from tmeg.model import ModelConfig, TmegModel, init_params
 from tmeg.optim import finite_difference_check
 
@@ -45,12 +45,11 @@ def model_check():
     store = init_params(model_cfg, seed=0, init_scale=0.5)
     model = TmegModel(model_cfg, build_vocab(corpus), store=store)
     instances = make_instances(corpus, ["cloze"], 2, seed=0)[:2]
-    prepared = prepare_instances(corpus, instances, cfg.lambda_t, cfg.lambda_m)
-    effect = apply_ablation(cfg)
+    prepared = prepare_instances(corpus, instances, cfg.lambda_t, cfg.lambda_m,
+                                 cfg.ablation)
 
     def loss_fn():
-        return _batch_loss(model, prepared, effect, cfg,
-                           np.random.default_rng(0))
+        return _batch_loss(model, prepared, cfg, np.random.default_rng(0))
 
     err = finite_difference_check(loss_fn, model.store, seed=0,
                                   max_coords_per_param=4)

@@ -1,13 +1,13 @@
 """Walkthrough: train on a small synthetic cloze corpus and ablate the
-edge-code biases.
+graph's edge codes.
 
 The corpus is built so content cannot answer the question: every step of
 a document mentions the same three entities and object boxes sit on a
 fixed grid, so the four candidate images look alike. Only the grounding
 of the recurring entities into their own step separates gold from the
 distractors, and that signal reaches the model exclusively through the
-edge-code attention biases. Zeroing the tables should drop accuracy to
-chance.
+edge-code attention biases. Clearing the codes to NONE, which reads a
+bias of 0, should drop accuracy to chance.
 """
 
 from tmeg.data import Corpus, SyntheticConfig, generate_synthetic_corpus
@@ -49,9 +49,9 @@ def main():
         print(f"{ablation:12s} valid accuracy {report.average_accuracy:.3f} "
               f"(final train loss {last['train_loss']:.3f}, "
               f"{len(report.curves)} epochs)")
-    print("\nzeroing both bias tables removes the graph structure from "
-          "attention, and with it\nthe only generalizable signal in this "
-          "corpus; accuracy falls back toward chance.")
+    print("\nclearing both kinds of edge code removes the graph structure "
+          "from attention, and\nwith it the only generalizable signal in "
+          "this corpus; accuracy falls back toward chance.")
 
 
 if __name__ == "__main__":

@@ -17,11 +17,11 @@ import numpy as np
 from . import data as D
 from . import graph as G
 from .harness import (
-    MetricsReport, RunConfig, TrainError, apply_ablation, config_kwargs,
-    evaluate, load_model, make_instances, resolve_corpora, save_model,
-    sweep_lambda_b, train, transfer,
+    ABLATIONS, MetricsReport, RunConfig, TrainError, _batch_loss, config_kwargs,
+    evaluate, load_model, make_instances, prepare_instances, resolve_corpora,
+    save_model, sweep_lambda_b, train, transfer,
 )
-from .model import TmegModel
+from .model import TmegModel, init_params
 from .optim import CheckpointError, finite_difference_check
 
 
@@ -53,7 +53,6 @@ def _load_run_config(path: str, seed_override) -> RunConfig:
 def _maybe_dump_graphs(args, corpus, instances, cfg: RunConfig):
     if not args.dump_graphs:
         return
-    from .harness import prepare_instances
     prepared = prepare_instances(corpus, instances[:4], cfg.lambda_t, cfg.lambda_m)
     dumps = [G.dump_graph(g) for p in prepared for g in p.graphs]
     path = (args.metrics_out or "metrics.json") + ".graphs.json"
@@ -118,8 +117,6 @@ def cmd_grad_check(args):
                             images_per_step=1, d_v=cfg.model.d_v,
                             n_candidates=2, seed=cfg.seed)
     corpus = D.generate_synthetic_corpus(syn)
-    from .harness import prepare_instances, _batch_loss
-    from .model import init_params
     vocab = D.build_vocab(corpus)
     # A wider-than-default init keeps every layer norm away from its stiff
     # near-zero-variance regime, where central differences lose accuracy
@@ -127,12 +124,11 @@ def cmd_grad_check(args):
     store = init_params(cfg.model, cfg.seed, init_scale=0.5)
     model = TmegModel(cfg.model, vocab, store=store)
     instances = make_instances(corpus, ["cloze"], 2, cfg.seed)[:2]
-    prepared = prepare_instances(corpus, instances, cfg.lambda_t, cfg.lambda_m)
-    effect = apply_ablation(cfg)
+    prepared = prepare_instances(corpus, instances, cfg.lambda_t, cfg.lambda_m,
+                                 cfg.ablation)
 
     def loss_fn():
-        return _batch_loss(model, prepared, effect, cfg,
-                           np.random.default_rng(cfg.seed))
+        return _batch_loss(model, prepared, cfg, np.random.default_rng(cfg.seed))
 
     err = finite_difference_check(loss_fn, model.store, seed=cfg.seed,
                                   max_coords_per_param=4)
@@ -196,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--tasks", required=True, help="task-instance JSONL file")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--ablation", default="none")
+    p.add_argument("--ablation", default="none", choices=ABLATIONS)
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("grad-check", help="finite-difference gradient check")

@@ -274,15 +274,22 @@ def corpus_to_dict(corpus: Corpus) -> dict:
     return {"d_v": corpus.d_v, "documents": docs}
 
 
+def _int(value, what: str) -> int:
+    """A JSON integer; a float, string or boolean raises TypeError."""
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an integer, not {type(value).__name__}")
+    return value
+
+
 def _span_from_list(vals, where: str) -> tuple[int, int]:
-    if len(vals) != 2:
+    if len(vals) != 2 or any(type(v) is not int for v in vals):
         raise CorpusError(f"{where}: noun-phrase span must have 2 integers")
-    return int(vals[0]), int(vals[1])
+    return vals[0], vals[1]
 
 
 def corpus_from_dict(payload: dict) -> Corpus:
     try:
-        d_v = int(payload["d_v"])
+        d_v = _int(payload["d_v"], "d_v")
         documents = []
         for dd in payload["documents"]:
             steps = []
@@ -319,7 +326,7 @@ def corpus_from_dict(payload: dict) -> Corpus:
                     for idd in sd.get("images", [])
                 ]
                 steps.append(Step(
-                    index=int(sd["index"]),
+                    index=_int(sd["index"], "step index"),
                     tokens=[str(t) for t in sd["tokens"]],
                     noun_phrases=noun_phrases,
                     images=images,
@@ -391,9 +398,9 @@ def load_task_instances(path) -> list[TaskInstance]:
                 inst = TaskInstance(
                     task_kind=d["task_kind"],
                     doc_id=d["doc_id"],
-                    context_steps=[int(i) for i in d["context_steps"]],
+                    context_steps=[_int(i, "context step") for i in d["context_steps"]],
                     candidates=[[str(r) for r in c] for c in d["candidates"]],
-                    gold_index=int(d["gold_index"]),
+                    gold_index=_int(d["gold_index"], "gold_index"),
                 )
                 if not 0 <= inst.gold_index < len(inst.candidates):
                     raise ValueError(f"gold_index {inst.gold_index} outside "

@@ -3,9 +3,12 @@
 Each training minibatch runs as one padded batch of (document, candidate)
 graphs, whatever their shapes. Evaluation builds no autodiff tape and
 scores each distinct graph once: a candidate shared by instances of one
-(document, context) group is one graph. All randomness flows from named
-streams derived from the master seed, so a (seed, config, corpus) triple
-reproduces byte-identical metrics and checkpoints.
+(document, context) group is one graph. An ablation removes a kind of
+relation from the graphs themselves: `prepare_instances` clears the
+temporal codes, the modal codes or both to NONE (see `ablate_graph`),
+and no_coherence sets the coherence weight to 0. All randomness flows
+from named streams derived from the master seed, so a (seed, config,
+corpus) triple reproduces byte-identical metrics and checkpoints.
 """
 
 from __future__ import annotations
@@ -57,6 +60,8 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.lambda_b is not None and not self.lambda_b >= 0:  # NaN too
+            raise TrainError("lambda_b must be >= 0")
         if self.patience < 1:
             raise TrainError("patience must be >= 1")
         if self.max_epochs < 1:
@@ -67,10 +72,9 @@ class RunConfig:
             raise TrainError(f"unknown ablation: {self.ablation}")
 
     def effective_lambda_b(self) -> float:
-        lb = self.model.lambda_b if self.lambda_b is None else self.lambda_b
         if self.ablation == "no_coherence":
             return 0.0
-        return lb
+        return self.model.lambda_b if self.lambda_b is None else self.lambda_b
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -126,22 +130,6 @@ def _type_name(tp) -> str:
 
 
 @dataclass
-class AblationEffect:
-    zero_t: bool
-    zero_m: bool
-    lambda_b: float
-
-
-def apply_ablation(config: RunConfig) -> AblationEffect:
-    ab = config.ablation
-    return AblationEffect(
-        zero_t=ab in ("no_temporal", "no_both"),
-        zero_m=ab in ("no_modal", "no_both"),
-        lambda_b=config.effective_lambda_b(),
-    )
-
-
-@dataclass
 class MetricsReport:
     per_task_accuracy: dict
     average_accuracy: float
@@ -189,14 +177,29 @@ class PreparedInstance:
     aligned_rows: np.ndarray      # text CLS row indices aligned with candidates
 
 
+# the code matrices each ablation clears
+_CLEARED = {"no_temporal": ("phi_t",), "no_modal": ("phi_m",),
+            "no_both": ("phi_t", "phi_m")}
+
+
+def ablate_graph(graph: G.TmegGraph, ablation: str) -> G.TmegGraph:
+    """A copy of `graph` without the relations `ablation` removes: its
+    temporal codes (no_temporal), modal codes (no_modal) or both (no_both)
+    all NONE. Other ablations clear nothing."""
+    return replace(graph, **{name: np.zeros_like(getattr(graph, name))
+                             for name in _CLEARED.get(ablation, ())})
+
+
 def prepare_instances(corpus: D.Corpus, instances: list[D.TaskInstance],
-                      lambda_t: float, lambda_m: float) -> list[PreparedInstance]:
+                      lambda_t: float, lambda_m: float,
+                      ablation: str = "none") -> list[PreparedInstance]:
     """Resolve every instance, then label each (document, context) group
     once: all cloze, coherence and ordering instances of a document that
     share a context window get their graphs from one
     `assemble_candidate_graphs` call over the group's distinct candidates.
-    A repeated candidate is labelled once; each repeat is a copy with its
-    own `candidate_index` sharing the nodes, code matrices and arrays."""
+    Each distinct graph is ablated once (`ablate_graph`). A repeated
+    candidate is labelled once; each repeat is a copy with its own
+    `candidate_index` sharing the nodes, code matrices and arrays."""
     docs = {doc.doc_id: doc for doc in corpus.documents}
     images = corpus.image_index()
     resolved, groups = [], {}
@@ -223,8 +226,9 @@ def prepare_instances(corpus: D.Corpus, instances: list[D.TaskInstance],
         steps = resolved[members[0]][0]
         distinct = {tuple(refs): cand for k in members
                     for refs, cand in zip(instances[k].candidates, resolved[k][1])}
-        graphs = dict(zip(distinct, G.assemble_candidate_graphs(
-            steps, list(distinct.values()), lambda_t, lambda_m)))
+        graphs = {refs: ablate_graph(g, ablation) for refs, g in zip(
+            distinct, G.assemble_candidate_graphs(
+                steps, list(distinct.values()), lambda_t, lambda_m))}
         with_images = [pos for pos, s in enumerate(steps) if s.images]
         for k in members:
             inst = instances[k]
@@ -235,8 +239,7 @@ def prepare_instances(corpus: D.Corpus, instances: list[D.TaskInstance],
     return prepared
 
 
-def _batch_scores(model: TmegModel, prepared: list[PreparedInstance],
-                  effect: AblationEffect):
+def _batch_scores(model: TmegModel, prepared: list[PreparedInstance]):
     """Score every candidate graph of a minibatch in one padded batch.
 
     Returns (scores, ht, hv, batch): scores is (n_instances, N_c); ht, hv
@@ -248,17 +251,17 @@ def _batch_scores(model: TmegModel, prepared: list[PreparedInstance],
         raise TrainError("all instances in a batch must share N_c")
     graphs = [g for p in prepared for g in p.graphs]
     batch = prepare_batch(graphs, model.vocab, model.config)
-    scores, ht, hv = model.score_batch(batch, effect.zero_t, effect.zero_m)
+    scores, ht, hv = model.score_batch(batch)
     return scores.reshape(len(prepared), n_c), ht, hv, batch
 
 
 def _batch_loss(model: TmegModel, prepared: list[PreparedInstance],
-                effect: AblationEffect, config: RunConfig,
-                rng: np.random.Generator) -> Tensor:
-    scores, ht, hv, batch = _batch_scores(model, prepared, effect)
+                config: RunConfig, rng: np.random.Generator) -> Tensor:
+    scores, ht, hv, batch = _batch_scores(model, prepared)
     gold = np.array([p.instance.gold_index for p in prepared])
     pred = prediction_loss_batch(scores, gold)
-    if effect.lambda_b == 0:
+    lambda_b = config.effective_lambda_b()
+    if lambda_b == 0:
         return pred
 
     # contrastive coherence on gold graphs; negatives are visual CLS rows
@@ -294,7 +297,7 @@ def _batch_loss(model: TmegModel, prepared: list[PreparedInstance],
         ht[graphs, text_rows], hv[graphs, np.arange(text_rows.shape[1])],
         hv[neg_pairs[..., 0], neg_pairs[..., 1]],
         config.model.tau, config.model.coherence_inclusive, n_rows, n_neg)
-    return total_loss(pred, coh, effect.lambda_b)
+    return total_loss(pred, coh, lambda_b)
 
 
 def _pad_rows(parts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -313,7 +316,7 @@ def _pad_rows(parts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def score_prepared(model: TmegModel, prepared: list[PreparedInstance],
-                   effect: AblationEffect, batch_size: int) -> list[np.ndarray]:
+                   batch_size: int) -> list[np.ndarray]:
     """Each instance's candidate scores, without a tape. Graphs that share
     their code matrices are copies of one graph (see `prepare_instances`):
     each distinct graph is scored once, in chunks of `batch_size` x N_c
@@ -322,19 +325,18 @@ def score_prepared(model: TmegModel, prepared: list[PreparedInstance],
     graphs, chunk = list(distinct.values()), batch_size * len(prepared[0].graphs)
     with no_grad():
         scores = dict(zip(distinct, np.concatenate([
-            model.score_graphs(graphs[k:k + chunk], effect.zero_t, effect.zero_m).data
+            model.score_graphs(graphs[k:k + chunk]).data
             for k in range(0, len(graphs), chunk)])))
     return [np.array([scores[id(g.phi_t)] for g in p.graphs]) for p in prepared]
 
 
 def evaluate_prepared(model: TmegModel, prepared: list[PreparedInstance],
-                      effect: AblationEffect,
                       batch_size: int) -> tuple[dict, list]:
     """Accuracy per task plus a per-instance prediction log."""
     if not prepared:
         raise TrainError("cannot evaluate an empty instance list")
     log, by_task = [], {}
-    for p, row in zip(prepared, score_prepared(model, prepared, effect, batch_size)):
+    for p, row in zip(prepared, score_prepared(model, prepared, batch_size)):
         pred_idx = int(np.argmax(row))  # ties resolve to the lowest index
         correct = int(pred_idx == p.instance.gold_index)
         by_task.setdefault(p.instance.task_kind, []).append(correct)
@@ -347,10 +349,9 @@ def evaluate_prepared(model: TmegModel, prepared: list[PreparedInstance],
 
 def evaluate(model: TmegModel, instances: list[D.TaskInstance],
              corpus: D.Corpus, config: RunConfig) -> MetricsReport:
-    effect = apply_ablation(config)
     prepared = prepare_instances(corpus, instances, config.lambda_t,
-                                 config.lambda_m)
-    acc, _ = evaluate_prepared(model, prepared, effect, config.batch_size)
+                                 config.lambda_m, config.ablation)
+    acc, _ = evaluate_prepared(model, prepared, config.batch_size)
     return MetricsReport(
         per_task_accuracy=acc,
         average_accuracy=float(np.mean(list(acc.values()))),
@@ -410,7 +411,6 @@ def train(config: RunConfig, train_corpus: D.Corpus | None = None,
     train_corpus, valid_corpus = resolve_corpora(config, train_corpus,
                                                  valid_corpus)
 
-    effect = apply_ablation(config)
     vocab = D.build_vocab(train_corpus)
     if len(vocab) > config.model.token_vocab_size:
         raise TrainError(
@@ -423,9 +423,11 @@ def train(config: RunConfig, train_corpus: D.Corpus | None = None,
     valid_instances = make_instances(valid_corpus, config.tasks,
                                      config.n_candidates, config.seed + 1)
     train_prep = prepare_instances(train_corpus, train_instances,
-                                   config.lambda_t, config.lambda_m)
+                                   config.lambda_t, config.lambda_m,
+                                   config.ablation)
     valid_prep = prepare_instances(valid_corpus, valid_instances,
-                                   config.lambda_t, config.lambda_m)
+                                   config.lambda_t, config.lambda_m,
+                                   config.ablation)
 
     curves = []
     best_acc, best_epoch, best_task_acc, best_snap, stale = -1.0, 0, None, None, 0
@@ -436,14 +438,14 @@ def train(config: RunConfig, train_corpus: D.Corpus | None = None,
         losses = []
         for start in range(0, len(order), config.batch_size):
             batch = [train_prep[i] for i in order[start:start + config.batch_size]]
-            loss = _batch_loss(model, batch, effect, config, neg_rng)
+            loss = _batch_loss(model, batch, config, neg_rng)
             if not np.isfinite(loss.data):
                 raise TrainError(
                     f"non-finite loss at epoch {epoch}, batch {start // config.batch_size}")
             grad_eval(loss, model.store)
             adam_step(model.store, config.learning_rate)
             losses.append(float(loss.data))
-        acc, _ = evaluate_prepared(model, valid_prep, effect, config.batch_size)
+        acc, _ = evaluate_prepared(model, valid_prep, config.batch_size)
         valid_acc = float(np.mean(list(acc.values())))
         curves.append({
             "epoch": epoch,
@@ -548,8 +550,7 @@ def sweep_lambda_b(config: RunConfig, values: list[float],
         raise TrainError("sweep needs at least one value")
     reports = []
     for v in sorted(values):
-        cfg = RunConfig.from_dict(config.to_dict())
-        cfg.lambda_b = float(v)
+        cfg = replace(config, lambda_b=float(v))
         result = train(cfg, train_corpus=train_corpus, valid_corpus=valid_corpus)
         reports.append(result.report)
     return reports

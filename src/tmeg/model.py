@@ -12,7 +12,10 @@ Graphs of any shapes run as one batch: `prepare_batch` gathers the node
 arrays each graph got at assembly and pads them to a shared
 [text block | visual block] layout, with no loop over nodes. Padded rows
 are masked out of attention as keys, so each graph's scores match scoring
-it alone. All heads of a layer run as one (B, H, N, d_head) computation.
+it alone. All heads of a layer run as one (B, H, N, d_head) computation,
+and its edge bias is one gather at each node pair's (temporal, modal)
+pair code. There is no ablation mode: an ablated graph has its codes
+cleared to NONE, which reads a bias of exactly 0.
 
 Each stack's last layer computes only the rows that are read next: the
 last fusion layer only the text and visual CLS rows, which are all the
@@ -77,9 +80,10 @@ class ModelConfig:
         sd = self.scorer_d if self.scorer_d is not None else self.d_model
         if sd % self.scorer_heads != 0:
             raise ValueError("scorer_d must be divisible by scorer_heads")
-        if self.tau <= 0:
+        # written so that NaN fails them too
+        if not self.tau > 0:
             raise ValueError("tau must be > 0")
-        if self.lambda_b < 0:
+        if not self.lambda_b >= 0:
             raise ValueError("lambda_b must be >= 0")
 
     @property
@@ -200,9 +204,9 @@ class GraphBatch:
 
     Graph b's text nodes fill rows [0, n_text_b) and its visual nodes rows
     [n_text, n_text + n_vis_b), where n_text and n_vis are the largest
-    counts in the batch. Padding rows are False in `node_mask`, carry NONE
-    codes in phi_t/phi_m, and are masked out as attention keys, so they
-    never reach a real row. Graphs of one structure need no padding.
+    counts in the batch. Padding rows are False in `node_mask`, carry the
+    NONE pair code in `codes`, and are masked out as attention keys, so
+    they never reach a real row. Graphs of one structure need no padding.
     """
     size: int
     n_nodes: int
@@ -215,8 +219,7 @@ class GraphBatch:
     vis_segments: np.ndarray    # (B, n_vis)
     vis_cls_mask: np.ndarray    # (B, n_vis) 1.0 at visual CLS rows
     node_mask: np.ndarray       # (B, N) True at real nodes
-    phi_t: np.ndarray           # (B, N, N)
-    phi_m: np.ndarray           # (B, N, N)
+    codes: np.ndarray           # (B, N, N) pair codes, see `edge_codes`
     text_cls_idx: np.ndarray    # (B, N_t) rows of the text CLS nodes
     vis_cls_idx: np.ndarray     # (B, N_a) rows of the visual CLS nodes
     n_text_cls: np.ndarray      # (B,) real entries of each text_cls_idx row
@@ -270,6 +273,16 @@ def _left_pack(mask: np.ndarray, offset: int = 0) -> tuple[np.ndarray, np.ndarra
                     [np.nonzero(mask)[1] + offset]), counts
 
 
+def edge_codes(phi_t, phi_m) -> np.ndarray:
+    """Pair codes phi_t * C_m + phi_m, (NONE, NONE) at 0. A modal code
+    outside [0, C_m) would alias another pair: IndexError. (The bias
+    gather range-checks the pair codes themselves.)"""
+    phi_m = np.asarray(phi_m)
+    if phi_m.size and (phi_m.min() < 0 or phi_m.max() >= N_MODAL_CODES):
+        raise IndexError(f"edge code out of range [0, {N_MODAL_CODES})")
+    return np.asarray(phi_t, dtype=np.int64) * N_MODAL_CODES + phi_m
+
+
 def prepare_batch(graphs: list[TmegGraph], vocab: dict[str, int],
                   config: ModelConfig) -> GraphBatch:
     """Gathers and padding over each graph's node arrays: graph b's nodes,
@@ -313,8 +326,9 @@ def prepare_batch(graphs: list[TmegGraph], vocab: dict[str, int],
             [boxes, boxes[:, 2:] - boxes[:, :2]], axis=1)], dtype=np.float64),
         vis_segments=step[:, n_text:],
         vis_cls_mask=(vis_kind == CLS).astype(np.float64), node_mask=node_mask,
-        phi_t=_scatter(pairs, [g.phi_t.ravel() for g in graphs]),
-        phi_m=_scatter(pairs, [g.phi_m.ravel() for g in graphs]),
+        codes=_scatter(pairs, [edge_codes(
+            np.concatenate([g.phi_t.ravel() for g in graphs]),
+            np.concatenate([g.phi_m.ravel() for g in graphs]))]),
         text_cls_idx=text_cls_idx, vis_cls_idx=vis_cls_idx,
         n_text_cls=n_text_cls, n_vis_cls=n_vis_cls,
     )
@@ -375,31 +389,18 @@ class TmegModel:
     # ------------------------------------------------------------------
     # attention
 
-    def _edge_bias(self, layer: int, head, phi_t, phi_m,
-                   zero_t: bool, zero_m: bool) -> Tensor | None:
-        """Sum of temporal and modal scalar biases for one layer.
+    def _edge_bias(self, layer: int, codes: np.ndarray) -> Tensor:
+        """Temporal plus modal scalar bias of every head of one layer,
+        (*batch, H, N, M) for (*batch, N, M) pair codes (see `edge_codes`).
 
-        `head` is one head index (the result is shaped like phi) or
-        slice(None) for every head ((B, H, N, N) from (B, N, N) codes).
-        NONE codes always read exactly 0 (masked, not learnable).
-
-        With both tables live this is one gather, at phi_t * C_m + phi_m,
-        from a table over every (temporal, modal) code pair whose entries are
-        the two tables' gathers over the code-pair grid, summed."""
-        if zero_t and zero_m:
-            return None
-        if zero_t:
-            return gather_codes(self.p("bias_m")[layer, head], phi_m)
-        if zero_m:
-            return gather_codes(self.p("bias_t")[layer, head], phi_t)
-        phi_m = np.asarray(phi_m)
-        if phi_m.size and (phi_m.min() < 0 or phi_m.max() >= N_MODAL_CODES):
-            raise IndexError(f"edge code out of range [0, {N_MODAL_CODES})")
+        One gather, from a table over every (temporal, modal) code pair
+        whose entries are the two tables' gathers over the code-pair grid,
+        summed. NONE codes always read exactly 0 (masked, not learnable),
+        so a cleared code contributes nothing and receives no gradient."""
         pair_t, pair_m = _CODE_PAIRS
-        table = (gather_codes(self.p("bias_t")[layer, head], pair_t)
-                 + gather_codes(self.p("bias_m")[layer, head], pair_m))
-        return gather_codes(table.reshape(*table.shape[:-2], -1),
-                            np.asarray(phi_t) * N_MODAL_CODES + phi_m)
+        table = (gather_codes(self.p("bias_t")[layer], pair_t)
+                 + gather_codes(self.p("bias_m")[layer], pair_m))
+        return gather_codes(table.reshape(*table.shape[:-2], -1), codes)
 
     def _transformer_layer(self, h: Tensor, prefix: str, n_heads: int,
                            bias: Tensor | None = None,
@@ -415,40 +416,34 @@ class TmegModel:
         params = [self.p(f"{prefix}/{name}") for name in _LAYER_PARAMS]
         return encoder_layer(h, params, n_heads, bias, key_bias, rows)
 
-    def fusion_layer(self, h: Tensor, phi_t: np.ndarray, phi_m: np.ndarray,
-                     layer: int, zero_t: bool = False, zero_m: bool = False,
+    def fusion_layer(self, h: Tensor, codes: np.ndarray, layer: int,
                      key_bias: np.ndarray | None = None,
                      rows: np.ndarray | None = None) -> Tensor:
-        """One fusion layer; with `rows`, phi_t and phi_m are the (B, N, R)
-        code columns of those query rows."""
-        bias = self._edge_bias(layer, slice(None), phi_t, phi_m, zero_t, zero_m)
+        """One fusion layer; with `rows`, `codes` are the (B, N, R) pair-code
+        columns of those query rows."""
         return self._transformer_layer(h, f"enc{layer}", self.config.n_heads,
-                                       bias, key_bias, rows)
+                                       self._edge_bias(layer, codes),
+                                       key_bias, rows)
 
-    def fusion_stack(self, h: Tensor, phi_t: np.ndarray, phi_m: np.ndarray,
-                     zero_t: bool = False, zero_m: bool = False,
+    def fusion_stack(self, h: Tensor, codes: np.ndarray,
                      key_bias: np.ndarray | None = None,
                      rows: np.ndarray | None = None) -> Tensor:
         """The fusion layers over (B, N, d). With `rows` (B, R) the result
         is only h[b, rows[b]], (B, R, d): the last layer computes just
-        those query rows, over their edge-code columns phi[b, :, rows[b]]."""
+        those query rows, over their pair-code columns codes[b, :, rows[b]]."""
         last = self.config.n_layers - 1
         for l in range(last):
-            h = self.fusion_layer(h, phi_t, phi_m, l, zero_t, zero_m, key_bias)
+            h = self.fusion_layer(h, codes, l, key_bias)
         if rows is not None:
-            phi_t, phi_m = (np.take_along_axis(phi, rows[:, None, :], axis=2)
-                            for phi in (phi_t, phi_m))
-        return self.fusion_layer(h, phi_t, phi_m, last, zero_t, zero_m,
-                                 key_bias, rows)
+            codes = np.take_along_axis(codes, rows[:, None, :], axis=2)
+        return self.fusion_layer(h, codes, last, key_bias, rows)
 
-    def run_encoder_batch(self, batch: GraphBatch, zero_t: bool = False,
-                          zero_m: bool = False,
+    def run_encoder_batch(self, batch: GraphBatch,
                           rows: np.ndarray | None = None) -> Tensor:
         """Fused node states (B, N, d), or only rows h[b, rows[b]]."""
         h = self.encode_nodes(batch)
         h = self.project_modalities(h, batch)
-        return self.fusion_stack(h, batch.phi_t, batch.phi_m, zero_t, zero_m,
-                                 batch.key_bias(), rows)
+        return self.fusion_stack(h, batch.codes, batch.key_bias(), rows)
 
     # ------------------------------------------------------------------
     # reasoning head
@@ -494,20 +489,17 @@ class TmegModel:
                         self.p("scorer/out_b1")).tanh()
         return linear(hidden, self.p("scorer/out_w2"))[:, 0]
 
-    def score_batch(self, batch: GraphBatch, zero_t: bool = False,
-                    zero_m: bool = False) -> tuple[Tensor, Tensor, Tensor]:
+    def score_batch(self, batch: GraphBatch) -> tuple[Tensor, Tensor, Tensor]:
         """Scores (B,) plus the padded CLS rows that produced them."""
-        h = self.run_encoder_batch(batch, zero_t, zero_m, batch.cls_rows())
+        h = self.run_encoder_batch(batch, batch.cls_rows())
         ht, hv = self.extract_cls(h, batch)
         scores = self.score_candidate(self.assemble_pair(ht, hv),
                                       batch.scorer_key_bias())
         return scores, ht, hv
 
-    def score_graphs(self, graphs: list[TmegGraph], zero_t=False,
-                     zero_m=False) -> Tensor:
+    def score_graphs(self, graphs: list[TmegGraph]) -> Tensor:
         """Scores for a list of graphs of any shapes, shape (B,)."""
-        batch = prepare_batch(graphs, self.vocab, self.config)
-        return self.score_batch(batch, zero_t, zero_m)[0]
+        return self.score_batch(prepare_batch(graphs, self.vocab, self.config))[0]
 
 
 # ----------------------------------------------------------------------

@@ -23,11 +23,12 @@ from tmeg.data import (
 )
 from tmeg.graph import assemble_graph
 from tmeg.harness import (
-    RunConfig, apply_ablation, evaluate, make_instances, prepare_instances,
+    RunConfig, ablate_graph, evaluate, make_instances, prepare_instances,
     save_model, train, _batch_loss,
 )
 from tmeg.model import (
-    ModelConfig, TmegModel, coherence_loss, init_params, prediction_loss,
+    ModelConfig, TmegModel, coherence_loss, edge_codes, init_params,
+    prediction_loss,
 )
 from tmeg.optim import finite_difference_check
 
@@ -121,11 +122,9 @@ def test_criterion_1_gradient_fidelity(capsys):
     store = init_params(model_cfg, seed=0, init_scale=0.5)
     model = TmegModel(model_cfg, build_vocab(corpus), store=store)
     prepared = prepare_instances(corpus, [instance], cfg.lambda_t, cfg.lambda_m)
-    effect = apply_ablation(cfg)
 
     def loss_fn():
-        return _batch_loss(model, prepared, effect, cfg,
-                           np.random.default_rng(0))
+        return _batch_loss(model, prepared, cfg, np.random.default_rng(0))
 
     err = finite_difference_check(loss_fn, model.store, seed=0,
                                   max_coords_per_param=4)
@@ -154,7 +153,8 @@ def test_criterion_2_zero_bias_equivalence(capsys):
         h = rng.normal(size=(1, n, cfg.d_model))
         phi_t = rng.integers(0, 4, size=(1, n, n))
         phi_m = rng.integers(0, 5, size=(1, n, n))
-        out = model.fusion_layer(Tensor(h), phi_t, phi_m, layer=0).data[0]
+        out = model.fusion_layer(Tensor(h), edge_codes(phi_t, phi_m),
+                                 layer=0).data[0]
         ref = reference_layer(h[0], store.params, "enc0", cfg.n_heads)
         worst = max(worst, float(np.abs(out - ref).max()))
         np.testing.assert_allclose(out, ref, atol=1e-12, rtol=0)
@@ -175,17 +175,15 @@ def test_criterion_3_no_temporal_logit_locality(capsys):
     for trial in range(100):
         steps, images = random_input(rng)
         graph = assemble_graph(steps, images)
+        ablated = ablate_graph(graph, "no_temporal")
         # attention logits are content plus additive edge bias; the content
-        # term is unaffected by zeroing a bias table, so the logit change
-        # equals the bias change entry for entry
+        # term is unaffected by clearing edge codes, so the logit change
+        # equals the bias change entry for entry, for every head
         for layer in range(cfg.n_layers):
-            for head in range(cfg.n_heads):
-                full = model._edge_bias(layer, head, graph.phi_t, graph.phi_m,
-                                        False, False).data
-                ablated = model._edge_bias(layer, head, graph.phi_t,
-                                           graph.phi_m, True, False).data
-                diff = full - ablated
-                assert (diff[graph.phi_t == 0] == 0.0).all()
+            full = model._edge_bias(layer, edge_codes(graph.phi_t, graph.phi_m))
+            cut = model._edge_bias(layer, edge_codes(ablated.phi_t, ablated.phi_m))
+            diff = full.data - cut.data
+            assert (diff[:, graph.phi_t == 0] == 0.0).all()
     announce(capsys, "criterion 3 PASS: no_temporal leaves logits unchanged "
                      "at unlabeled entries on 100 random graphs")
 
@@ -238,7 +236,6 @@ def test_criterion_6_synthetic_learnability(capsys):
     result = learnability_run(0, "none")
     assert len(result.report.curves) <= 50
 
-    effect = apply_ablation(cfg)
     train_inst = make_instances(train_c, cfg.tasks, cfg.n_candidates, cfg.seed)
     train_report = evaluate(result.model, train_inst, train_c, cfg)
     valid_acc = result.report.average_accuracy

@@ -218,6 +218,13 @@ class TestTrainEval:
                      "--corpus", corpus_path])
         assert code in (2, 4)  # sidecar read fails before checkpoint parsing
 
+    def test_eval_unknown_ablation_exits_2_before_reading_files(self, tmp_path):
+        missing = os.path.join(tmp_path, "missing")
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--checkpoint", missing, "--tasks", missing,
+                  "--corpus", missing, "--ablation", "bogus"])
+        assert exc.value.code == 2
+
     def test_train_bad_ablation_is_train_error(self, workspace):
         tmp_path, _, corpus_path = workspace
         run_path = write_run_config(tmp_path, corpus_path, ablation="bogus")
@@ -254,6 +261,15 @@ class TestTransferSweep:
                      "--values", "0,0.1"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert [r["config"]["lambda_b"] for r in payload] == [0.0, 0.1]
+
+    @pytest.mark.parametrize("values", ["0.1,-0.5", "nan"])
+    def test_sweep_negative_or_nan_value_exits_5(self, workspace, capsys,
+                                                  values):
+        tmp_path, _, corpus_path = workspace
+        run_path = write_run_config(tmp_path, corpus_path)
+        assert main(["sweep-lambda", "--config", run_path,
+                     "--values", values]) == 5
+        assert "lambda_b" in capsys.readouterr().err
 
     @pytest.mark.parametrize("missing,message", [
         ("train_corpus", "no training corpus given"),
@@ -340,10 +356,19 @@ class TestMalformedTasks:
         lambda d: dict(d, task_kind="riddle"),
         lambda d: dict(d, doc_id=[d["doc_id"]]),
         lambda d: dict(d, doc_id=None),
+        # integers that would convert to a valid value are still rejected
+        lambda d: dict(d, gold_index=d["gold_index"] + 0.7),
+        lambda d: dict(d, gold_index=float(d["gold_index"])),
+        lambda d: dict(d, gold_index=str(d["gold_index"])),
+        lambda d: dict(d, gold_index=bool(d["gold_index"])),
+        lambda d: dict(d, context_steps=[i + 0.5 for i in d["context_steps"]]),
+        lambda d: dict(d, context_steps=[float(i) for i in d["context_steps"]]),
+        lambda d: dict(d, context_steps=[str(i) for i in d["context_steps"]]),
     ], ids=["not-an-object", "null-context", "int-context", "null-candidates",
             "no-candidates", "empty-candidate", "null-candidate", "gold-too-large",
             "gold-negative", "int-task-kind", "unknown-task-kind", "list-doc-id",
-            "null-doc-id"])
+            "null-doc-id", "fractional-gold", "float-gold", "string-gold",
+            "bool-gold", "fractional-context", "float-context", "string-context"])
     def test_malformed_task_line_exits_3(self, eval_files, mutate):
         tmp_path, corpus_path, tasks, ckpt, _ = eval_files
         with open(tasks) as fh:

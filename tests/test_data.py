@@ -138,6 +138,30 @@ class TestCorpusIO:
         with pytest.raises(CorpusError, match=f"{where}: noun-phrase span"):
             corpus_from_dict(payload)
 
+    # (a boolean d_v would convert to 1, not to the corpus's d_v)
+    @pytest.mark.parametrize("field,kind", [
+        (field, kind) for field in ("span", "index", "d_v")
+        for kind in ("fractional", "float", "string", "bool")
+        if (field, kind) != ("d_v", "bool")])
+    def test_non_integer_numbers_rejected(self, field, kind):
+        """Integer fields take JSON integers only: a float, a string or a
+        boolean is rejected, not truncated or parsed. Each value here
+        would convert to the original integer."""
+        payload = corpus_to_dict(generate_synthetic_corpus(tiny_config()))
+        step = payload["documents"][0]["steps"][0]
+        phrase = step["noun_phrases"][0]
+        assert (phrase["span"], step["index"]) == ([0, 1], 1)
+        convert = {"fractional": lambda v: v + 0.9, "float": float,
+                   "string": str, "bool": bool}[kind]
+        if field == "span":
+            phrase["span"] = [convert(v) for v in phrase["span"]]
+        elif field == "index":
+            step["index"] = convert(step["index"])
+        else:
+            payload["d_v"] = convert(payload["d_v"])
+        with pytest.raises(CorpusError, match="integer"):
+            corpus_from_dict(payload)
+
     def test_malformed_json_reports_location(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"d_v": 4, "documents": [')

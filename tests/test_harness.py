@@ -15,7 +15,7 @@ import pytest
 from tmeg.data import Corpus, SyntheticConfig, build_vocab, generate_synthetic_corpus
 from tmeg.autodiff import no_grad
 from tmeg.harness import (
-    RunConfig, TrainError, _batch_scores, apply_ablation, evaluate,
+    RunConfig, TrainError, _batch_scores, evaluate,
     evaluate_prepared, load_model, make_instances, prepare_instances,
     save_model, score_prepared, sweep_lambda_b, train, transfer,
 )
@@ -65,18 +65,12 @@ class TestRunConfig:
 
     def test_no_coherence_zeroes_lambda_b(self):
         cfg = tiny_run_config(ablation="no_coherence", lambda_b=0.3)
-        assert apply_ablation(cfg).lambda_b == 0.0
+        assert cfg.effective_lambda_b() == 0.0
 
-    def test_ablation_flag_wiring(self):
-        table = {
-            "none": (False, False),
-            "no_temporal": (True, False),
-            "no_modal": (False, True),
-            "no_both": (True, True),
-        }
-        for name, (zt, zm) in table.items():
-            effect = apply_ablation(tiny_run_config(ablation=name))
-            assert (effect.zero_t, effect.zero_m) == (zt, zm)
+    @pytest.mark.parametrize("value", [-0.5, float("nan")])
+    def test_rejects_negative_or_nan_lambda_b(self, value):
+        with pytest.raises(TrainError, match="lambda_b"):
+            tiny_run_config(lambda_b=value)
 
 
 class TestMakeInstances:
@@ -172,8 +166,7 @@ class TestTraining:
         result = train(cfg, tiny_corpus(seed=0), valid)
         instances = make_instances(valid, cfg.tasks, cfg.n_candidates, cfg.seed + 1)
         prepared = prepare_instances(valid, instances, cfg.lambda_t, cfg.lambda_m)
-        acc, _ = evaluate_prepared(result.model, prepared, apply_ablation(cfg),
-                                   cfg.batch_size)
+        acc, _ = evaluate_prepared(result.model, prepared, cfg.batch_size)
         assert result.report.per_task_accuracy == acc
         assert result.report.average_accuracy == float(np.mean(list(acc.values())))
         assert result.report.average_accuracy == (
@@ -215,17 +208,15 @@ class TestEvaluate:
                           store=init_params(cfg.model, seed=0, init_scale=0.3))
         instances = make_instances(corpus, cfg.tasks, cfg.n_candidates, 2)
         prepared = prepare_instances(corpus, instances, cfg.lambda_t, cfg.lambda_m)
-        effect = apply_ablation(cfg)
         graphs = [g for p in prepared for g in p.graphs]
         assert len({id(g.phi_t) for g in graphs}) < len(graphs)
 
         with no_grad():
-            single = [_batch_scores(model, [p], effect)[0].data[0] for p in prepared]
+            single = [_batch_scores(model, [p])[0].data[0] for p in prepared]
             chunked = np.concatenate([
-                _batch_scores(model, prepared[k:k + cfg.batch_size], effect)[0].data
+                _batch_scores(model, prepared[k:k + cfg.batch_size])[0].data
                 for k in range(0, len(prepared), cfg.batch_size)])
-        np.testing.assert_allclose(score_prepared(model, prepared, effect,
-                                                  cfg.batch_size),
+        np.testing.assert_allclose(score_prepared(model, prepared, cfg.batch_size),
                                    single, rtol=0, atol=1e-10)
 
         want_log, by_task = [], {}
@@ -236,7 +227,7 @@ class TestEvaluate:
             want_log.append({"doc_id": inst.doc_id, "task_kind": inst.task_kind,
                              "predicted": int(np.argmax(row)),
                              "gold": inst.gold_index, "correct": correct})
-        acc, log = evaluate_prepared(model, prepared, effect, cfg.batch_size)
+        acc, log = evaluate_prepared(model, prepared, cfg.batch_size)
         assert log == want_log
         assert acc == {t: float(np.mean(v)) for t, v in sorted(by_task.items())}
         assert len({entry["predicted"] for entry in log}) > 1
@@ -347,3 +338,9 @@ class TestTransferAndSweep:
     def test_sweep_rejects_empty(self):
         with pytest.raises(TrainError):
             sweep_lambda_b(tiny_run_config(), [], tiny_corpus(0), tiny_corpus(1))
+
+    @pytest.mark.parametrize("value", [-0.5, float("nan")])
+    def test_sweep_rejects_negative_or_nan_value(self, value):
+        with pytest.raises(TrainError, match="lambda_b"):
+            sweep_lambda_b(tiny_run_config(), [value], tiny_corpus(0),
+                           tiny_corpus(1))

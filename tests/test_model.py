@@ -14,13 +14,15 @@ from scipy.special import erf, softmax as scipy_softmax
 
 from tmeg.autodiff import Tensor, concat, gather_codes, linear, logsumexp
 from tmeg.data import SyntheticConfig, build_vocab, generate_synthetic_corpus
+from tmeg.graph import N_MODAL_CODES
 from tmeg.harness import (
-    AblationEffect, RunConfig, apply_ablation, make_instances,
-    prepare_instances, _batch_loss, _batch_scores,
+    RunConfig, ablate_graph, make_instances, prepare_instances, _batch_loss,
+    _batch_scores,
 )
 from tmeg.model import (
-    GraphBatch, ModelConfig, TmegModel, coherence_loss, init_params,
-    prediction_loss, prediction_loss_batch, prepare_batch, total_loss,
+    GraphBatch, ModelConfig, TmegModel, coherence_loss, edge_codes,
+    init_params, prediction_loss, prediction_loss_batch, prepare_batch,
+    total_loss,
 )
 from tmeg.optim import finite_difference_check, grad_eval
 
@@ -80,7 +82,7 @@ def build_model(seed=0, **overrides):
     return model, corpus
 
 
-def mixed_structure_setup(init_scale=0.3):
+def mixed_structure_setup(init_scale=0.3, ablation="none"):
     """A model plus cloze instances on the default SyntheticConfig shapes,
     whose candidate graphs differ in text, visual and CLS counts."""
     corpus = generate_synthetic_corpus(SyntheticConfig(num_docs=3, d_v=4, seed=1))
@@ -96,7 +98,7 @@ def mixed_structure_setup(init_scale=0.3):
     instances[-1] = dataclasses.replace(
         last, context_steps=last.context_steps[:3],
         candidates=[c[:3] for c in last.candidates])
-    return model, prepare_instances(corpus, instances, 7.0, 0.5)
+    return model, prepare_instances(corpus, instances, 7.0, 0.5, ablation)
 
 
 def node_walking_prepare_batch(graphs, vocab, config):
@@ -114,8 +116,7 @@ def node_walking_prepare_batch(graphs, vocab, config):
     vis_segments = np.zeros((B, n_vis), dtype=np.int64)
     vis_cls_mask = np.zeros((B, n_vis))
     node_mask = np.zeros((B, N), dtype=bool)
-    phi_t = np.zeros((B, N, N), dtype=np.int64)
-    phi_m = np.zeros((B, N, N), dtype=np.int64)
+    codes = np.zeros((B, N, N), dtype=np.int64)
     text_cls, vis_cls = [], []
     for b, (g, nt) in enumerate(zip(graphs, splits)):
         text, vis = g.nodes[:nt], g.nodes[nt:]
@@ -133,8 +134,7 @@ def node_walking_prepare_batch(graphs, vocab, config):
         node_mask[b, :nt] = True
         node_mask[b, n_text:n_text + len(vis)] = True
         rows = np.flatnonzero(node_mask[b])
-        phi_t[b][np.ix_(rows, rows)] = g.phi_t
-        phi_m[b][np.ix_(rows, rows)] = g.phi_m
+        codes[b][np.ix_(rows, rows)] = g.phi_t * N_MODAL_CODES + g.phi_m
         text_cls.append([k for k, n in enumerate(text) if n.kind == "cls"])
         vis_cls.append([n_text + k for k, n in enumerate(vis) if n.kind == "cls"])
 
@@ -151,8 +151,8 @@ def node_walking_prepare_batch(graphs, vocab, config):
         text_positions=np.arange(n_text, dtype=np.int64),
         text_segments=text_segments, vis_features=vis_features,
         vis_boxes=vis_boxes, vis_segments=vis_segments,
-        vis_cls_mask=vis_cls_mask, node_mask=node_mask, phi_t=phi_t,
-        phi_m=phi_m, text_cls_idx=text_cls_idx, vis_cls_idx=vis_cls_idx,
+        vis_cls_mask=vis_cls_mask, node_mask=node_mask, codes=codes,
+        text_cls_idx=text_cls_idx, vis_cls_idx=vis_cls_idx,
         n_text_cls=n_text_cls, n_vis_cls=n_vis_cls)
 
 
@@ -184,10 +184,10 @@ def reference_coherence(ht, hv_pos, negatives, tau, inclusive=True):
     return (logsumexp(neg_logits, axis=-1, keepdims=True) - pos_logit).mean()
 
 
-def reference_batch_loss(model, prepared, effect, config, rng):
+def reference_batch_loss(model, prepared, config, rng):
     """`_batch_loss` with one `reference_coherence` per instance, averaged
     over the instances with aligned rows: the per-instance loop."""
-    scores, ht, hv, batch = _batch_scores(model, prepared, effect)
+    scores, ht, hv, batch = _batch_scores(model, prepared)
     gold = np.array([p.instance.gold_index for p in prepared])
     pred = prediction_loss_batch(scores, gold)
     n_c = scores.shape[1]
@@ -211,13 +211,19 @@ def reference_batch_loss(model, prepared, effect, config, rng):
             ht[np.full(n, g), p.aligned_rows[:n]], hv[g, :n],
             hv[neg_graphs, neg_rows], config.model.tau,
             config.model.coherence_inclusive).reshape(1))
-    return total_loss(pred, concat(terms, axis=0).mean(), effect.lambda_b)
+    return total_loss(pred, concat(terms, axis=0).mean(),
+                      config.effective_lambda_b())
 
 
 def assert_rel_close(got, want, rtol=1e-12, what=""):
     """Agreement within rtol of the reference's largest magnitude."""
     scale = max(float(np.abs(want).max()), 1e-300)
     assert float(np.abs(got - want).max()) <= rtol * scale, what
+
+
+# the ablation that clears the temporal codes, the modal codes, both or none
+ABLATION = {(False, False): "none", (True, False): "no_temporal",
+            (False, True): "no_modal", (True, True): "no_both"}
 
 
 def random_phi(rng, n):
@@ -247,6 +253,12 @@ class TestConfig:
     def test_tau_positive(self):
         with pytest.raises(ValueError):
             ModelConfig(tau=0.0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("tau", float("nan")), ("lambda_b", -0.5), ("lambda_b", float("nan"))])
+    def test_nan_or_negative_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ModelConfig(**{field: value})
 
     def test_hash_tracks_content(self):
         assert small_config().hash() == small_config().hash()
@@ -298,9 +310,8 @@ class TestZeroBiasEquivalence:
             model = TmegModel(cfg, {"<unk>": 0}, store=store)
             n = int(rng.integers(4, 10))
             h = rng.normal(size=(1, n, cfg.d_model))
-            phi_t, phi_m = random_phi(rng, n)
-            out = model.fusion_layer(Tensor(h), phi_t[None], phi_m[None],
-                                     layer=0).data[0]
+            codes = edge_codes(*random_phi(rng, n))
+            out = model.fusion_layer(Tensor(h), codes[None], layer=0).data[0]
             ref = reference_layer(h[0], store.params, "enc0", cfg.n_heads)
             np.testing.assert_allclose(out, ref, atol=1e-12, rtol=0)
 
@@ -314,7 +325,7 @@ class TestZeroBiasEquivalence:
         h = rng.normal(size=(1, 6, cfg.d_model))
         phi_t, phi_m = random_phi(rng, 6)
         assert phi_t.any()
-        out = model.fusion_layer(Tensor(h), phi_t[None], phi_m[None],
+        out = model.fusion_layer(Tensor(h), edge_codes(phi_t, phi_m)[None],
                                  layer=0).data[0]
         ref = reference_layer(h[0], store.params, "enc0", cfg.n_heads)
         assert np.abs(out - ref).max() > 1e-6
@@ -328,10 +339,9 @@ class TestEdgeBias:
         store["bias_t"].value[:] = 5.0
         store["bias_m"].value[:] = -3.0
         model = TmegModel(cfg, {"<unk>": 0}, store=store)
-        phi_t = np.zeros((4, 4), dtype=np.int64)
-        phi_m = np.zeros((4, 4), dtype=np.int64)
-        bias = model._edge_bias(0, 0, phi_t, phi_m, False, False)
-        np.testing.assert_array_equal(bias.data, np.zeros((4, 4)))
+        codes = np.zeros((4, 4), dtype=np.int64)
+        bias = model._edge_bias(0, codes)
+        np.testing.assert_array_equal(bias.data, np.zeros((cfg.n_heads, 4, 4)))
 
     def test_logit_difference_localized_to_temporal_entries(self):
         """no_temporal may only change logits where phi_t is labeled."""
@@ -339,56 +349,55 @@ class TestEdgeBias:
         model, corpus = build_model()
         for name in ("bias_t", "bias_m"):
             model.store[name].value[:] = rng.normal(size=model.store[name].value.shape)
-        for trial in range(20):
-            n = int(rng.integers(4, 9))
-            phi_t, phi_m = random_phi(rng, n)
+        instances = make_instances(corpus, ["cloze", "coherence", "ordering"], 3, 0)
+        graphs = [g for p in prepare_instances(corpus, instances, 7.0, 0.5)
+                  for g in p.graphs]
+        assert any(g.phi_t.any() for g in graphs[:20])
+        for graph in graphs[:20]:
+            ablated = ablate_graph(graph, "no_temporal")
+            assert not ablated.phi_t.any()
             for layer in range(model.config.n_layers):
-                for head in range(model.config.n_heads):
-                    full = model._edge_bias(layer, head, phi_t, phi_m,
-                                            False, False)
-                    ablated = model._edge_bias(layer, head, phi_t, phi_m,
-                                               True, False)
-                    full = np.zeros((n, n)) if full is None else full.data
-                    ablated = np.zeros((n, n)) if ablated is None else ablated.data
-                    diff = full - ablated
-                    assert (diff[phi_t == 0] == 0.0).all()
+                full = model._edge_bias(layer, edge_codes(graph.phi_t, graph.phi_m))
+                cut = model._edge_bias(layer, edge_codes(ablated.phi_t, ablated.phi_m))
+                diff = full.data - cut.data
+                assert (diff[:, graph.phi_t == 0] == 0.0).all()
 
     def test_bias_is_shared_within_code(self):
         model, _ = build_model()
         model.store["bias_t"].value[0, 0, 1] = 2.5
         phi_t = np.array([[0, 1], [1, 0]])
         phi_m = np.zeros((2, 2), dtype=np.int64)
-        bias = model._edge_bias(0, 0, phi_t, phi_m, False, False)
-        np.testing.assert_allclose(bias.data, [[0.0, 2.5], [2.5, 0.0]])
+        bias = model._edge_bias(0, edge_codes(phi_t, phi_m))
+        np.testing.assert_allclose(bias.data[0], [[0.0, 2.5], [2.5, 0.0]])
 
-
-    @pytest.mark.parametrize("zero_t", [False, True])
-    @pytest.mark.parametrize("zero_m", [False, True])
+    @pytest.mark.parametrize("clear_t", [False, True])
+    @pytest.mark.parametrize("clear_m", [False, True])
     @pytest.mark.parametrize("head", [1, slice(None)])
-    def test_one_gather_matches_per_table_gathers(self, zero_t, zero_m, head):
-        """The combined code-pair gather reads exactly the sum of one gather
-        per table, and passes both tables the same gradients."""
-        rng = np.random.default_rng(4)
-        model, _ = build_model()
-        phi = [random_phi(rng, 7) for _ in range(3)]
-        phi_t = np.stack([p[0] for p in phi])
-        phi_m = np.stack([p[1] for p in phi])
+    def test_one_gather_matches_per_table_gathers(self, clear_t, clear_m, head):
+        """On the pair codes of a padded batch of ablated graphs, the one
+        code-pair gather reads exactly the sum of one gather per table
+        that the ablation keeps, over the unablated codes, for one head
+        and for all; and it passes both tables the same gradients."""
+        model, full = mixed_structure_setup()
+        _, ablated = mixed_structure_setup(ablation=ABLATION[clear_t, clear_m])
+        codes = prepare_batch([g for p in full for g in p.graphs],
+                              model.vocab, model.config).codes
+        phi_t, phi_m = codes // N_MODAL_CODES, codes % N_MODAL_CODES
         layer = 1
         tables = {name: Tensor(model.store[name].value.copy(), requires_grad=True)
                   for name in ("bias_t", "bias_m")}
-        want = None
-        for name, codes, off in (("bias_t", phi_t, zero_t),
-                                 ("bias_m", phi_m, zero_m)):
+        got = model._edge_bias(layer, prepare_batch(
+            [g for p in ablated for g in p.graphs], model.vocab,
+            model.config).codes)[:, head]
+        want = Tensor(np.zeros(got.shape))
+        for name, phi, off in (("bias_t", phi_t, clear_t),
+                               ("bias_m", phi_m, clear_m)):
             if not off:
-                vals = gather_codes(tables[name][layer, head], codes)
-                want = vals if want is None else want + vals
-        got = model._edge_bias(layer, head, phi_t, phi_m, zero_t, zero_m)
-        if want is None:
-            assert got is None
-            return
+                want = want + gather_codes(tables[name][layer, head], phi)
         np.testing.assert_array_equal(got.data, want.data)
-        weights = rng.normal(size=got.shape)
-        (want * weights).sum().backward()
+        weights = np.random.default_rng(4).normal(size=got.shape)
+        if want.requires_grad:   # not when both tables are cleared
+            (want * weights).sum().backward()
         (got * weights).sum().backward()
         for name, table in tables.items():
             mine = model.store[name].tensor.grad
@@ -398,12 +407,64 @@ class TestEdgeBias:
                 np.testing.assert_allclose(mine, table.grad, rtol=1e-12,
                                            atol=1e-12)
 
+    @pytest.mark.parametrize("ablation", ["no_temporal", "no_modal", "no_both"])
+    def test_cleared_codes_score_like_zeroed_tables(self, ablation):
+        """Oracle for ablations: on a padded ragged batch, graphs with the
+        ablation's codes cleared score bit for bit like the unablated
+        graphs under a copy of the store whose matching bias tables are
+        zero, and every other parameter gets the same gradient."""
+        model, full = mixed_structure_setup(init_scale=0.5)
+        _, ablated = mixed_structure_setup(init_scale=0.5, ablation=ablation)
+        zeroed = TmegModel(model.config, model.vocab, store=init_params(
+            model.config, seed=0, init_scale=0.5))
+        tables = {"no_temporal": ["bias_t"], "no_modal": ["bias_m"],
+                  "no_both": ["bias_t", "bias_m"]}[ablation]
+        for name in tables:
+            zeroed.store[name].value[:] = 0.0
+        graphs = [g for p in full for g in p.graphs]
+        assert not prepare_batch(graphs, model.vocab, model.config).node_mask.all()
+        np.testing.assert_array_equal(
+            model.score_graphs([g for p in ablated for g in p.graphs]).data,
+            zeroed.score_graphs(graphs).data)
+
+        cfg = RunConfig(model=model.config, n_candidates=3, seed=0)
+        grads = []
+        for m, prepared in ((model, ablated), (zeroed, full)):
+            grad_eval(_batch_loss(m, prepared, cfg, np.random.default_rng(2)),
+                      m.store)
+            grads.append({name: p.gradient.copy()
+                          for name, p in m.store.params.items()})
+        got, want = grads
+        for name, g in want.items():
+            if name not in ("bias_t", "bias_m"):
+                assert_rel_close(got[name], g, what=name)
+
+    def test_ablated_repeats_share_one_graph(self):
+        """Ablation clears each distinct graph once, before its copies are
+        made: repeated candidates still share one set of code matrices,
+        so evaluation still scores each distinct graph once."""
+        corpus = generate_synthetic_corpus(SyntheticConfig(num_docs=4, d_v=4, seed=2))
+        instances = make_instances(corpus, ["cloze", "coherence", "ordering"], 4, 2)
+        full = [g for p in prepare_instances(corpus, instances, 7.0, 0.5)
+                for g in p.graphs]
+        for ablation, cleared in (("no_temporal", {"phi_t"}),
+                                  ("no_modal", {"phi_m"}),
+                                  ("no_both", {"phi_t", "phi_m"})):
+            graphs = [g for p in prepare_instances(corpus, instances, 7.0, 0.5,
+                                                   ablation) for g in p.graphs]
+            for name in ("phi_t", "phi_m"):
+                n_distinct = len({id(getattr(g, name)) for g in graphs})
+                assert n_distinct == len({id(g.phi_t) for g in full}) < len(graphs)
+                for g, ref in zip(graphs, full):
+                    np.testing.assert_array_equal(
+                        getattr(g, name),
+                        0 if name in cleared else getattr(ref, name))
+
     def test_out_of_range_modal_code_rejected(self):
-        model, _ = build_model()
         phi_t = np.zeros((3, 3), dtype=np.int64)
-        phi_m = np.full((3, 3), model.store["bias_m"].value.shape[-1])
+        phi_m = np.full((3, 3), N_MODAL_CODES)
         with pytest.raises(IndexError):
-            model._edge_bias(0, 0, phi_t, phi_m, False, False)
+            edge_codes(phi_t, phi_m)
 
 
 class TestEncoderShapes:
@@ -457,11 +518,9 @@ class TestEncoderShapes:
     def test_padded_batch_gradients_pass_finite_differences(self):
         model, prepared = mixed_structure_setup(init_scale=0.5)
         cfg = RunConfig(model=model.config, n_candidates=3, seed=0)
-        effect = apply_ablation(cfg)
 
         def loss_fn():
-            return _batch_loss(model, prepared, effect, cfg,
-                               np.random.default_rng(0))
+            return _batch_loss(model, prepared, cfg, np.random.default_rng(0))
 
         err = finite_difference_check(loss_fn, model.store, seed=0,
                                       max_coords_per_param=4)
@@ -476,12 +535,11 @@ class TestEncoderShapes:
                 size=model.store[name].value.shape)
         n = 7
         h = rng.normal(size=(1, n, model.config.d_model))
-        phi_t, phi_m = random_phi(rng, n)
+        codes = edge_codes(*random_phi(rng, n))
         perm = rng.permutation(n)
-        out = model.fusion_stack(Tensor(h), phi_t[None], phi_m[None]).data[0]
+        out = model.fusion_stack(Tensor(h), codes[None]).data[0]
         out_p = model.fusion_stack(
-            Tensor(h[:, perm]), phi_t[np.ix_(perm, perm)][None],
-            phi_m[np.ix_(perm, perm)][None]).data[0]
+            Tensor(h[:, perm]), codes[np.ix_(perm, perm)][None]).data[0]
         np.testing.assert_allclose(out_p, out[perm], atol=1e-10)
 
     @pytest.mark.parametrize("shape", ["uniform", "ragged"])
@@ -554,11 +612,11 @@ class TestScorer:
         np.testing.assert_array_equal(scores.data, np.zeros(3))
 
 
-def full_row_score_batch(model, batch, zero_t=False, zero_m=False):
+def full_row_score_batch(model, batch):
     """`score_batch` with every stack's last layer run over all rows and
     the rows that are read gathered after it: the reference for the
     row-pruned last layers."""
-    h = model.run_encoder_batch(batch, zero_t, zero_m)
+    h = model.run_encoder_batch(batch)
     graphs = np.arange(batch.size)[:, None]
     ht, hv = h[graphs, batch.text_cls_idx], h[graphs, batch.vis_cls_idx]
     seq = model.assemble_pair(ht, hv)
@@ -574,38 +632,38 @@ class TestLastLayerRows:
     """Each stack's last layer computes only the rows read next; the
     results must match running it over every row."""
 
-    def uniform_setup(self):
+    def uniform_setup(self, ablation):
         model, corpus = build_model(seed=1, init_scale=0.5)
         instances = make_instances(corpus, ["cloze"], 3, 0)
-        return model, prepare_instances(corpus, instances[:4], 7.0, 0.5)
+        return model, prepare_instances(corpus, instances[:4], 7.0, 0.5,
+                                        ablation)
 
-    @pytest.mark.parametrize("zero_t,zero_m", [
+    # the parameters name which codes the ablation clears (see ABLATION)
+    @pytest.mark.parametrize("clear_t,clear_m", [
         (False, False), (True, False), (False, True), (True, True)])
     @pytest.mark.parametrize("shape", ["uniform", "ragged"])
-    def test_matches_full_rows(self, shape, zero_t, zero_m):
+    def test_matches_full_rows(self, shape, clear_t, clear_m):
+        ablation = ABLATION[clear_t, clear_m]
         if shape == "uniform":
-            model, prepared = self.uniform_setup()
+            model, prepared = self.uniform_setup(ablation)
         else:
-            model, prepared = mixed_structure_setup(init_scale=0.5)
+            model, prepared = mixed_structure_setup(0.5, ablation)
         graphs = [g for p in prepared for g in p.graphs]
         batch = prepare_batch(graphs, model.vocab, model.config)
         assert batch.node_mask.all() == (shape == "uniform")
-        got = model.score_batch(batch, zero_t, zero_m)
-        want = full_row_score_batch(model, batch, zero_t, zero_m)
+        got = model.score_batch(batch)
+        want = full_row_score_batch(model, batch)
         for name, a, b in zip(("scores", "ht", "hv"), got, want):
             assert a.shape == b.shape, name
             np.testing.assert_allclose(a.data, b.data, rtol=0, atol=1e-12,
                                        err_msg=name)
 
         cfg = RunConfig(model=model.config, n_candidates=3, seed=0)
-        effect = AblationEffect(zero_t, zero_m, 0.1)
         results = []
         for reference in (False, True):
             if reference:
-                model.score_batch = lambda b, t, m: full_row_score_batch(
-                    model, b, t, m)
-            loss = _batch_loss(model, prepared, effect, cfg,
-                               np.random.default_rng(2))
+                model.score_batch = lambda b: full_row_score_batch(model, b)
+            loss = _batch_loss(model, prepared, cfg, np.random.default_rng(2))
             grad_eval(loss, model.store)
             results.append((loss.data, {name: p.gradient.copy() for name, p
                                         in model.store.params.items()}))
@@ -746,10 +804,9 @@ class TestBatchedCoherence:
         elif case == "one instance":
             prepared = prepared[:1]
         cfg = RunConfig(model=model_cfg, n_candidates=3, seed=0)
-        effect = apply_ablation(cfg)
         results = []
         for fn in (_batch_loss, reference_batch_loss):
-            loss = fn(model, prepared, effect, cfg, np.random.default_rng(3))
+            loss = fn(model, prepared, cfg, np.random.default_rng(3))
             grad_eval(loss, model.store)
             results.append((loss.data, {name: p.tensor.grad.copy() for name, p
                                         in model.store.params.items()}))
