@@ -6,16 +6,23 @@ topological order. Only the operations the encoder and losses need are
 implemented; all of them support a leading batch dimension where it makes
 sense (matmul uses numpy's stacked-matrix semantics).
 
-Three composed operations are fused into single tape nodes: `softmax`,
+Composed operations are fused into single tape nodes: `softmax`,
 `layer_norm` and `encoder_layer`, a whole post-norm transformer layer with
-graph-biased attention. Each repeats, operation for operation, the float
-arithmetic of the chain it replaces, sharing private helpers for the
-softmax and layer-norm arithmetic, so values and gradients are
-bit-identical to the composed graph, while the tape holds one node and
-only the arrays its backward pass needs. `encoder_layer` can also compute
-only chosen output rows (its `rows` argument), with keys and values still
-taken from every row: the encoder runs each stack's last layer that way,
-over just the rows that are read next.
+graph-biased attention that reads its per-head edge biases from the bias
+tables at the pair codes itself. The rest of the model's training step
+has one node per stage: `node_embedding` (token, position, segment,
+object and box rows), `split_tanh_mlps` (the two modality MLPs),
+`pair_sequence` (the scorer input), `mlp_readout` (the scorer head),
+`cross_entropy` (the prediction loss), `info_nce` (the coherence loss,
+gathering its rows inside the node) and `add_scaled` (their weighted
+sum). Each repeats, operation for operation, the float arithmetic of the
+chain it replaces, sharing private helpers for the softmax, layer-norm,
+linear and tanh-MLP arithmetic, so values and gradients are bit-identical
+to the composed graph, while the tape holds one node and only the arrays
+its backward pass needs. `encoder_layer` can also compute only chosen
+output rows (its `rows` argument), with keys and values still taken from
+every row: the encoder runs each stack's last layer that way, over just
+the rows that are read next.
 
 Inside `no_grad()` operations record nothing: results carry neither parents
 nor a backward closure, so each intermediate array is freed as soon as the
@@ -336,45 +343,6 @@ def concat(tensors: list, axis: int = 0) -> Tensor:
                   backward=bw)
 
 
-def gather_codes(table: Tensor, codes) -> Tensor:
-    """Lay a table of per-code scalars out over integer code matrices.
-
-    `table` is (*lead, C): one row of C scalars per leading index (per head,
-    say). `codes` is (*batch, N, M) with entries in [0, C). The result is
-    (*batch, *lead, N, M) with out[b, a, i, j] = table[a, codes[b, i, j]],
-    except that code 0 (NONE) reads exactly 0 and receives no gradient.
-    The backward pass is one weighted bincount of the codes per leading row.
-    """
-    codes = np.asarray(codes)
-    lead = table.shape[:-1]
-    n_codes = table.shape[-1]
-    if codes.ndim < 2:
-        raise ValueError("gather_codes needs codes of shape (..., N, M)")
-    if codes.size and (codes.min() < 0 or codes.max() >= n_codes):
-        raise IndexError(f"edge code out of range [0, {n_codes})")
-    rows = table.data.reshape(-1, n_codes).copy()
-    rows[:, 0] = 0.0
-    n_rows = rows.shape[0]
-    nb = codes.ndim - 2
-    # (n_rows, *batch, N, M) -> (*batch, *lead, N, M), as a view
-    vals = np.take(rows, codes, axis=1).reshape(lead + codes.shape)
-    vals = np.moveaxis(vals, tuple(range(len(lead))),
-                       tuple(range(nb, nb + len(lead))))
-
-    def bw(g):
-        if not table.requires_grad:
-            return
-        g = np.moveaxis(g, tuple(range(nb, nb + len(lead))),
-                        tuple(range(len(lead)))).reshape(n_rows, -1)
-        flat = codes.ravel()
-        grad = np.stack([np.bincount(flat, weights=row, minlength=n_codes)
-                         for row in g])
-        grad[:, 0] = 0.0
-        table._accumulate(grad.reshape(table.shape))
-
-    return Tensor(vals, parents=(table,), backward=bw)
-
-
 # ----------------------------------------------------------------------
 # arithmetic shared by the fused operations
 
@@ -460,15 +428,81 @@ def _gelu_backward(g, x, cdf) -> np.ndarray:
     return d
 
 
-def _linear_backward(g, x, weight: Tensor, bias: Tensor | None) -> np.ndarray:
+def _linear_backward(g, x, weight: Tensor, bias: Tensor | None,
+                     need_x: bool = True) -> np.ndarray | None:
     """Accumulate the weight and bias gradients of x @ weight + bias and
-    return the gradient of x."""
+    return the gradient of x (None unless `need_x`)."""
     if weight.requires_grad:
         weight._accumulate(_unbroadcast(x.swapaxes(-1, -2) @ g,
                                         weight.data.shape))
     if bias is not None and bias.requires_grad:
         bias._accumulate(_unbroadcast(g, bias.data.shape))
-    return g @ weight.data.swapaxes(-1, -2)
+    return g @ weight.data.swapaxes(-1, -2) if need_x else None
+
+
+def _tanh_mlp(x, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor | None):
+    """tanh(x @ w1 + b1) @ w2 (+ b2) and the tanh activations."""
+    hidden = np.tanh(x @ w1.data + b1.data)
+    out = hidden @ w2.data
+    return (out if b2 is None else out + b2.data), hidden
+
+
+def _tanh_mlp_backward(g, x, hidden, w1, b1, w2, b2, need_x=True):
+    """Accumulate the parameter gradients of `_tanh_mlp` and return the
+    gradient of x (None unless `need_x`)."""
+    g_hidden = _linear_backward(g, hidden, w2, b2)
+    return _linear_backward(g_hidden * (1.0 - hidden * hidden), x, w1, b1,
+                            need_x)
+
+
+def _code_table(bias_t: np.ndarray, bias_m: np.ndarray) -> np.ndarray:
+    """(H, C_t * C_m) bias of every pair code t * C_m + m, from one layer's
+    (H, C_t) temporal and (H, C_m) modal tables: bias_t[:, t] +
+    bias_m[:, m], where a NONE code (0) of either kind reads exactly 0."""
+    t, m = bias_t.copy(), bias_m.copy()
+    t[:, 0] = 0.0
+    m[:, 0] = 0.0
+    return (t[:, :, None] + m[:, None, :]).reshape(len(t), -1)
+
+
+def _add_code_bias(logits: np.ndarray, table: np.ndarray, codes) -> None:
+    """logits[..., a, i, j] += table[a, codes[..., i, j]] for every head a,
+    one head at a time, so no (..., H, N, M) bias array is built."""
+    codes = np.asarray(codes)
+    if codes.size and (codes.min() < 0 or codes.max() >= table.shape[-1]):
+        raise IndexError(f"edge code out of range [0, {table.shape[-1]})")
+    for a, row in enumerate(table):
+        logits[..., a, :, :] += np.take(row, codes)
+
+
+def _code_grad(g: np.ndarray, codes, n_codes: int) -> np.ndarray:
+    """(H, n_codes) gradient of the table `_add_code_bias` read, from the
+    gradient g (..., H, N, M) of the logits: one weighted bincount of the
+    codes per head. Each sums a (head, code) bin in the order g is laid
+    out, so the result is bit-identical to one bincount over offset
+    (head, code) indices, without building that (..., H, N, M) index.
+    The NONE column gets no gradient."""
+    flat = np.asarray(codes).ravel()
+    grad = np.stack([np.bincount(flat, weights=g[..., a, :, :].ravel(),
+                                 minlength=n_codes)
+                     for a in range(g.shape[-3])])
+    grad[:, 0] = 0.0
+    return grad
+
+
+def _fold_code_grad(g_pair: np.ndarray, n_t: int, n_m: int):
+    """The (H, C_t) temporal and (H, C_m) modal table gradients of a pair
+    table's gradient (see `_code_table`): each sums its pair entries in
+    code order, one bincount over offset (head, code) indices per table."""
+    n_heads = len(g_pair)
+    out = []
+    for codes, n_codes in zip(np.indices((n_t, n_m)), (n_t, n_m)):
+        index = codes.ravel() + (np.arange(n_heads) * n_codes)[:, None]
+        grad = np.bincount(index.ravel(), weights=g_pair.ravel(),
+                           minlength=n_heads * n_codes).reshape(n_heads, n_codes)
+        grad[:, 0] = 0.0
+        out.append(grad)
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -514,8 +548,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = _LN_EPS) -> 
                   parents=(x, gamma, beta), backward=bw)
 
 
-def encoder_layer(h: Tensor, params, n_heads: int, bias: Tensor | None = None,
-                  key_bias=None, rows=None) -> Tensor:
+def encoder_layer(h: Tensor, params, n_heads: int, edge=None, key_bias=None,
+                  rows=None) -> Tensor:
     """Post-norm transformer encoder layer over (..., N, dim) rows, all
     heads at once, as one tape node.
 
@@ -530,25 +564,37 @@ def encoder_layer(h: Tensor, params, n_heads: int, bias: Tensor | None = None,
         out = layer_norm(gelu(h1 @ ffn_w1 + ffn_b1) @ ffn_w2 + ffn_b2 + h1,
                          ln2_g, ln2_b)
 
-    `bias` is a tensor broadcastable to the (..., H, N, N) logits (the
-    edge-code biases) and `key_bias` a constant array (the -inf mask of
-    padded keys). Forward and backward repeat, operation for operation, the
-    arithmetic of that chain composed from `linear`, `softmax`,
-    `layer_norm` and the exact GELU. For backward the node keeps only the
-    layer input, q, k and v, the exp numerator and its sums, each layer
-    norm's centred rows, std and inverse, and the FFN pre-activation and
-    its Phi; it recomputes the rest. Without a tape it works in place and
-    frees each intermediate once it is used. The input arrays are never
-    written.
+    `edge`, when given, is (bias_t, bias_m, layer, codes): the (L, H, C_t)
+    temporal and (L, H, C_m) modal bias tables, this layer's index into
+    them, and (..., N, M) pair codes t * C_m + m matching the logits'
+    last two axes. The layer reads bias[..., a, i, j] =
+    bias_t[layer, a, t] + bias_m[layer, a, m] at each pair's codes, with
+    a NONE code of either kind reading exactly 0, straight into the
+    logits, one head at a time; no bias array is built or taped. Its
+    backward bincounts the logit gradient once over offset (head, pair
+    code) indices and folds that pair-table gradient onto both tables, so
+    NONE entries get no gradient. `key_bias` is a constant array (the
+    -inf mask of padded keys).
+
+    Forward and backward repeat, operation for operation, the arithmetic
+    of that chain composed from `linear`, `softmax`, `layer_norm`, the
+    exact GELU and an edge bias gathered per code from the two tables.
+    For backward the node keeps the layer input, q, k and v, the exp
+    numerator, its sums and the probabilities, the attention output, each
+    layer norm's centred rows, std and inverse, the first layer norm's
+    output, and the FFN pre-activation, its Phi and its activation.
+    Without a tape it works in place and frees each intermediate once it
+    is used. The input arrays are never written.
 
     `rows`, a (B, R) integer array over h of shape (B, N, dim), computes
     only the output rows h[b, rows[b]], in that order, as (B, R, dim):
     keys and values still come from every row, but queries, the residual,
     the output projection, both layer norms and the FFN take only the R
-    selected rows, and the logits are (B, H, N, R), so `bias` must
-    broadcast to that. Each output row equals the full layer's row up to
-    the rounding of the smaller matrix products. Indices may repeat; the
-    backward sums a repeated row's query and residual gradients."""
+    selected rows, and the logits are (B, H, N, R), so the codes must be
+    the (B, N, R) columns of those rows. Each output row equals the full
+    layer's row up to the rounding of the smaller matrix products.
+    Indices may repeat; the backward sums a repeated row's query and
+    residual gradients."""
     (wq, bq, wk, wv, bv, wo, bo, g1, b1, w1, c1, w2, c2, g2, b2) = params
     x = h.data
     *lead, n, dim = x.shape
@@ -578,22 +624,25 @@ def encoder_layer(h: Tensor, params, n_heads: int, bias: Tensor | None = None,
     # logits[..., i, j] = k_i . q_j * scale (+ biases), normalized over keys i
     logits = k @ q.swapaxes(-1, -2)
     logits *= scale
-    if bias is not None:
-        logits += bias.data
+    parents = (h, *params)
+    if edge is not None:
+        bias_t, bias_m, layer, codes = edge
+        _add_code_bias(logits, _code_table(bias_t.data[layer],
+                                           bias_m.data[layer]), codes)
+        parents += (bias_t, bias_m)
     if key_bias is not None:
         logits += key_bias
-    parents = (h, *params) if bias is None else (h, *params, bias)
     taped = _grad_enabled and any(p.requires_grad for p in parents)
     e, s, r = _softmax_parts(logits, -2, out=logits)
     del logits
     # without a tape, arrays backward would keep are overwritten or freed
     p = np.multiply(e, r, out=None if taped else e)
     a = merge(p.swapaxes(-1, -2) @ v)
-    del p
     if not taped:
-        del q, k, v, e
+        del p, q, k, v, e
     o = a @ wo.data
-    del a
+    if not taped:
+        del a
     o += bo.data
     o += xq
     ln1 = _ln_stats(o, _LN_EPS, out=o)
@@ -607,34 +656,39 @@ def encoder_layer(h: Tensor, params, n_heads: int, bias: Tensor | None = None,
     if not taped:
         del f, cdf
     y = act @ w2.data
-    del act
     y += c2.data
     y += h1
-    del h1
+    if not taped:
+        del act, h1
     ln2 = _ln_stats(y, _LN_EPS, out=y)
     del y
 
     def bw(g):
         # feed-forward block and its residual
         g_y = _ln_backward(g, *ln2, g2, b2)
-        h1 = _ln_affine(ln1[0], ln1[2], g1.data, b1.data)
-        g_f = _gelu_backward(_linear_backward(g_y, f * cdf, w2, c2), f, cdf)
+        g_f = _gelu_backward(_linear_backward(g_y, act, w2, c2), f, cdf)
         g_h1 = _linear_backward(g_f, h1, w1, c1)
-        del g_f, h1
+        del g_f
         g_h1 += g_y
         del g_y
         # attention block and its residual
         g_o = _ln_backward(g_h1, *ln1, g1, b1)
         del g_h1
-        p = np.multiply(e, r)
-        g_a = split(_linear_backward(g_o, merge(p.swapaxes(-1, -2) @ v), wo, bo))
+        g_a = split(_linear_backward(g_o, a, wo, bo))
         g_v = p @ g_a
-        g_attn = (g_a @ v.swapaxes(-1, -2)).swapaxes(-1, -2)
+        # the [key, query] gradient of the probabilities, contiguous
+        g_attn = v @ g_a.swapaxes(-1, -2)
         del g_a
         g_x = _softmax_backward(g_attn, e, s, r, -2, out=p)
-        del g_attn, p
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(_unbroadcast(g_x, bias.data.shape))
+        del g_attn
+        if edge is not None and (bias_t.requires_grad or bias_m.requires_grad):
+            n_t, n_m = bias_t.shape[-1], bias_m.shape[-1]
+            for table, grad in zip((bias_t, bias_m), _fold_code_grad(
+                    _code_grad(g_x, codes, n_t * n_m), n_t, n_m)):
+                if table.requires_grad:
+                    full = np.zeros_like(table.data)
+                    full[layer] = grad
+                    table._accumulate(full)
         g_x *= scale
         g_k = g_x @ q
         g_q = (k.swapaxes(-1, -2) @ g_x).swapaxes(-1, -2)
@@ -657,6 +711,273 @@ def encoder_layer(h: Tensor, params, n_heads: int, bias: Tensor | None = None,
     return Tensor(_ln_affine(ln2[0], ln2[2], g2.data, b2.data,
                              out=None if taped else ln2[0]),
                   parents=parents, backward=bw)
+
+
+def node_embedding(params, token_ids, positions, segments, features, boxes,
+                   cls_mask) -> Tensor:
+    """Initial node states (B, n_text + n_vis, d) as one tape node.
+
+    `params` are the tensors token_content, text_position, segment,
+    vis_proj_w, vis_proj_b, box_proj_w, box_proj_b and vis_cls. Text rows
+    sum a content row (`token_ids`, (B, n_text)), a position row
+    (`positions`, (n_text,)) and a segment row; visual rows sum the
+    projected object `features` (B, n_vis, d_v), or vis_cls where
+    `cls_mask` (B, n_vis) is 1, the projected `boxes` (B, n_vis, 6) and a
+    segment row. `segments` (B, n_text + n_vis) index the segment table.
+    Forward and backward repeat the arithmetic of that sum composed from
+    gathers, `linear` and masks; the backward scatters each gather's
+    gradient with `_scatter_sum`."""
+    tok, pos, seg, vis_w, vis_b, box_w, box_b, vis_cls = params
+    n_text = token_ids.shape[1]
+    text_seg, vis_seg = segments[:, :n_text], segments[:, n_text:]
+    has_vis = cls_mask.shape[1] > 0
+    out = np.empty(segments.shape + tok.shape[-1:])
+    np.add(tok.data[token_ids] + pos.data[positions], seg.data[text_seg],
+           out=out[:, :n_text])
+    if has_vis:
+        obj_rows = (1.0 - cls_mask)[..., None]
+        cls_rows = cls_mask[..., None]
+        h_vis = (features @ vis_w.data + vis_b.data) * obj_rows
+        h_vis += vis_cls.data * cls_rows
+        h_vis += boxes @ box_w.data + box_b.data
+        np.add(h_vis, seg.data[vis_seg], out=out[:, n_text:])
+
+    def bw(g):
+        g_text = np.array(g[:, :n_text])
+        g_seg = _scatter_sum(seg.shape, text_seg, g_text)
+        if has_vis:
+            g_vis = np.array(g[:, n_text:])
+            g_seg += _scatter_sum(seg.shape, vis_seg, g_vis)
+            _linear_backward(g_vis, boxes, box_w, box_b, need_x=False)
+            _linear_backward(g_vis * obj_rows, features, vis_w, vis_b,
+                             need_x=False)
+            if vis_cls.requires_grad:
+                vis_cls._accumulate(_unbroadcast(g_vis * cls_rows,
+                                                 vis_cls.shape))
+        if tok.requires_grad:
+            tok._accumulate(_scatter_sum(tok.shape, token_ids, g_text))
+        if pos.requires_grad:
+            pos._accumulate(_scatter_sum(pos.shape, positions,
+                                         g_text.sum(axis=0)))
+        if seg.requires_grad:
+            seg._accumulate(g_seg)
+
+    parents = params if has_vis else params[:3]
+    return Tensor(out, parents=tuple(parents), backward=bw)
+
+
+def split_tanh_mlps(h: Tensor, n_first: int, first, second) -> Tensor:
+    """Rows h[:, :n_first] through one tanh MLP and rows h[:, n_first:]
+    through another, as one tape node. Each MLP is (w1, b1, w2, b2) and
+    maps x to tanh(x @ w1 + b1) @ w2 + b2; forward and backward repeat the
+    arithmetic of that chain composed from `linear` and `tanh`."""
+    x = h.data
+    blocks = [(slice(0, n_first), first)]
+    if x.shape[1] > n_first:
+        blocks.append((slice(n_first, None), second))
+    out = np.empty(x.shape[:2] + second[2].shape[-1:])
+    hidden = []
+    for rows, mlp in blocks:
+        out[:, rows], act = _tanh_mlp(x[:, rows], *mlp)
+        hidden.append(act)
+
+    def bw(g):
+        g_x = np.empty_like(x) if h.requires_grad else None
+        for (rows, mlp), act in zip(blocks, hidden):
+            g_rows = _tanh_mlp_backward(np.array(g[:, rows]), x[:, rows], act,
+                                        *mlp, need_x=g_x is not None)
+            if g_x is not None:
+                g_x[:, rows] = g_rows
+        if g_x is not None:
+            h._accumulate(g_x)
+
+    parents = (h,) + tuple(p for _, mlp in blocks for p in mlp)
+    return Tensor(out, parents=parents, backward=bw)
+
+
+def pair_sequence(ht: Tensor, hv: Tensor, cls: Tensor, sep: Tensor,
+                  proj=None) -> Tensor:
+    """The scorer input [cls, ht rows..., sep, hv rows...] of each batch
+    row, (B, 2 + N_t + N_a, dim), as one tape node. `proj`, when given, is
+    (weight, bias), applied to the ht and hv rows first."""
+    B, n_t = ht.shape[:2]
+    xt, xv = ht.data, hv.data
+    if proj is not None:
+        xt, xv = (x @ proj[0].data + proj[1].data for x in (xt, xv))
+    zeros = np.zeros((B, 1, xt.shape[-1]))
+    out = np.concatenate([zeros + cls.data, xt, zeros + sep.data, xv], axis=1)
+
+    def bw(g):
+        for t, part in ((cls, g[:, :1]), (sep, g[:, 1 + n_t:2 + n_t])):
+            if t.requires_grad:
+                t._accumulate(_unbroadcast(np.array(part), t.shape))
+        for t, part in ((ht, g[:, 1:1 + n_t]), (hv, g[:, 2 + n_t:])):
+            if proj is not None:
+                part = _linear_backward(np.array(part), t.data, *proj,
+                                        need_x=t.requires_grad)
+            if t.requires_grad:
+                t._accumulate(part)
+
+    parents = (ht, hv, cls, sep) + (tuple(proj) if proj is not None else ())
+    return Tensor(out, parents=parents, backward=bw)
+
+
+def mlp_readout(h: Tensor, w1: Tensor, b1: Tensor, w2: Tensor) -> Tensor:
+    """Scores (B,) = tanh(h[:, 0] @ w1 + b1) @ w2[:, 0] from rows h
+    (B, M, dim), as one tape node repeating the composed chain's
+    arithmetic."""
+    lead = h.data[:, 0]
+    out, hidden = _tanh_mlp(lead, w1, b1, w2, None)
+
+    def bw(g):
+        g_out = np.zeros(out.shape)
+        g_out[:, 0] = g
+        g_lead = _tanh_mlp_backward(g_out, lead, hidden, w1, b1, w2, None,
+                                    need_x=h.requires_grad)
+        if h.requires_grad:
+            g_h = np.zeros_like(h.data)
+            g_h[:, 0] = g_lead
+            h._accumulate(g_h)
+
+    return Tensor(out[:, 0], parents=(h, w1, b1, w2), backward=bw)
+
+
+def cross_entropy(scores: Tensor, gold) -> Tensor:
+    """Mean over rows of logsumexp(scores[b]) - scores[b, gold[b]] for
+    (B, C) scores, as one tape node repeating the arithmetic of the chain
+    composed from `logsumexp`, a gather and `mean`."""
+    x = scores.data
+    picked = (np.arange(x.shape[0]), np.asarray(gold))
+    m = x.max(axis=-1, keepdims=True)
+    e = np.exp(x + (-m))
+    s = e.sum(axis=-1, keepdims=True)
+    per_row = (np.log(s) + m).reshape(x.shape[0]) + (-x[picked])
+    n = per_row.size
+
+    def bw(g):
+        g_rows = np.broadcast_to(g * (1.0 / n), per_row.shape)
+        g_x = np.broadcast_to((g_rows.reshape(s.shape)) / s, x.shape) * e
+        g_x += _scatter_sum(x.shape, picked, -g_rows)
+        scores._accumulate(g_x)
+
+    return Tensor(per_row.sum() * (1.0 / n), parents=(scores,), backward=bw)
+
+
+def _unit_rows(x: np.ndarray, valid: np.ndarray):
+    """Rows of x scaled to unit norm, and the inverse norms and norms.
+    Rows where `valid` is False are padding: they are exempt from the
+    zero-norm check and divided by sqrt(|x|^2 + 1), so they and their
+    gradients stay finite."""
+    sq = (x * x).sum(axis=-1, keepdims=True)
+    if (sq[valid] == 0).any():
+        raise ValueError("cosine similarity undefined for zero-norm vector")
+    if not valid.all():
+        sq = sq + np.where(valid, 0.0, 1.0)[..., None]
+    norm = np.sqrt(sq)
+    inv = norm ** -1.0
+    return x * inv, inv, norm
+
+
+def _unit_rows_backward(g, x, inv, norm) -> np.ndarray:
+    """Gradient of x from the gradient g of `_unit_rows`' unit rows, summed
+    in the order the composed x / (x * x).sum().sqrt() chain's tape does."""
+    g_norm = _unbroadcast(g * x, inv.shape) * -1.0 * norm ** -2.0
+    g_sq = np.broadcast_to(g_norm * 0.5 / norm, x.shape) * x
+    g_x = g * inv
+    g_x += g_sq
+    g_x += g_sq
+    return g_x
+
+
+def info_nce(text: Tensor, pos: Tensor, neg: Tensor, tau: float,
+             inclusive: bool = True, n_rows=None, n_neg=None,
+             index=None) -> Tensor:
+    """InfoNCE coherence loss over I instances as one tape node.
+
+    Rows t (I, n, d) are text representations, v (I, n, d) the aligned
+    positives and u (I, K, d) the negatives: `text`, `pos` and `neg`
+    themselves or, with `index`, the rows text[index[0]], pos[index[1]]
+    and neg[index[2]], gathered inside the node. Instance i's loss is the
+    mean over its first n_rows[i] rows of
+    logsumexp([t.v, t.u_1, ..., t.u_k] / tau) - t.v / tau over unit
+    rows, with its first n_neg[i] negatives (without t.v in the
+    logsumexp unless `inclusive`); the result averages the instances.
+    `n_rows` and `n_neg` default to no padding.
+    Padded rows are ignored and padded negatives get a -inf logit.
+    Forward and backward repeat the arithmetic of that formula composed
+    from tape ops over the padded rows; the backward scatters the rows'
+    gradients back with `_scatter_sum`."""
+    sources = (text, pos, neg)
+    if index is None:
+        index = (Ellipsis,) * 3
+    t, v, u = (src.data[idx] for src, idx in zip(sources, index))
+    n_rows = np.full(len(t), t.shape[1]) if n_rows is None else np.asarray(n_rows)
+    n_neg = np.full(len(u), u.shape[1]) if n_neg is None else np.asarray(n_neg)
+    if (n_neg < 1).any():
+        raise ValueError("need at least one negative")
+    if (n_rows < 1).any():
+        raise ValueError("need at least one aligned row")
+    rows = np.arange(t.shape[1]) < n_rows[:, None]        # (I, n_max)
+    negs = np.arange(u.shape[1]) < n_neg[:, None]         # (I, K_max)
+    (t_hat, *t_norm), (v_hat, *v_norm), (u_hat, *u_norm) = (
+        _unit_rows(x, valid) for x, valid in ((t, rows), (v, rows), (u, negs)))
+    pos_logit = (t_hat * v_hat).sum(axis=-1, keepdims=True) * (1.0 / tau)
+    neg_logits = (t_hat @ u_hat.swapaxes(-1, -2)) * (1.0 / tau)
+    if not negs.all():
+        neg_logits = neg_logits + np.where(negs, 0.0, -np.inf)[:, None, :]
+    logits = (np.concatenate([pos_logit, neg_logits], axis=-1) if inclusive
+              else neg_logits)
+    m = logits.max(axis=-1, keepdims=True)
+    e = np.exp(logits + (-m))
+    s = e.sum(axis=-1, keepdims=True)
+    per_row = np.log(s) + m + (-pos_logit)
+    weight = rows[..., None].astype(np.float64)
+    if not rows.all():
+        per_row = per_row * weight
+    per_instance = per_row.sum(axis=(1, 2)) * (1.0 / n_rows)
+    n_inst = per_instance.size
+
+    def bw(g):
+        g_inst = np.broadcast_to(g * (1.0 / n_inst), per_instance.shape)
+        g_row = np.broadcast_to((g_inst * (1.0 / n_rows))[:, None, None],
+                                per_row.shape)
+        if not rows.all():
+            g_row = g_row * weight
+        g_logits = np.broadcast_to(g_row / s, e.shape) * e
+        g_neg = g_logits[..., 1:] if inclusive else g_logits
+        g_neg = g_neg * (1.0 / tau)
+        g_pos = -g_row
+        if inclusive:
+            g_pos = g_logits[..., :1] + g_pos
+        g_pos = np.broadcast_to(g_pos * (1.0 / tau), t_hat.shape)
+        g_t_hat = g_pos * v_hat
+        g_t_hat += g_neg @ u_hat
+        grads = (g_t_hat, g_pos * t_hat,
+                 (t_hat.swapaxes(-1, -2) @ g_neg).swapaxes(-1, -2))
+        # negatives, positives, text: the order in which the composed
+        # chain's tape ran its three gathers; when `pos` and `neg` are one
+        # tensor, the order of its gradient terms shows in the last bits
+        for src, idx, g_hat, x, norms in reversed(list(zip(
+                sources, index, grads, (t, v, u), (t_norm, v_norm, u_norm)))):
+            if src.requires_grad:
+                g_x = _unit_rows_backward(g_hat, x, *norms)
+                src._accumulate(g_x.reshape(src.shape) if idx is Ellipsis
+                                else _scatter_sum(src.shape, idx, g_x))
+
+    loss = per_instance.sum() * (1.0 / n_inst)
+    return Tensor(loss, parents=sources, backward=bw)
+
+
+def add_scaled(a: Tensor, b: Tensor, scale: float) -> Tensor:
+    """a + scale * b as one tape node."""
+
+    def bw(g):
+        if a.requires_grad:
+            a._accumulate(g)
+        if b.requires_grad:
+            b._accumulate(g * scale)
+
+    return Tensor(a.data + b.data * scale, parents=(a, b), backward=bw)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:

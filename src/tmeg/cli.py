@@ -53,7 +53,8 @@ def _load_run_config(path: str, seed_override) -> RunConfig:
 def _maybe_dump_graphs(args, corpus, instances, cfg: RunConfig):
     if not args.dump_graphs:
         return
-    prepared = prepare_instances(corpus, instances[:4], cfg.lambda_t, cfg.lambda_m)
+    prepared = prepare_instances(corpus, instances[:4], cfg.lambda_t,
+                                 cfg.lambda_m, cfg.ablation)
     dumps = [G.dump_graph(g) for p in prepared for g in p.graphs]
     path = (args.metrics_out or "metrics.json") + ".graphs.json"
     with open(path, "w", encoding="utf-8") as fh:

@@ -46,8 +46,10 @@ class BoundingBox:
 
     @staticmethod
     def from_list(vals, where: str) -> "BoundingBox":
-        if len(vals) != 4:
-            raise CorpusError(f"{where}: box must have 4 coordinates")
+        """A box from 4 JSON numbers; a boolean or a string is rejected,
+        not converted, and `validate` rejects NaN and infinities."""
+        if len(vals) != 4 or not _all_numbers(vals):
+            raise CorpusError(f"{where}: box must have 4 numeric coordinates")
         box = BoundingBox(*(float(v) for v in vals))
         box.validate(where)
         return box
@@ -281,6 +283,52 @@ def _int(value, what: str) -> int:
     return value
 
 
+def _str(value, what: str) -> str:
+    """A JSON string; a number, boolean or null raises TypeError."""
+    if type(value) is not str:
+        raise TypeError(f"{what} must be a string, not {type(value).__name__}")
+    return value
+
+
+def _all_numbers(values) -> bool:
+    """Whether every value is an int or a float (a JSON number), never a
+    boolean; one pass that collects the values' types."""
+    kinds = set(map(type, values))
+    return kinds <= {int, float} or all(
+        issubclass(k, (int, float)) and not issubclass(k, bool) for k in kinds)
+
+
+def _number_rows(rows: list, what: str) -> np.ndarray:
+    """Equal-length JSON lists of numbers as one float64 array. Every value
+    must be an int or a float, never a boolean or a string, and finite
+    (Python's json reads NaN and Infinity); otherwise TypeError or
+    ValueError."""
+    if not (set(map(type, rows)) <= {list}
+            and _all_numbers(itertools.chain.from_iterable(rows))):
+        raise TypeError(f"{what} must be lists of numbers")
+    out = np.array(rows, dtype=np.float64)
+    if not np.isfinite(out).all():
+        raise ValueError(f"{what} must be finite")
+    return out
+
+
+def _image_from_dict(idd: dict, where: str) -> StepImage:
+    """One image; its objects' features are type-checked as one array.
+    (`_validate_document` rejects a NaN or infinite confidence.)"""
+    image_id = _str(idd["image_id"], f"{where} image_id")
+    where = f"{where} image {image_id}"
+    objects = idd["objects"]
+    features = _number_rows([od["feature"] for od in objects],
+                            f"{where} features")
+    confidences = [od["confidence"] for od in objects]
+    if not _all_numbers(confidences):
+        raise TypeError(f"{where}: confidences must be numbers")
+    return StepImage(image_id=image_id, objects=[
+        ObjectFeature(feature=feature, box=BoundingBox.from_list(od["box"], where),
+                      confidence=float(confidence))
+        for od, feature, confidence in zip(objects, features, confidences)])
+
+
 def _span_from_list(vals, where: str) -> tuple[int, int]:
     if len(vals) != 2 or any(type(v) is not int for v in vals):
         raise CorpusError(f"{where}: noun-phrase span must have 2 integers")
@@ -292,48 +340,34 @@ def corpus_from_dict(payload: dict) -> Corpus:
         d_v = _int(payload["d_v"], "d_v")
         documents = []
         for dd in payload["documents"]:
+            doc_id = _str(dd["doc_id"], "doc_id")
             steps = []
             for sd in dd["steps"]:
+                where = f"doc {doc_id} step {sd['index']}"
                 noun_phrases = [
                     NounPhrase(
-                        span=_span_from_list(
-                            nd["span"], f"doc {dd['doc_id']} step {sd['index']}"),
-                        entity_id=str(nd["entity_id"]),
+                        span=_span_from_list(nd["span"], where),
+                        entity_id=_str(nd["entity_id"], f"{where} entity_id"),
                         grounding_boxes={
-                            iid: BoundingBox.from_list(
-                                box, f"doc {dd['doc_id']} step {sd['index']}"
-                            )
+                            iid: BoundingBox.from_list(box, where)
                             for iid, box in nd.get("grounding_boxes", {}).items()
                         },
                     )
                     for nd in sd.get("noun_phrases", [])
                 ]
-                images = [
-                    StepImage(
-                        image_id=str(idd["image_id"]),
-                        objects=[
-                            ObjectFeature(
-                                feature=np.asarray(od["feature"], dtype=np.float64),
-                                box=BoundingBox.from_list(
-                                    od["box"],
-                                    f"doc {dd['doc_id']} image {idd['image_id']}",
-                                ),
-                                confidence=float(od["confidence"]),
-                            )
-                            for od in idd["objects"]
-                        ],
-                    )
-                    for idd in sd.get("images", [])
-                ]
+                tokens = sd["tokens"]
+                if not set(map(type, tokens)) <= {str}:
+                    raise TypeError(f"{where}: tokens must be strings")
                 steps.append(Step(
                     index=_int(sd["index"], "step index"),
-                    tokens=[str(t) for t in sd["tokens"]],
+                    tokens=list(tokens),
                     noun_phrases=noun_phrases,
-                    images=images,
+                    images=[_image_from_dict(idd, where)
+                            for idd in sd.get("images", [])],
                 ))
             documents.append(PmdDocument(
-                doc_id=str(dd["doc_id"]),
-                domain_tag=str(dd.get("domain_tag", "")),
+                doc_id=doc_id,
+                domain_tag=_str(dd.get("domain_tag", ""), f"doc {doc_id} domain_tag"),
                 steps=steps,
             ))
     except (KeyError, TypeError, ValueError) as exc:

@@ -270,14 +270,18 @@ def _batch_loss(model: TmegModel, prepared: list[PreparedInstance],
     n_c = scores.shape[1]
     gold_graph = np.arange(len(prepared)) * n_c + gold
     n_a = [len(p.instance.candidates[0]) for p in prepared]
+    # every gold graph's (graph, visual row) pairs, in instance order, and
+    # the instance each pair belongs to
+    owner = np.repeat(np.arange(len(prepared)), n_a)
+    gold_rows = np.stack([gold_graph[owner], np.concatenate(
+        [np.arange(n) for n in n_a])], axis=1)
     kept, text_rows, neg_pairs = [], [], []
     for ip, p in enumerate(prepared):
-        pool = [(gold_graph[jp], r) for jp in range(len(prepared)) if jp != ip
-                for r in range(n_a[jp])]
-        if not pool:
-            pool = [(ip * n_c + cj, r) for cj in range(n_c) if cj != gold[ip]
-                    for r in range(n_a[ip])]
-        if not pool:
+        pool = gold_rows[owner != ip]
+        if not len(pool):
+            pool = np.array([(ip * n_c + cj, r) for cj in range(n_c)
+                             if cj != gold[ip] for r in range(n_a[ip])])
+        if not len(pool):
             raise TrainError("cannot sample coherence negatives")
         k = min(config.model.k_negatives, len(pool))
         chosen = rng.choice(len(pool), size=k, replace=False)
@@ -286,17 +290,17 @@ def _batch_loss(model: TmegModel, prepared: list[PreparedInstance],
             continue
         kept.append(gold_graph[ip])
         text_rows.append(p.aligned_rows[:n])
-        neg_pairs.append(np.array(pool)[chosen])
+        neg_pairs.append(pool[chosen])
     if not kept:
         return pred
     # every instance at once, padded to the most rows and negatives
     graphs = np.array(kept)[:, None]
     text_rows, n_rows = _pad_rows(text_rows)
     neg_pairs, n_neg = _pad_rows(neg_pairs)
-    coh = coherence_loss(
-        ht[graphs, text_rows], hv[graphs, np.arange(text_rows.shape[1])],
-        hv[neg_pairs[..., 0], neg_pairs[..., 1]],
-        config.model.tau, config.model.coherence_inclusive, n_rows, n_neg)
+    index = ((graphs, text_rows), (graphs, np.arange(text_rows.shape[1])),
+             (neg_pairs[..., 0], neg_pairs[..., 1]))
+    coh = coherence_loss(ht, hv, hv, config.model.tau,
+                         config.model.coherence_inclusive, n_rows, n_neg, index)
     return total_loss(pred, coh, lambda_b)
 
 
@@ -372,21 +376,16 @@ class TrainResult:
     best_epoch: int
 
 
-def _snapshot(store: ParamStore) -> dict:
-    return {
-        "params": {k: p.value.copy() for k, p in store.params.items()},
-        "m1": {k: v.copy() for k, v in store.moment1.items()},
-        "m2": {k: v.copy() for k, v in store.moment2.items()},
-        "step": store.step_count,
-    }
+def _snapshot(store: ParamStore) -> tuple[np.ndarray, int]:
+    """A copy of the store's flat state and its step count."""
+    return store.flat.copy(), store.step_count
 
 
-def _restore(store: ParamStore, snap: dict):
-    for k, p in store.params.items():
-        p.value = snap["params"][k].copy()
-    store.moment1 = {k: v.copy() for k, v in snap["m1"].items()}
-    store.moment2 = {k: v.copy() for k, v in snap["m2"].items()}
-    store.step_count = snap["step"]
+def _restore(store: ParamStore, snap: tuple[np.ndarray, int]):
+    """Copy a snapshot back into the store's flat vectors, so every
+    parameter's views keep pointing at them."""
+    store.flat[...] = snap[0]
+    store.step_count = snap[1]
 
 
 def resolve_corpora(config: RunConfig, train_corpus: D.Corpus | None = None,

@@ -12,10 +12,16 @@ Graphs of any shapes run as one batch: `prepare_batch` gathers the node
 arrays each graph got at assembly and pads them to a shared
 [text block | visual block] layout, with no loop over nodes. Padded rows
 are masked out of attention as keys, so each graph's scores match scoring
-it alone. All heads of a layer run as one (B, H, N, d_head) computation,
-and its edge bias is one gather at each node pair's (temporal, modal)
-pair code. There is no ablation mode: an ablated graph has its codes
-cleared to NONE, which reads a bias of exactly 0.
+it alone. All heads of a layer run as one (B, H, N, d_head) computation
+(`autodiff.encoder_layer`). A fusion layer reads each head's edge bias
+inside the layer, from the bias tables at each node pair's (temporal,
+modal) pair code; no dense (B, H, N, N) bias tensor exists. There is no
+ablation mode: an ablated graph has its codes cleared to NONE, which
+reads a bias of exactly 0 and passes the tables no gradient.
+
+Each stage of a training step is one tape node with a hand-written
+backward (see `autodiff`): the embeddings, the modality MLPs, each
+transformer layer, the scorer input, the readout and each loss.
 
 Each stack's last layer computes only the rows that are read next: the
 last fusion layer only the text and visual CLS rows, which are all the
@@ -30,13 +36,15 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .autodiff import (
-    Tensor, concat, encoder_layer, gather_codes, linear, logsumexp,
+    Tensor, add_scaled, cross_entropy, encoder_layer, info_nce, logsumexp,
+    mlp_readout, node_embedding, pair_sequence, split_tanh_mlps,
 )
 from .graph import CLS, N_MODAL_CODES, N_TEMPORAL_CODES, OBJECT, SEP, TmegGraph
 from .optim import ParamStore, config_hash
 
-# (temporal, modal) code of each entry of the (C_t, C_m) code-pair grid
-_CODE_PAIRS = np.indices((N_TEMPORAL_CODES, N_MODAL_CODES))
+# the embedding parameters, in the order `node_embedding` takes them
+_EMBEDDING_PARAMS = ("token_content", "text_position", "segment", "vis_proj_w",
+                     "vis_proj_b", "box_proj_w", "box_proj_b", "vis_cls")
 
 # a transformer layer's parameters, in the order `encoder_layer` takes them
 _LAYER_PARAMS = ("wq", "bq", "wk", "wv", "bv", "wo", "bo", "ln1_g", "ln1_b",
@@ -356,74 +364,49 @@ class TmegModel:
     # encoding
 
     def encode_nodes(self, batch: GraphBatch) -> Tensor:
-        """Initial hidden states H0: content + position/box + segment sums."""
-        seg = self.p("emb/segment")
-        h_text = (self.p("emb/token_content")[batch.token_ids]
-                  + self.p("emb/text_position")[batch.text_positions]
-                  + seg[batch.text_segments])
-        if batch.n_vis == 0:
-            return h_text
-        obj_mask = Tensor((1.0 - batch.vis_cls_mask)[..., None])
-        cls_mask = Tensor(batch.vis_cls_mask[..., None])
-        h_obj = linear(Tensor(batch.vis_features),
-                       self.p("emb/vis_proj_w"), self.p("emb/vis_proj_b"))
-        h_vis = (h_obj * obj_mask
-                 + self.p("emb/vis_cls") * cls_mask
-                 + linear(Tensor(batch.vis_boxes),
-                          self.p("emb/box_proj_w"), self.p("emb/box_proj_b"))
-                 + seg[batch.vis_segments])
-        return concat([h_text, h_vis], axis=1)
+        """Initial hidden states H0, one `node_embedding` tape node: text
+        rows sum content, position and segment rows; visual rows sum the
+        projected object features (or the visual CLS row), the projected
+        box and a segment row."""
+        return node_embedding(
+            [self.p(f"emb/{name}") for name in _EMBEDDING_PARAMS],
+            batch.token_ids, batch.text_positions,
+            np.concatenate([batch.text_segments, batch.vis_segments], axis=1),
+            batch.vis_features, batch.vis_boxes, batch.vis_cls_mask)
 
     def project_modalities(self, h0: Tensor, batch: GraphBatch) -> Tensor:
-        def mlp(x, prefix):
-            hidden = linear(x, self.p(f"{prefix}/w1"), self.p(f"{prefix}/b1")).tanh()
-            return linear(hidden, self.p(f"{prefix}/w2"), self.p(f"{prefix}/b2"))
-
-        nt = batch.n_text
-        h_text = mlp(h0[:, :nt], "mlp_text")
-        if batch.n_vis == 0:
-            return h_text
-        h_vis = mlp(h0[:, nt:], "mlp_vis")
-        return concat([h_text, h_vis], axis=1)
+        """Each modality's rows through its tanh MLP, one tape node."""
+        text, vis = ([self.p(f"{mod}/{name}") for name in ("w1", "b1", "w2", "b2")]
+                     for mod in ("mlp_text", "mlp_vis"))
+        return split_tanh_mlps(h0, batch.n_text, text, vis)
 
     # ------------------------------------------------------------------
     # attention
 
-    def _edge_bias(self, layer: int, codes: np.ndarray) -> Tensor:
-        """Temporal plus modal scalar bias of every head of one layer,
-        (*batch, H, N, M) for (*batch, N, M) pair codes (see `edge_codes`).
-
-        One gather, from a table over every (temporal, modal) code pair
-        whose entries are the two tables' gathers over the code-pair grid,
-        summed. NONE codes always read exactly 0 (masked, not learnable),
-        so a cleared code contributes nothing and receives no gradient."""
-        pair_t, pair_m = _CODE_PAIRS
-        table = (gather_codes(self.p("bias_t")[layer], pair_t)
-                 + gather_codes(self.p("bias_m")[layer], pair_m))
-        return gather_codes(table.reshape(*table.shape[:-2], -1), codes)
-
     def _transformer_layer(self, h: Tensor, prefix: str, n_heads: int,
-                           bias: Tensor | None = None,
-                           key_bias: np.ndarray | None = None,
+                           edge=None, key_bias: np.ndarray | None = None,
                            rows: np.ndarray | None = None) -> Tensor:
         """Post-norm encoder layer over (B, N, dim), all heads at once, as
         one `encoder_layer` tape node.
 
-        `bias` (the edge-code biases) and `key_bias` (the -inf mask of
-        padded keys) are added to the (B, H, N, N) attention logits. With
-        `rows` (B, R) only those query rows are computed: the output is
-        (B, R, dim) and `bias` must be (B, H, N, R)."""
+        `edge` (bias tables, layer index and pair codes) and `key_bias`
+        (the -inf mask of padded keys) bias the (B, H, N, N) attention
+        logits. With `rows` (B, R) only those query rows are computed: the
+        output is (B, R, dim) and the pair codes must be (B, N, R)."""
         params = [self.p(f"{prefix}/{name}") for name in _LAYER_PARAMS]
-        return encoder_layer(h, params, n_heads, bias, key_bias, rows)
+        return encoder_layer(h, params, n_heads, edge, key_bias, rows)
 
     def fusion_layer(self, h: Tensor, codes: np.ndarray, layer: int,
                      key_bias: np.ndarray | None = None,
                      rows: np.ndarray | None = None) -> Tensor:
-        """One fusion layer; with `rows`, `codes` are the (B, N, R) pair-code
-        columns of those query rows."""
+        """One fusion layer. Its attention reads each head's temporal plus
+        modal bias at every node pair's pair code (see `edge_codes`) inside
+        the layer; a NONE code reads exactly 0 and gets no gradient. With
+        `rows`, `codes` are the (B, N, R) pair-code columns of those query
+        rows."""
+        edge = (self.p("bias_t"), self.p("bias_m"), layer, codes)
         return self._transformer_layer(h, f"enc{layer}", self.config.n_heads,
-                                       self._edge_bias(layer, codes),
-                                       key_bias, rows)
+                                       edge, key_bias, rows)
 
     def fusion_stack(self, h: Tensor, codes: np.ndarray,
                      key_bias: np.ndarray | None = None,
@@ -456,16 +439,13 @@ class TmegModel:
         return h[:, :n_t], h[:, n_t:]
 
     def assemble_pair(self, ht: Tensor, hv: Tensor) -> Tensor:
-        """[CLS, text rows..., SEP, visual rows...] in scorer space."""
-        cfg = self.config
-        if cfg.scorer_dim != cfg.d_model:
-            ht = linear(ht, self.p("scorer/in_w"), self.p("scorer/in_b"))
-            hv = linear(hv, self.p("scorer/in_w"), self.p("scorer/in_b"))
-        B = ht.shape[0]
-        zeros = Tensor(np.zeros((B, 1, cfg.scorer_dim)))
-        cls_row = zeros + self.p("scorer/cls")
-        sep_row = zeros + self.p("scorer/sep")
-        return concat([cls_row, ht, sep_row, hv], axis=1)
+        """[CLS, text rows..., SEP, visual rows...] in scorer space, one
+        `pair_sequence` tape node."""
+        proj = None
+        if self.config.scorer_dim != self.config.d_model:
+            proj = (self.p("scorer/in_w"), self.p("scorer/in_b"))
+        return pair_sequence(ht, hv, self.p("scorer/cls"), self.p("scorer/sep"),
+                             proj)
 
     def score_candidate(self, pair_seq: Tensor,
                         key_bias: np.ndarray | None = None) -> Tensor:
@@ -484,10 +464,8 @@ class TmegModel:
         h = self._transformer_layer(
             h, f"sc{last}", self.config.scorer_heads, key_bias=key_bias,
             rows=np.zeros((h.shape[0], 1), dtype=np.int64))
-        lead = h[:, 0]
-        hidden = linear(lead, self.p("scorer/out_w1"),
-                        self.p("scorer/out_b1")).tanh()
-        return linear(hidden, self.p("scorer/out_w2"))[:, 0]
+        return mlp_readout(h, self.p("scorer/out_w1"), self.p("scorer/out_b1"),
+                           self.p("scorer/out_w2"))
 
     def score_batch(self, batch: GraphBatch) -> tuple[Tensor, Tensor, Tensor]:
         """Scores (B,) plus the padded CLS rows that produced them."""
@@ -506,63 +484,30 @@ class TmegModel:
 # losses
 
 
-def _normalize_rows(x: Tensor, valid: np.ndarray) -> Tensor:
-    """Rows of x scaled to unit norm. Rows where `valid` is False are
-    padding: they are exempt from the zero-norm check and divided by
-    sqrt(|x|^2 + 1), so they and their gradients stay finite."""
-    sq = (x * x).sum(axis=-1, keepdims=True)
-    if (sq.data[valid] == 0).any():
-        raise ValueError("cosine similarity undefined for zero-norm vector")
-    if not valid.all():
-        sq = sq + np.where(valid, 0.0, 1.0)[..., None]
-    return x / sq.sqrt()
-
-
 def coherence_loss(ht: Tensor, hv_pos: Tensor, negatives: Tensor,
                    tau: float, inclusive: bool = True,
-                   n_rows=None, n_neg=None) -> Tensor:
-    """InfoNCE-style alignment loss averaged over aligned steps.
+                   n_rows=None, n_neg=None, index=None) -> Tensor:
+    """InfoNCE-style alignment loss averaged over aligned steps, one
+    `info_nce` tape node.
 
     One instance: ht, hv_pos (n, d) aligned text/image representations and
     negatives (K, d). A batch of I instances: ht, hv_pos (I, n_max, d) and
     negatives (I, K_max, d), padded to the longest, with `n_rows` (I,) and
     `n_neg` (I,) counting each instance's real rows and negatives (by
-    default, none is padding). The loss is each instance's mean over its
-    rows, averaged over instances; padding rows are ignored and padded
-    negatives get a -inf logit. With
-    `inclusive` the positive appears in the denominator, which bounds the
-    loss below by 0; the literal negatives-only variant is kept for
-    comparison.
+    default, none is padding); or, with `index` (three numpy indices), the
+    rows ht[index[0]], hv_pos[index[1]] and negatives[index[2]], gathered
+    inside the node from padded CLS rows. The loss is each instance's mean
+    over its rows, averaged over instances; padding rows are ignored and
+    padded negatives get a -inf logit. With `inclusive` the positive
+    appears in the denominator, which bounds the loss below by 0; the
+    literal negatives-only variant is kept for comparison.
     """
     if tau <= 0:
         raise ValueError("tau must be > 0")
-    if ht.ndim == 2:
-        ht, hv_pos, negatives = (x.reshape(1, *x.shape)
-                                 for x in (ht, hv_pos, negatives))
-    n_inst = ht.shape[0]
-    n_rows = (np.full(n_inst, ht.shape[1]) if n_rows is None
-              else np.asarray(n_rows))
-    n_neg = (np.full(n_inst, negatives.shape[1]) if n_neg is None
-             else np.asarray(n_neg))
-    if (n_neg < 1).any():
-        raise ValueError("need at least one negative")
-    if (n_rows < 1).any():
-        raise ValueError("need at least one aligned row")
-    rows = np.arange(ht.shape[1]) < n_rows[:, None]        # (I, n_max)
-    negs = np.arange(negatives.shape[1]) < n_neg[:, None]  # (I, K_max)
-    t_hat = _normalize_rows(ht, rows)
-    v_hat = _normalize_rows(hv_pos, rows)
-    n_hat = _normalize_rows(negatives, negs)
-    pos_logit = (t_hat * v_hat).sum(axis=-1, keepdims=True) * (1.0 / tau)
-    neg_logits = (t_hat @ n_hat.swapaxes(-1, -2)) * (1.0 / tau)
-    if not negs.all():
-        neg_logits = neg_logits + np.where(negs, 0.0, -np.inf)[:, None, :]
-    logits = (concat([pos_logit, neg_logits], axis=-1) if inclusive
-              else neg_logits)
-    per_row = logsumexp(logits, axis=-1, keepdims=True) - pos_logit
-    if not rows.all():
-        per_row = per_row * rows[..., None]
-    return (per_row.sum(axis=(1, 2)) * (1.0 / n_rows)).mean()
+    if index is None and ht.ndim == 2:
+        index = (None,) * 3   # one instance
+    return info_nce(ht, hv_pos, negatives, tau, inclusive, n_rows, n_neg,
+                    index)
 
 
 def prediction_loss(scores: Tensor, gold: int) -> Tensor:
@@ -576,13 +521,13 @@ def prediction_loss(scores: Tensor, gold: int) -> Tensor:
 
 
 def prediction_loss_batch(scores: Tensor, gold: np.ndarray) -> Tensor:
-    """Mean cross-entropy for (B, N_c) score rows with per-row gold indices."""
-    lse = logsumexp(scores, axis=-1)                       # (B,)
-    rows = np.arange(scores.shape[0])
-    return (lse - scores[(rows, np.asarray(gold))]).mean()
+    """Mean cross-entropy for (B, N_c) score rows with per-row gold indices,
+    one `cross_entropy` tape node."""
+    return cross_entropy(scores, gold)
 
 
 def total_loss(pred: Tensor, coh: Tensor | None, lambda_b: float) -> Tensor:
+    """pred + lambda_b * coh, one tape node."""
     if coh is None or lambda_b == 0:
         return pred
-    return pred + lambda_b * coh
+    return add_scaled(pred, coh, lambda_b)

@@ -21,43 +21,57 @@ class CheckpointError(Exception):
 
 
 class Parameter:
-    """A named learnable array with its gradient."""
+    """A named learnable array. Its value (`tensor.data`), gradient
+    (`tensor.grad`) and Adam moments `m1` and `m2` are views into its
+    store's flat vectors."""
 
-    def __init__(self, name: str, value: np.ndarray):
+    def __init__(self, name: str, start: int, shape: tuple):
         self.name = name
-        self.tensor = Tensor(np.asarray(value, dtype=np.float64), requires_grad=True)
+        self.slice = slice(start, start + math.prod(shape))
+        self.shape = shape
+        self.tensor = Tensor(0.0, requires_grad=True)
+
+    def _bind(self, flat: np.ndarray):
+        """Point every array at this parameter's slice of `flat`'s rows."""
+        t = self.tensor
+        t.data, t.grad, self.m1, self.m2 = (
+            row[self.slice].reshape(self.shape) for row in flat)
 
     @property
     def value(self) -> np.ndarray:
         return self.tensor.data
 
-    @value.setter
-    def value(self, v: np.ndarray):
-        self.tensor.data = np.asarray(v, dtype=np.float64)
-
     @property
     def gradient(self) -> np.ndarray:
-        if self.tensor.grad is None:
-            return np.zeros_like(self.tensor.data)
         return self.tensor.grad
 
 
 class ParamStore:
-    """Ordered name -> Parameter map plus Adam moment state."""
+    """Ordered name -> Parameter map over one float64 vector each of
+    values, gradients and first and second Adam moments, the rows of
+    `flat`: every parameter's arrays are views into them, so the optimizer
+    updates all parameters with a few elementwise operations."""
 
     def __init__(self):
         self.params: dict[str, Parameter] = {}
-        self.moment1: dict[str, np.ndarray] = {}
-        self.moment2: dict[str, np.ndarray] = {}
         self.step_count = 0
+        self.flat = self._buffer = np.zeros((4, 0))
 
     def add(self, name: str, value: np.ndarray) -> Parameter:
         if name in self.params:
             raise ValueError(f"duplicate parameter name: {name}")
-        p = Parameter(name, value)
-        self.params[name] = p
-        self.moment1[name] = np.zeros_like(p.value)
-        self.moment2[name] = np.zeros_like(p.value)
+        value = np.asarray(value, dtype=np.float64)
+        start, stop = self.flat.shape[1], self.flat.shape[1] + value.size
+        if stop > self._buffer.shape[1]:
+            # grow geometrically; every view moves to the new buffer
+            self._buffer = np.concatenate([self.flat, np.zeros(
+                (4, max(stop, 2 * start) - start))], axis=1)
+            for p in self.params.values():
+                p._bind(self._buffer)
+        self.flat = self._buffer[:, :stop]
+        p = self.params[name] = Parameter(name, start, value.shape)
+        p._bind(self._buffer)
+        p.value[...] = value
         return p
 
     def __getitem__(self, name: str) -> Parameter:
@@ -70,8 +84,7 @@ class ParamStore:
         return list(self.params)
 
     def zero_grad(self):
-        for p in self.params.values():
-            p.tensor.grad = None
+        self.flat[1] = 0.0
 
 
 def grad_eval(loss: Tensor, store: ParamStore):
@@ -80,26 +93,21 @@ def grad_eval(loss: Tensor, store: ParamStore):
         raise ValueError("loss must be a scalar")
     store.zero_grad()
     loss.backward()
-    for p in store.params.values():
-        if p.tensor.grad is None:
-            p.tensor.grad = np.zeros_like(p.tensor.data)
 
 
 def adam_step(store: ParamStore, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
-    """Bias-corrected Adam update; zeroes gradients afterwards."""
+    """Bias-corrected Adam update of every parameter at once, over the
+    store's flat vectors; zeroes gradients afterwards."""
     store.step_count += 1
     t = store.step_count
-    for name, p in store.params.items():
-        g = p.gradient
-        m = store.moment1[name]
-        v = store.moment2[name]
-        m *= beta1
-        m += (1 - beta1) * g
-        v *= beta2
-        v += (1 - beta2) * g * g
-        m_hat = m / (1 - beta1 ** t)
-        v_hat = v / (1 - beta2 ** t)
-        p.tensor.data = p.tensor.data - lr * m_hat / (np.sqrt(v_hat) + eps)
+    p, g, m, v = store.flat
+    m *= beta1
+    m += (1 - beta1) * g
+    v *= beta2
+    v += (1 - beta2) * g * g
+    m_hat = m / (1 - beta1 ** t)
+    v_hat = v / (1 - beta2 ** t)
+    p -= lr * m_hat / (np.sqrt(v_hat) + eps)
     store.zero_grad()
 
 
@@ -116,26 +124,22 @@ def finite_difference_check(
     coordinates per parameter, drawn from a seeded stream.
     """
     grad_eval(loss_fn(), store)
-    analytic = {name: p.gradient.copy() for name, p in store.params.items()}
+    values, analytic = store.flat[0], store.flat[1].copy()
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for name, p in store.params.items():
-        flat = p.tensor.data.reshape(-1)
-        n = flat.size
-        if n <= max_coords_per_param:
-            coords = np.arange(n)
-        else:
-            coords = rng.choice(n, size=max_coords_per_param, replace=False)
-        a_flat = analytic[name].reshape(-1)
-        for c in coords:
-            orig = flat[c]
-            flat[c] = orig + h
+    for p in store.params.values():
+        n = p.slice.stop - p.slice.start
+        coords = (np.arange(n) if n <= max_coords_per_param else
+                  rng.choice(n, size=max_coords_per_param, replace=False))
+        for c in coords + p.slice.start:
+            orig = values[c]
+            values[c] = orig + h
             f_plus = float(loss_fn().data)
-            flat[c] = orig - h
+            values[c] = orig - h
             f_minus = float(loss_fn().data)
-            flat[c] = orig
+            values[c] = orig
             numeric = (f_plus - f_minus) / (2 * h)
-            a = a_flat[c]
+            a = analytic[c]
             err = abs(a - numeric) / max(1e-8, abs(a) + abs(numeric))
             worst = max(worst, err)
     store.zero_grad()
@@ -204,9 +208,9 @@ def save_checkpoint(path, store: ParamStore, model_config_hash: str):
         fh.write(hb)
         for name, p in store.params.items():
             _write_array(fh, name, p.value)
-        for name in store.params:
-            _write_array(fh, "m1/" + name, store.moment1[name])
-            _write_array(fh, "m2/" + name, store.moment2[name])
+        for name, p in store.params.items():
+            _write_array(fh, "m1/" + name, p.m1)
+            _write_array(fh, "m2/" + name, p.m2)
         fh.write(struct.pack("<Q", store.step_count))
 
 
@@ -248,12 +252,12 @@ def _parse_checkpoint(rd: _Reader, expected_config_hash: str | None) -> ParamSto
     for _ in range(n_params * 2):
         name, data = rd.array()
         kind, pname = name.split("/", 1)
-        moments = {"m1": store.moment1, "m2": store.moment2}[kind]
-        if moments[pname].shape != data.shape:
+        moment = {"m1": store.params[pname].m1, "m2": store.params[pname].m2}[kind]
+        if moment.shape != data.shape:
             raise CheckpointError(f"{path}: moment {name} has shape "
                                   f"{data.shape}, parameter has "
-                                  f"{moments[pname].shape}")
-        moments[pname] = data
+                                  f"{moment.shape}")
+        moment[...] = data
     store.step_count = rd.unpack("<Q")
     if rd.pos != len(rd.buf):
         raise CheckpointError(f"{path}: {len(rd.buf) - rd.pos} trailing bytes")

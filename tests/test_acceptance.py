@@ -13,7 +13,7 @@ import numpy as np
 from scipy.stats import binom
 
 from test_graph import oracle_matrices, random_input
-from test_model import reference_layer
+from test_model import edge_bias, reference_layer
 
 from tmeg.autodiff import Tensor
 from tmeg.data import (
@@ -180,9 +180,9 @@ def test_criterion_3_no_temporal_logit_locality(capsys):
         # term is unaffected by clearing edge codes, so the logit change
         # equals the bias change entry for entry, for every head
         for layer in range(cfg.n_layers):
-            full = model._edge_bias(layer, edge_codes(graph.phi_t, graph.phi_m))
-            cut = model._edge_bias(layer, edge_codes(ablated.phi_t, ablated.phi_m))
-            diff = full.data - cut.data
+            full = edge_bias(model, layer, edge_codes(graph.phi_t, graph.phi_m))
+            cut = edge_bias(model, layer, edge_codes(ablated.phi_t, ablated.phi_m))
+            diff = full - cut
             assert (diff[:, graph.phi_t == 0] == 0.0).all()
     announce(capsys, "criterion 3 PASS: no_temporal leaves logits unchanged "
                      "at unlabeled entries on 100 random graphs")

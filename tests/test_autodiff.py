@@ -17,8 +17,10 @@ from scipy.special import logsumexp as scipy_logsumexp
 from scipy.special import softmax as scipy_softmax
 
 from tmeg.autodiff import (
-    Tensor, _gelu_backward, _gelu_cdf, concat, encoder_layer, gather_codes,
-    layer_norm, linear, logsumexp, no_grad, softmax,
+    Tensor, _add_code_bias, _code_grad, _code_table, _fold_code_grad,
+    _gelu_backward, _gelu_cdf, add_scaled, concat, cross_entropy,
+    encoder_layer, info_nce, layer_norm, linear, logsumexp, mlp_readout,
+    no_grad, node_embedding, pair_sequence, softmax, split_tanh_mlps,
 )
 
 
@@ -69,6 +71,26 @@ def gelu(x):
         x._accumulate(g * (cdf + x.data * pdf))
 
     return Tensor(x.data * cdf, parents=(x,), backward=bw)
+
+
+def composed_edge_bias(bias_t, bias_m, layer, codes):
+    """The (..., H, N, M) edge bias of pair codes t * C_m + m, composed from
+    tape ops the way the encoder built it before the gather moved into
+    `encoder_layer`: each table's NONE column masked to 0, a pair table
+    summing both tables' rows over the code-pair grid, one fancy gather of
+    that table per head at the codes. The reference the layer's edge bias
+    must repeat, in values and in both tables' gradients."""
+    n_t, n_m = bias_t.shape[-1], bias_m.shape[-1]
+    masked = [table[layer] * (np.arange(n) > 0)
+              for table, n in ((bias_t, n_t), (bias_m, n_m))]
+    pair = (masked[0][:, :, None] + masked[1][:, None, :]).reshape(
+        bias_t.shape[-2], n_t * n_m)
+    codes = np.asarray(codes)
+    # (H, *batch, N, M) -> (*batch, H, N, M)
+    out = pair[:, codes]
+    for axis in range(codes.ndim - 2):
+        out = out.swapaxes(axis, axis + 1)
+    return out
 
 
 class TestElementwiseGrads:
@@ -261,18 +283,19 @@ class TestComposedOps:
             var = (centered * centered).mean(axis=-1, keepdims=True)
             return centered / (var + 1e-12).sqrt() * g + b
 
-        # the layer as the encoder runs it: edge codes with NONE entries,
-        # the last key of graph 0 padded
-        codes = np.random.default_rng(6).integers(0, 4, size=(3, 6, 6))
+        # the layer as the encoder runs it: pair codes with NONE entries of
+        # either kind, layer 1 of two layers' tables, the last key of graph
+        # 0 padded
+        codes = np.random.default_rng(6).integers(0, 12, size=(3, 6, 6))
         key_bias = np.zeros((3, 1, 6, 1))
         key_bias[0, 0, -1] = -np.inf
 
         def fused_encoder_layer(h, *rest):
-            return encoder_layer(h, rest[:-1], 2, gather_codes(rest[-1], codes),
+            return encoder_layer(h, rest[:-2], 2, (*rest[-2:], 1, codes),
                                  key_bias)
 
         def composed_encoder_layer(h, wq, bq, wk, wv, bv, wo, bo, g1, b1,
-                                   w1, c1, w2, c2, g2, b2, table):
+                                   w1, c1, w2, c2, g2, b2, table_t, table_m):
             B, n, dim = h.shape
 
             def split(x):
@@ -281,7 +304,8 @@ class TestComposedOps:
             q, k, v = (split(linear(h, wq, bq)), split(linear(h, wk)),
                        split(linear(h, wv, bv)))
             logits = ((k @ q.swapaxes(-1, -2)) * (1.0 / math.sqrt(dim // 2))
-                      + gather_codes(table, codes) + key_bias)
+                      + composed_edge_bias(table_t, table_m, 1, codes)
+                      + key_bias)
             merged = softmax(logits, axis=-2).swapaxes(-1, -2) @ v
             merged = merged.swapaxes(-2, -3).reshape(B, n, dim)
             h1 = layer_norm(linear(merged, wo, bo) + h, g1, b1)
@@ -296,7 +320,7 @@ class TestComposedOps:
             shapes = [(3, 6, 8), (8,), (8,)]
             fused, composed = layer_norm, composed_layer_norm
         else:
-            shapes = [(3, 6, 8)] + layer_shapes(8, 2) + [(2, 4)]
+            shapes = [(3, 6, 8)] + layer_shapes(8, 2) + [(2, 2, 3), (2, 2, 4)]
             fused, composed = fused_encoder_layer, composed_encoder_layer
         arrays = [rng.normal(size=s) for s in shapes]
         weights = None
@@ -323,76 +347,109 @@ class TestComposedOps:
 
 
 class TestGatherCodes:
+    """The edge-code gather inside `encoder_layer`: a pair table from one
+    layer's temporal and modal tables (`_code_table`), read at the pair
+    codes into the logits one head at a time (`_add_code_bias`), and its
+    gradient, bincounted per head (`_code_grad`) and folded back onto both
+    tables (`_fold_code_grad`)."""
 
-    def codes(self, rng, shape, n_codes):
-        return rng.integers(0, n_codes, size=shape)
+    def tables(self, rng, n_heads, n_t, n_m):
+        return rng.normal(size=(n_heads, n_t)), rng.normal(size=(n_heads, n_m))
 
     def test_values_and_none_code(self):
         rng = np.random.default_rng(0)
-        table = rng.normal(size=(3, 5))
-        codes = self.codes(rng, (2, 4, 4), 5)
-        out = gather_codes(Tensor(table), codes).data
-        assert out.shape == (2, 3, 4, 4)
+        bias_t, bias_m = self.tables(rng, 3, 4, 5)
+        codes = rng.integers(0, 20, size=(2, 4, 4))
+        codes[0, 1, 2] = 0
+        assert (codes % 5 == 0).any() and (codes < 5).any()
+        out = np.zeros((2, 3, 4, 4))
+        _add_code_bias(out, _code_table(bias_t, bias_m), codes)
+        t, m = codes // 5, codes % 5
         for b in range(2):
             for a in range(3):
-                expect = np.where(codes[b] == 0, 0.0, table[a][codes[b]])
+                expect = (np.where(t[b] == 0, 0.0, bias_t[a][t[b]])
+                          + np.where(m[b] == 0, 0.0, bias_m[a][m[b]]))
                 np.testing.assert_array_equal(out[b, a], expect)
+        assert (out.swapaxes(0, 1)[:, codes == 0] == 0.0).all()
 
     def test_single_row_table_keeps_code_shape(self):
-        table = np.array([9.0, 1.5, -2.0])
-        codes = np.array([[0, 1], [2, 0]])
-        out = gather_codes(Tensor(table), codes).data
-        np.testing.assert_array_equal(out, [[0.0, 1.5], [-2.0, 0.0]])
+        """One head and codes without a batch axis: (1, N, M) logits."""
+        table = _code_table(np.array([[9.0, 1.5]]), np.array([[7.0, -2.0]]))
+        codes = np.array([[0, 1], [2, 3]])
+        out = np.zeros((1, 2, 2))
+        _add_code_bias(out, table, codes)
+        np.testing.assert_array_equal(out[0], [[0.0, -2.0], [1.5, -0.5]])
 
     @pytest.mark.parametrize("table_shape,code_shape", [
-        ((4,), (5, 5)),
-        ((3, 4), (5, 5)),
-        ((3, 4), (2, 5, 5)),
-        ((2, 3, 4), (2, 3, 3)),
+        ((1, 4, 5), (5, 5)),
+        ((3, 4, 5), (5, 5)),
+        ((3, 4, 5), (2, 5, 5)),
+        ((2, 3, 2), (2, 3, 3)),
     ])
     def test_grad_matches_central_differences(self, table_shape, code_shape):
+        """Both tables' gradients, folded from the per-head bincount."""
+        n_heads, n_t, n_m = table_shape
         rng = np.random.default_rng(1)
-        codes = self.codes(rng, code_shape, table_shape[-1])
-        assert (codes == 0).any() and (codes != 0).any()
-        out_shape = (code_shape[:-2] + table_shape[:-1] + code_shape[-2:])
-        weights = rng.normal(size=out_shape)
-        check_op(lambda t: (gather_codes(t, codes) * weights).sum(),
-                 table_shape)
+        codes = rng.integers(0, n_t * n_m, size=code_shape)
+        assert (codes // n_m == 0).any() and (codes % n_m == 0).any()
+        bias_t, bias_m = self.tables(rng, n_heads, n_t, n_m)
+        lead = code_shape[:-2] + (n_heads,) + code_shape[-2:]
+        weights = rng.normal(size=lead)
+
+        def f():
+            out = np.zeros(lead)
+            _add_code_bias(out, _code_table(bias_t, bias_m), codes)
+            return float((out * weights).sum())
+
+        got = _fold_code_grad(_code_grad(weights, codes, n_t * n_m), n_t, n_m)
+        for table, grad in zip((bias_t, bias_m), got):
+            np.testing.assert_allclose(grad, numeric_grad(f, table),
+                                       rtol=1e-6, atol=1e-6)
 
     @pytest.mark.parametrize("table_shape,code_shape", [
-        ((7,), (9, 9)),
-        ((4, 7), (3, 9, 9)),
-        ((2, 4, 7), (3, 9, 9)),
+        ((1, 20), (9, 9)),
+        ((4, 20), (3, 9, 9)),
+        ((8, 20), (3, 9, 9)),
     ])
     def test_grad_bit_identical_to_one_flat_bincount(self, table_shape,
                                                      code_shape):
-        """Reference: one bincount over an offset (rows x codes) index,
-        which sums each bin's elements in the same order."""
+        """Reference: one bincount over an offset (head x code) index, and
+        for the fold one bincount of the code-pair grid per table row;
+        each sums its bins in the same order."""
+        n_heads, n_codes = table_shape
         rng = np.random.default_rng(4)
-        codes = self.codes(rng, code_shape, table_shape[-1])
-        lead, nb = table_shape[:-1], len(code_shape) - 2
-        g = rng.normal(size=code_shape[:-2] + lead + code_shape[-2:])
-        table = Tensor(rng.normal(size=table_shape), requires_grad=True)
-        (gather_codes(table, codes) * g).sum().backward()
-
-        n_rows, n_codes = int(np.prod(lead)), table_shape[-1]
-        moved = np.moveaxis(g, tuple(range(nb, nb + len(lead))),
-                            tuple(range(len(lead))))
-        flat = (codes.reshape(1, -1)
-                + (np.arange(n_rows) * n_codes)[:, None]).ravel()
-        want = np.bincount(flat, weights=moved.reshape(-1),
-                           minlength=n_rows * n_codes).reshape(n_rows, n_codes)
+        codes = rng.integers(0, n_codes, size=code_shape)
+        g = rng.normal(size=code_shape[:-2] + (n_heads,) + code_shape[-2:])
+        got = _code_grad(g, codes, n_codes)
+        flat = (codes[..., None, :, :]
+                + (np.arange(n_heads) * n_codes)[:, None, None]).ravel()
+        want = np.bincount(flat, weights=g.ravel(),
+                           minlength=n_heads * n_codes).reshape(n_heads, n_codes)
         want[:, 0] = 0.0
-        np.testing.assert_array_equal(table.grad, want.reshape(table_shape))
+        np.testing.assert_array_equal(got, want)
+
+        pair_t, pair_m = np.indices((4, 5))
+        for folded, grid, n in zip(_fold_code_grad(got, 4, 5),
+                                   (pair_t, pair_m), (4, 5)):
+            rows = np.stack([np.bincount(grid.ravel(), weights=row,
+                                         minlength=n) for row in got])
+            rows[:, 0] = 0.0
+            np.testing.assert_array_equal(folded, rows)
 
     def test_none_code_gets_no_gradient(self):
-        table = Tensor(np.ones((2, 3)), requires_grad=True)
-        gather_codes(table, np.zeros((1, 3, 3), dtype=np.int64)).sum().backward()
-        np.testing.assert_array_equal(table.grad, np.zeros((2, 3)))
+        g = np.ones((1, 2, 3, 3))
+        np.testing.assert_array_equal(
+            _code_grad(g, np.zeros((1, 3, 3), dtype=np.int64), 20),
+            np.zeros((2, 20)))
+        for grad in _fold_code_grad(np.ones((2, 20)), 4, 5):
+            assert (grad[:, 0] == 0.0).all() and (grad[:, 1:] > 0.0).all()
 
     def test_out_of_range_code_rejected(self):
-        with pytest.raises(IndexError):
-            gather_codes(Tensor(np.zeros((2, 3))), np.full((2, 2), 3))
+        for bad in (20, -1):
+            with pytest.raises(IndexError):
+                _add_code_bias(np.zeros((1, 2, 2, 2)),
+                               _code_table(np.zeros((2, 4)), np.zeros((2, 5))),
+                               np.full((1, 2, 2), bad))
 
 
 class TestEncoderLayer:
@@ -402,22 +459,24 @@ class TestEncoderLayer:
                          [0.0, 0.0, 0.0, 0.0]])[:, None, :, None]
     codes_t = np.random.default_rng(7).integers(0, 3, size=(2, 4, 4))
     codes_m = np.random.default_rng(8).integers(0, 5, size=(2, 4, 4))
+    codes = codes_t * 5 + codes_m
 
     def build(self, h, *rest):
-        """h (2, 4, 8) through a two-head layer; the edge bias sums a
-        temporal and a modal table's gathers, as the encoder's does."""
+        """h (2, 4, 8) through a two-head layer, the second of two layers'
+        bias tables; its edge bias sums a temporal and a modal table's
+        entries at the pair codes, as the encoder's does."""
         params, table_t, table_m = rest[:15], rest[15], rest[16]
-        bias = (gather_codes(table_t, self.codes_t)
-                + gather_codes(table_m, self.codes_m))
-        return encoder_layer(h, params, 2, bias, self.key_bias)
+        return encoder_layer(h, params, 2, (table_t, table_m, 1, self.codes),
+                             self.key_bias)
 
     def arrays(self, seed):
         rng = np.random.default_rng(seed)
-        shapes = [(2, 4, 8)] + layer_shapes(8, 2) + [(2, 3), (2, 5)]
+        shapes = [(2, 4, 8)] + layer_shapes(8, 2) + [(2, 2, 3), (2, 2, 5)]
         return [rng.normal(size=s) for s in shapes]
 
     def test_grad_matches_central_differences(self):
-        """Over h, all 15 layer parameters and both bias tables."""
+        """Over h, all 15 layer parameters and both bias tables; the other
+        layer's table rows and the NONE columns get no gradient."""
         assert (self.codes_t == 0).any() and (self.codes_m == 0).any()
         weights = np.random.default_rng(2).normal(size=(2, 4, 8))
         shapes = [a.shape for a in self.arrays(0)]
@@ -448,10 +507,9 @@ class TestEncoderLayer:
     def build_rows(self, h, *rest):
         """`build` with only `rows` computed, over their code columns."""
         params, table_t, table_m = rest[:15], rest[15], rest[16]
-        codes_t, codes_m = (np.take_along_axis(c, self.rows[:, None, :], axis=2)
-                            for c in (self.codes_t, self.codes_m))
-        bias = gather_codes(table_t, codes_t) + gather_codes(table_m, codes_m)
-        return encoder_layer(h, params, 2, bias, self.key_bias, self.rows)
+        codes = np.take_along_axis(self.codes, self.rows[:, None, :], axis=2)
+        return encoder_layer(h, params, 2, (table_t, table_m, 1, codes),
+                             self.key_bias, self.rows)
 
     def test_rows_grad_matches_central_differences(self):
         """Over h, all 15 layer parameters and both bias tables."""
@@ -502,12 +560,14 @@ class TestEncoderLayer:
         rng = np.random.default_rng(9)
         params = [Tensor(rng.normal(size=s) * 0.1) for s in layer_shapes(dim, 2)]
         h = Tensor(rng.normal(size=(b, n, dim)))
-        bias = Tensor(rng.normal(size=(1, heads, n, n)))
+        edge = (Tensor(rng.normal(size=(1, heads, 4))),
+                Tensor(rng.normal(size=(1, heads, 5))), 0,
+                rng.integers(0, 20, size=(b, n, n)))
         with no_grad():
-            encoder_layer(h, params, heads, bias)   # warm numpy's caches
+            encoder_layer(h, params, heads, edge)   # warm numpy's caches
             tracemalloc.start()
             try:
-                encoder_layer(h, params, heads, bias)
+                encoder_layer(h, params, heads, edge)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -515,10 +575,207 @@ class TestEncoderLayer:
 
     def test_rejects_nan(self):
         arrays = self.arrays(4)
-        arrays[-1][0, 1] = np.nan
+        arrays[-1][1, 1] = np.nan
         for context in (contextlib.nullcontext, no_grad):
             with context(), pytest.raises(ValueError, match="NaN"):
                 self.build(*[Tensor(a, requires_grad=True) for a in arrays])
+
+
+# ----------------------------------------------------------------------
+# the model's fused nodes and the composed chains they replace
+
+# a padded batch of 3 graphs: 5 text rows, 4 visual rows (2 of them CLS)
+EMB_TOKENS = np.array([[5, 1, 1, 0, 6], [5, 2, 3, 3, 6], [5, 0, 0, 4, 6]])
+EMB_SEGMENTS = np.array([[0, 1, 1, 2, 2, 1, 1, 2, 0],
+                         [0, 3, 3, 1, 1, 3, 2, 2, 3],
+                         [0, 1, 2, 2, 2, 0, 1, 0, 0]])
+EMB_CLS = np.array([[1.0, 0.0, 1.0, 0.0], [1.0, 0.0, 0.0, 1.0],
+                    [0.0, 1.0, 1.0, 0.0]])
+EMB_FEATURES = np.random.default_rng(10).normal(size=(3, 4, 3)) * (1 - EMB_CLS)[..., None]
+EMB_BOXES = np.random.default_rng(11).uniform(size=(3, 4, 6)) * (1 - EMB_CLS)[..., None]
+EMB_SHAPES = [(7, 6), (5, 6), (4, 6), (3, 6), (6,), (6, 6), (6,), (6,)]
+
+
+def composed_node_embedding(tok, pos, seg, vis_w, vis_b, box_w, box_b, vis_cls):
+    n_text = EMB_TOKENS.shape[1]
+    h_text = (tok[EMB_TOKENS] + pos[np.arange(n_text)]
+              + seg[EMB_SEGMENTS[:, :n_text]])
+    obj_mask = Tensor((1.0 - EMB_CLS)[..., None])
+    cls_mask = Tensor(EMB_CLS[..., None])
+    h_vis = (linear(Tensor(EMB_FEATURES), vis_w, vis_b) * obj_mask
+             + vis_cls * cls_mask + linear(Tensor(EMB_BOXES), box_w, box_b)
+             + seg[EMB_SEGMENTS[:, n_text:]])
+    return concat([h_text, h_vis], axis=1)
+
+
+def fused_node_embedding(*params):
+    return node_embedding(params, EMB_TOKENS, np.arange(5), EMB_SEGMENTS,
+                          EMB_FEATURES, EMB_BOXES, EMB_CLS)
+
+
+def composed_tanh_mlp(x, w1, b1, w2, b2=None):
+    return linear(linear(x, w1, b1).tanh(), w2, b2)
+
+
+def composed_split_mlps(h, *params):
+    return concat([composed_tanh_mlp(h[:, :3], *params[:4]),
+                   composed_tanh_mlp(h[:, 3:], *params[4:])], axis=1)
+
+
+def fused_split_mlps(h, *params):
+    return split_tanh_mlps(h, 3, params[:4], params[4:])
+
+
+def composed_pair_sequence(ht, hv, cls, sep, *proj):
+    if proj:
+        ht, hv = linear(ht, *proj), linear(hv, *proj)
+    zeros = Tensor(np.zeros((ht.shape[0], 1, cls.shape[0])))
+    return concat([zeros + cls, ht, zeros + sep, hv], axis=1)
+
+
+def fused_pair_sequence(ht, hv, cls, sep, *proj):
+    return pair_sequence(ht, hv, cls, sep, proj or None)
+
+
+def composed_readout(h, w1, b1, w2):
+    return composed_tanh_mlp(h[:, 0], w1, b1, w2)[:, 0]
+
+
+GOLD = np.array([2, 0, 3, 3, 1])
+
+
+def composed_cross_entropy(scores):
+    picked = scores[(np.arange(scores.shape[0]), GOLD)]
+    return (logsumexp(scores, axis=-1) - picked).mean()
+
+
+# two graphs of 4 text and 5 visual CLS rows; instance 0 reads 3 aligned
+# rows of graph 1 and 4 negatives, instance 1 one row of graph 0 and 2
+# negatives (repeats included)
+NCE_INDEX = ((np.array([[1], [0]]), np.array([[0, 2, 3], [1, 0, 0]])),
+             (np.array([[1], [0]]), np.arange(3)),
+             (np.array([[0, 0, 1, 0], [1, 1, 0, 0]]),
+              np.array([[0, 4, 2, 0], [3, 4, 0, 0]])))
+NCE_ROWS, NCE_NEG = np.array([3, 1]), np.array([4, 2])
+
+
+def composed_info_nce(t, v, u, tau, inclusive, n_rows, n_neg):
+    """The batched InfoNCE formula composed from tape ops."""
+
+    def unit(x, valid):
+        sq = (x * x).sum(axis=-1, keepdims=True)
+        if not valid.all():
+            sq = sq + np.where(valid, 0.0, 1.0)[..., None]
+        return x / sq.sqrt()
+
+    rows = np.arange(t.shape[1]) < n_rows[:, None]
+    negs = np.arange(u.shape[1]) < n_neg[:, None]
+    t_hat, v_hat, u_hat = unit(t, rows), unit(v, rows), unit(u, negs)
+    pos_logit = (t_hat * v_hat).sum(axis=-1, keepdims=True) * (1.0 / tau)
+    neg_logits = (t_hat @ u_hat.swapaxes(-1, -2)) * (1.0 / tau)
+    if not negs.all():
+        neg_logits = neg_logits + np.where(negs, 0.0, -np.inf)[:, None, :]
+    logits = (concat([pos_logit, neg_logits], axis=-1) if inclusive
+              else neg_logits)
+    per_row = logsumexp(logits, axis=-1, keepdims=True) - pos_logit
+    if not rows.all():
+        per_row = per_row * rows[..., None]
+    return (per_row.sum(axis=(1, 2)) * (1.0 / n_rows)).mean()
+
+
+def composed_coherence(ht, hv, inclusive):
+    return composed_info_nce(ht[NCE_INDEX[0]], hv[NCE_INDEX[1]],
+                             hv[NCE_INDEX[2]], 0.3, inclusive, NCE_ROWS, NCE_NEG)
+
+
+def fused_coherence(ht, hv, inclusive):
+    return info_nce(ht, hv, hv, 0.3, inclusive, NCE_ROWS, NCE_NEG, NCE_INDEX)
+
+
+# hv also feeds another node whose gradient reaches it first, as the
+# scorer input does in the model, so the order in which the positive and
+# negative rows' gradients are added to it shows in the last bits
+NCE_OTHER = np.random.default_rng(16).normal(size=(2, 5, 6))
+
+
+FUSED_CASES = {
+    # name: (fused, composed, input shapes)
+    "node_embedding": (fused_node_embedding, composed_node_embedding,
+                       EMB_SHAPES),
+    "split_tanh_mlps": (fused_split_mlps, composed_split_mlps,
+                        [(2, 5, 4)] + [(4, 4), (4,), (4, 3), (3,)] * 2),
+    "pair_sequence": (fused_pair_sequence, composed_pair_sequence,
+                      [(2, 3, 4), (2, 2, 4), (4,), (4,)]),
+    "pair_sequence_projected": (fused_pair_sequence, composed_pair_sequence,
+                                [(2, 3, 4), (2, 2, 4), (6,), (6,), (4, 6),
+                                 (6,)]),
+    "mlp_readout": (mlp_readout, composed_readout,
+                    [(4, 3, 5), (5, 5), (5,), (5, 1)]),
+    "cross_entropy": (lambda x: cross_entropy(x, GOLD), composed_cross_entropy,
+                      [(5, 4)]),
+    "info_nce": (lambda t, v: fused_coherence(t, v, True),
+                 lambda t, v: composed_coherence(t, v, True),
+                 [(2, 4, 6), (2, 5, 6)]),
+    "info_nce_exclusive": (lambda t, v: fused_coherence(t, v, False),
+                           lambda t, v: composed_coherence(t, v, False),
+                           [(2, 4, 6), (2, 5, 6)]),
+    "info_nce_after_other_use": (
+        lambda t, v: (v * NCE_OTHER).sum() + fused_coherence(t, v, True),
+        lambda t, v: (v * NCE_OTHER).sum() + composed_coherence(t, v, True),
+        [(2, 4, 6), (2, 5, 6)]),
+    "add_scaled": (lambda a, b: add_scaled(a, b, 0.3),
+                   lambda a, b: a + 0.3 * b, [(), ()]),
+}
+
+
+class TestFusedModelOps:
+    """Each fused node of the training step against the composed chain it
+    replaced: bit-identical values and gradients, and central
+    differences."""
+
+    @pytest.mark.parametrize("name", sorted(FUSED_CASES))
+    def test_repeats_composed_arithmetic(self, name):
+        fused, composed, shapes = FUSED_CASES[name]
+        rng = np.random.default_rng(12)
+        arrays = [rng.normal(size=s) for s in shapes]
+        results, weights = [], None
+        for fn in (fused, composed):
+            leaves = [Tensor(a, requires_grad=True) for a in arrays]
+            # the first input is an interior node, as in the model
+            out = fn(leaves[0] * 1.0, *leaves[1:])
+            if weights is None:
+                weights = rng.normal(size=out.shape)
+            (out * weights).sum().backward()
+            results.append([out.data] + [t.grad for t in leaves])
+        for got, want in zip(*results):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("name", sorted(FUSED_CASES))
+    def test_grad_matches_central_differences(self, name):
+        fused, _, shapes = FUSED_CASES[name]
+        out_shape = fused(*[Tensor(np.ones(s)) for s in shapes]).shape
+        weights = np.random.default_rng(13).normal(size=out_shape)
+        check_op(lambda *t: (fused(*t) * weights).sum(), *shapes, seed=14)
+
+    def test_node_embedding_without_visual_rows(self):
+        """Text-only graphs: only the text tables are parents."""
+        params = [Tensor(np.random.default_rng(15).normal(size=s),
+                         requires_grad=True) for s in EMB_SHAPES]
+        out = node_embedding(params, EMB_TOKENS, np.arange(5),
+                             EMB_SEGMENTS[:, :5], np.zeros((3, 0, 3)),
+                             np.zeros((3, 0, 6)), np.zeros((3, 0)))
+        assert out.shape == (3, 5, 6) and len(out._parents) == 3
+        out.sum().backward()
+        assert all(p.grad is None for p in params[3:])
+
+    def test_info_nce_rejects_zero_norm_and_empty_counts(self):
+        t = Tensor(np.ones((1, 2, 3)))
+        with pytest.raises(ValueError, match="zero-norm"):
+            info_nce(t, Tensor(np.zeros((1, 2, 3))), t, 0.1)
+        with pytest.raises(ValueError, match="negative"):
+            info_nce(t, t, t, 0.1, n_rows=[2], n_neg=[0])
+        with pytest.raises(ValueError, match="aligned row"):
+            info_nce(t, t, t, 0.1, n_rows=[0], n_neg=[2])
 
 
 class TestNoGrad:

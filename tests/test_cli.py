@@ -208,6 +208,28 @@ class TestTrainEval:
         dumps = json.load(open(metrics + ".graphs.json"))
         assert dumps and {"nodes", "phi_t_rle", "phi_m_rle"} <= dumps[0].keys()
 
+    def test_eval_dump_graphs_shows_the_ablation(self, workspace):
+        """Under --ablation no_temporal the dump shows the graphs that were
+        scored: every phi_t is a single run of NONE."""
+        tmp_path, _, corpus_path = workspace
+        run_path = write_run_config(tmp_path, corpus_path)
+        ckpt = os.path.join(tmp_path, "model.ckpt")
+        assert main(["train", "--config", run_path,
+                     "--checkpoint-out", ckpt]) == 0
+        tasks = os.path.join(tmp_path, "tasks.jsonl")
+        assert main(["make-tasks", "--corpus", corpus_path, "--task", "cloze",
+                     "--n-candidates", "2", "--out", tasks]) == 0
+        metrics = os.path.join(tmp_path, "eval.json")
+        assert main(["--metrics-out", metrics, "--dump-graphs", "eval",
+                     "--checkpoint", ckpt, "--tasks", tasks,
+                     "--corpus", corpus_path, "--ablation", "no_temporal"]) == 0
+        dumps = json.load(open(metrics + ".graphs.json"))
+        assert dumps
+        for dump in dumps:
+            n = len(dump["nodes"])
+            assert dump["phi_t_rle"] == [[0, n * n]]
+            assert any(code != 0 for code, _ in dump["phi_m_rle"])
+
     def test_eval_missing_checkpoint_is_checkpoint_error(self, workspace):
         tmp_path, _, corpus_path = workspace
         tasks = os.path.join(tmp_path, "tasks.jsonl")

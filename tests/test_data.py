@@ -162,6 +162,46 @@ class TestCorpusIO:
         with pytest.raises(CorpusError, match="integer"):
             corpus_from_dict(payload)
 
+    # each value would load without error if converted or parsed
+    @pytest.mark.parametrize("field,value", [
+        ("feature", "1.44"), ("feature", True), ("feature", float("nan")),
+        ("feature", float("inf")), ("confidence", "0.7"),
+        ("confidence", False), ("box", "0.1"), ("box", False),
+        ("grounding_box", "0.1"), ("token", 5), ("doc_id", 7),
+        ("image_id", 7), ("entity_id", 7), ("domain_tag", 1),
+    ], ids=["feature-string", "feature-bool", "feature-nan", "feature-inf",
+            "confidence-string", "confidence-bool", "box-string", "box-bool",
+            "grounding-box-string", "token-number", "doc_id-number",
+            "image_id-number", "entity_id-number", "domain_tag-number"])
+    def test_json_types_are_strict(self, tmp_path, field, value):
+        """Numbers must be finite JSON numbers, never booleans or strings;
+        ids, tokens and tags must be strings. Loaded through a JSON file,
+        as `tmeg` reads it; each mistyped value raises CorpusError."""
+        payload = corpus_to_dict(generate_synthetic_corpus(tiny_config()))
+        doc = payload["documents"][0]
+        step = doc["steps"][0]
+        phrase = step["noun_phrases"][0]
+        image = step["images"][0]
+        obj = image["objects"][0]
+        if field in ("feature", "box"):
+            obj[field][1] = value
+        elif field == "confidence":
+            obj["confidence"] = value
+        elif field == "grounding_box":
+            next(iter(phrase["grounding_boxes"].values()))[0] = value
+        elif field == "token":
+            step["tokens"][0] = value
+        elif field == "entity_id":
+            phrase["entity_id"] = value
+        elif field == "image_id":
+            image["image_id"] = value
+        else:
+            doc[field] = value
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CorpusError):
+            load_corpus(path)
+
     def test_malformed_json_reports_location(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"d_v": 4, "documents": [')

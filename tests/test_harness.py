@@ -15,12 +15,13 @@ import pytest
 from tmeg.data import Corpus, SyntheticConfig, build_vocab, generate_synthetic_corpus
 from tmeg.autodiff import no_grad
 from tmeg.harness import (
-    RunConfig, TrainError, _batch_scores, evaluate,
-    evaluate_prepared, load_model, make_instances, prepare_instances,
-    save_model, score_prepared, sweep_lambda_b, train, transfer,
+    RunConfig, TrainError, _batch_loss, _batch_scores, _restore, _snapshot,
+    evaluate, evaluate_prepared, load_model, make_instances,
+    prepare_instances, save_model, score_prepared, sweep_lambda_b, train,
+    transfer,
 )
 from tmeg.model import ModelConfig, TmegModel, init_params
-from tmeg.optim import CheckpointError
+from tmeg.optim import CheckpointError, ParamStore, adam_step, grad_eval
 
 
 def tiny_corpus(seed=0, num_docs=3, **overrides):
@@ -172,6 +173,60 @@ class TestTraining:
         assert result.report.average_accuracy == (
             result.report.curves[result.best_epoch - 1]["valid_accuracy"])
 
+    def test_restore_copies_into_the_parameter_views(self):
+        corpus = tiny_corpus()
+        model = TmegModel(tiny_run_config().model, build_vocab(corpus), seed=0)
+        store = model.store
+        tensors = {name: p.tensor for name, p in store.params.items()}
+        snap = _snapshot(store)
+        before = {name: (p.value.copy(), p.m1.copy()) for name, p in store.params.items()}
+        prepared = prepare_instances(corpus, make_instances(corpus, ["cloze"], 2, 0),
+                                     7.0, 0.5)
+        grad_eval(_batch_loss(model, prepared, tiny_run_config(),
+                              np.random.default_rng(0)), store)
+        adam_step(store, 0.1)
+        _restore(store, snap)
+        assert store.step_count == 0
+        for name, p in store.params.items():
+            assert p.tensor is tensors[name] and model.p(name) is p.tensor
+            assert np.shares_memory(p.value, store.flat[0])
+            np.testing.assert_array_equal(p.value, before[name][0])
+            np.testing.assert_array_equal(p.m1, before[name][1])
+
+    def test_one_training_step_is_a_short_tape(self):
+        """A criterion-6 training step's loss reaches at most 15 non-leaf
+        tape nodes: one per embedding, modality-MLP, transformer layer,
+        CLS split, scorer input, readout, score reshape and loss node."""
+        syn = SyntheticConfig(num_docs=16, steps_min=7, steps_max=7,
+                              tokens_per_step_min=3, tokens_per_step_max=3,
+                              entity_vocab_size=24, token_vocab_size=30,
+                              objects_per_image_min=3, objects_per_image_max=3,
+                              images_per_step=1, d_v=8, n_candidates=4,
+                              seed=123, feature_noise_sigma=0.1,
+                              roster_size=3, box_grid=True)
+        corpus = generate_synthetic_corpus(syn)
+        model_cfg = ModelConfig(d_model=32, n_heads=4, n_layers=2,
+                                ffn_multiplier=2, scorer_layers=2,
+                                scorer_heads=4, tau=0.07, k_negatives=8,
+                                lambda_b=0.1, token_vocab_size=64, d_v=8,
+                                max_steps=16, init_scale=0.1)
+        cfg = RunConfig(model=model_cfg, tasks=["cloze"], batch_size=16,
+                        learning_rate=1e-3, n_candidates=4, seed=0)
+        model = TmegModel(model_cfg, build_vocab(corpus), seed=0)
+        instances = make_instances(corpus, cfg.tasks, cfg.n_candidates, 0)
+        prepared = prepare_instances(corpus, instances[:cfg.batch_size],
+                                     cfg.lambda_t, cfg.lambda_m)
+        loss = _batch_loss(model, prepared, cfg, np.random.default_rng(0))
+        seen, stack, interior = {id(loss)}, [loss], 0
+        while stack:
+            node = stack.pop()
+            interior += bool(node._parents)
+            for parent in node._parents:
+                if id(parent) not in seen:
+                    seen.add(id(parent))
+                    stack.append(parent)
+        assert interior <= 15
+
     def test_vocab_overflow_rejected(self):
         cfg = tiny_run_config()
         cfg.model = ModelConfig(d_model=8, n_heads=2, n_layers=1,
@@ -262,10 +317,10 @@ class TestPersistence:
     def test_parameter_shapes_checked_against_config(self, tmp_path):
         corpus = tiny_corpus()
         model = TmegModel(tiny_run_config().model, build_vocab(corpus), seed=0)
-        table = model.store["bias_t"]
-        table.value = table.value[:, :1]
-        model.store.moment1["bias_t"] = np.zeros_like(table.value)
-        model.store.moment2["bias_t"] = np.zeros_like(table.value)
+        store = ParamStore()
+        for name, p in model.store.params.items():
+            store.add(name, p.value[:, :1] if name == "bias_t" else p.value)
+        model.store = store
         path = os.path.join(tmp_path, "model.ckpt")
         save_model(path, model)
         with pytest.raises(CheckpointError, match="bias_t"):

@@ -12,9 +12,12 @@ import numpy as np
 import pytest
 from scipy.special import erf, softmax as scipy_softmax
 
-from tmeg.autodiff import Tensor, concat, gather_codes, linear, logsumexp
+from tmeg.autodiff import (
+    Tensor, _add_code_bias, _code_grad, _code_table, _fold_code_grad, concat,
+    linear, logsumexp,
+)
 from tmeg.data import SyntheticConfig, build_vocab, generate_synthetic_corpus
-from tmeg.graph import N_MODAL_CODES
+from tmeg.graph import N_MODAL_CODES, N_TEMPORAL_CODES
 from tmeg.harness import (
     RunConfig, ablate_graph, make_instances, prepare_instances, _batch_loss,
     _batch_scores,
@@ -56,6 +59,26 @@ def reference_layer(h, params, prefix, n_heads):
     h1 = ln(merged @ p("wo") + p("bo") + h, p("ln1_g"), p("ln1_b"))
     ffn = gelu(h1 @ p("ffn_w1") + p("ffn_b1")) @ p("ffn_w2") + p("ffn_b2")
     return ln(ffn + h1, p("ln2_g"), p("ln2_b"))
+
+
+def edge_bias(model, layer, codes):
+    """The (..., H, N, M) edge bias fusion layer `layer` adds to its
+    logits at pair codes `codes`, read with the layer's own gather."""
+    table = _code_table(model.store["bias_t"].value[layer],
+                        model.store["bias_m"].value[layer])
+    codes = np.asarray(codes)
+    out = np.zeros(codes.shape[:-2] + (len(table),) + codes.shape[-2:])
+    _add_code_bias(out, table, codes)
+    return out
+
+
+def gather_table(table, codes):
+    """table[..., codes] composed from tape ops, code 0 reading 0, laid out
+    (*batch, *lead, N, M): one table's reference gather."""
+    masked = table * (np.arange(table.shape[-1]) > 0)
+    if table.ndim == 1:
+        return masked[codes]
+    return masked[:, codes].swapaxes(0, 1)
 
 
 def small_config(**overrides):
@@ -340,8 +363,15 @@ class TestEdgeBias:
         store["bias_m"].value[:] = -3.0
         model = TmegModel(cfg, {"<unk>": 0}, store=store)
         codes = np.zeros((4, 4), dtype=np.int64)
-        bias = model._edge_bias(0, codes)
-        np.testing.assert_array_equal(bias.data, np.zeros((cfg.n_heads, 4, 4)))
+        bias = edge_bias(model, 0, codes)
+        np.testing.assert_array_equal(bias, np.zeros((cfg.n_heads, 4, 4)))
+        # and the layer's output ignores the tables at NONE codes
+        h = Tensor(np.random.default_rng(1).normal(size=(1, 4, cfg.d_model)))
+        out = model.fusion_layer(h, codes[None], layer=0).data
+        store["bias_t"].value[:] = 0.0
+        store["bias_m"].value[:] = 0.0
+        np.testing.assert_array_equal(
+            model.fusion_layer(h, codes[None], layer=0).data, out)
 
     def test_logit_difference_localized_to_temporal_entries(self):
         """no_temporal may only change logits where phi_t is labeled."""
@@ -357,9 +387,9 @@ class TestEdgeBias:
             ablated = ablate_graph(graph, "no_temporal")
             assert not ablated.phi_t.any()
             for layer in range(model.config.n_layers):
-                full = model._edge_bias(layer, edge_codes(graph.phi_t, graph.phi_m))
-                cut = model._edge_bias(layer, edge_codes(ablated.phi_t, ablated.phi_m))
-                diff = full.data - cut.data
+                full = edge_bias(model, layer, edge_codes(graph.phi_t, graph.phi_m))
+                cut = edge_bias(model, layer, edge_codes(ablated.phi_t, ablated.phi_m))
+                diff = full - cut
                 assert (diff[:, graph.phi_t == 0] == 0.0).all()
 
     def test_bias_is_shared_within_code(self):
@@ -367,17 +397,18 @@ class TestEdgeBias:
         model.store["bias_t"].value[0, 0, 1] = 2.5
         phi_t = np.array([[0, 1], [1, 0]])
         phi_m = np.zeros((2, 2), dtype=np.int64)
-        bias = model._edge_bias(0, edge_codes(phi_t, phi_m))
-        np.testing.assert_allclose(bias.data[0], [[0.0, 2.5], [2.5, 0.0]])
+        bias = edge_bias(model, 0, edge_codes(phi_t, phi_m))
+        np.testing.assert_allclose(bias[0], [[0.0, 2.5], [2.5, 0.0]])
 
     @pytest.mark.parametrize("clear_t", [False, True])
     @pytest.mark.parametrize("clear_m", [False, True])
     @pytest.mark.parametrize("head", [1, slice(None)])
     def test_one_gather_matches_per_table_gathers(self, clear_t, clear_m, head):
-        """On the pair codes of a padded batch of ablated graphs, the one
-        code-pair gather reads exactly the sum of one gather per table
-        that the ablation keeps, over the unablated codes, for one head
-        and for all; and it passes both tables the same gradients."""
+        """On the pair codes of a padded batch of ablated graphs, the
+        layer's one code-pair gather reads exactly the sum of one gather
+        per table that the ablation keeps, over the unablated codes, for
+        one head and for all; and its per-head bincount, folded onto both
+        tables, equals their gradients through those per-table gathers."""
         model, full = mixed_structure_setup()
         _, ablated = mixed_structure_setup(ablation=ABLATION[clear_t, clear_m])
         codes = prepare_batch([g for p in full for g in p.graphs],
@@ -386,25 +417,28 @@ class TestEdgeBias:
         layer = 1
         tables = {name: Tensor(model.store[name].value.copy(), requires_grad=True)
                   for name in ("bias_t", "bias_m")}
-        got = model._edge_bias(layer, prepare_batch(
-            [g for p in ablated for g in p.graphs], model.vocab,
-            model.config).codes)[:, head]
+        cut = prepare_batch([g for p in ablated for g in p.graphs], model.vocab,
+                            model.config).codes
+        biases = edge_bias(model, layer, cut)
+        got = biases[:, head]
         want = Tensor(np.zeros(got.shape))
         for name, phi, off in (("bias_t", phi_t, clear_t),
                                ("bias_m", phi_m, clear_m)):
             if not off:
-                want = want + gather_codes(tables[name][layer, head], phi)
-        np.testing.assert_array_equal(got.data, want.data)
-        weights = np.random.default_rng(4).normal(size=got.shape)
+                want = want + gather_table(tables[name][layer, head], phi)
+        np.testing.assert_array_equal(got, want.data)
+        weights = np.zeros(biases.shape)
+        weights[:, head] = np.random.default_rng(4).normal(size=got.shape)
         if want.requires_grad:   # not when both tables are cleared
-            (want * weights).sum().backward()
-        (got * weights).sum().backward()
-        for name, table in tables.items():
-            mine = model.store[name].tensor.grad
+            (want * weights[:, head]).sum().backward()
+        mine = _fold_code_grad(
+            _code_grad(weights, cut, N_TEMPORAL_CODES * N_MODAL_CODES),
+            N_TEMPORAL_CODES, N_MODAL_CODES)
+        for grad, table in zip(mine, tables.values()):
             if table.grad is None:
-                assert mine is None or not mine.any()
+                assert not grad.any()
             else:
-                np.testing.assert_allclose(mine, table.grad, rtol=1e-12,
+                np.testing.assert_allclose(grad, table.grad[layer], rtol=1e-12,
                                            atol=1e-12)
 
     @pytest.mark.parametrize("ablation", ["no_temporal", "no_modal", "no_both"])

@@ -41,6 +41,21 @@ class TestParamStore:
         p = store.add("a", np.array([1, 2], dtype=np.int32))
         assert p.value.dtype == np.float64
 
+    def test_arrays_are_views_of_the_flat_vectors(self):
+        """Values, gradients and both moments of every parameter live in
+        the store's four flat vectors, also after the store grew."""
+        store = quadratic_store()
+        for k in range(20):
+            store.add(f"extra{k}", np.full((k % 3, 2), float(k)))
+        assert store.flat.shape == (4, 3 + 4 + sum(2 * (k % 3) for k in range(20)))
+        np.testing.assert_array_equal(store["x"].value, [1.0, -2.0, 0.5])
+        np.testing.assert_array_equal(store["extra5"].value, np.full((2, 2), 5.0))
+        for p in store.params.values():
+            for row, arr in enumerate((p.value, p.gradient, p.m1, p.m2)):
+                assert arr.size == 0 or np.shares_memory(arr, store.flat[row])
+        store.flat[0] += 1.0
+        np.testing.assert_array_equal(store["x"].value, [2.0, -1.0, 1.5])
+
 
 class TestGradEval:
 
@@ -86,8 +101,34 @@ class TestAdam:
     def test_grads_cleared_after_step(self):
         store = quadratic_store()
         grad_eval(quadratic_loss(store), store)
+        assert store["x"].gradient.any()
         adam_step(store, lr=0.01)
-        assert store["x"].tensor.grad is None
+        assert not store.flat[1].any()
+        assert not store["x"].gradient.any()
+
+    def test_flat_update_bit_identical_to_per_parameter_loop(self):
+        """Reference: the bias-corrected update applied one parameter at a
+        time, as separate arrays."""
+        store = quadratic_store()
+        ref = {name: [p.value.copy(), np.zeros_like(p.value),
+                      np.zeros_like(p.value)] for name, p in store.params.items()}
+        for t in range(1, 6):
+            grad_eval(quadratic_loss(store) * float(t), store)
+            grads = {name: p.gradient.copy() for name, p in store.params.items()}
+            adam_step(store, lr=0.05)
+            for name, (value, m, v) in ref.items():
+                g = grads[name]
+                m *= 0.9
+                m += (1 - 0.9) * g
+                v *= 0.999
+                v += (1 - 0.999) * g * g
+                m_hat = m / (1 - 0.9 ** t)
+                v_hat = v / (1 - 0.999 ** t)
+                ref[name][0] = value - 0.05 * m_hat / (np.sqrt(v_hat) + 1e-8)
+        for name, (value, m, v) in ref.items():
+            np.testing.assert_array_equal(store[name].value, value)
+            np.testing.assert_array_equal(store[name].m1, m)
+            np.testing.assert_array_equal(store[name].m2, v)
 
     def test_step_counter_advances(self):
         store = quadratic_store()
@@ -147,10 +188,8 @@ class TestCheckpoints:
         assert loaded.names() == store.names()
         for name in store.names():
             np.testing.assert_array_equal(loaded[name].value, store[name].value)
-            np.testing.assert_array_equal(loaded.moment1[name],
-                                          store.moment1[name])
-            np.testing.assert_array_equal(loaded.moment2[name],
-                                          store.moment2[name])
+            np.testing.assert_array_equal(loaded[name].m1, store[name].m1)
+            np.testing.assert_array_equal(loaded[name].m2, store[name].m2)
         assert loaded.step_count == store.step_count
 
     def test_resume_matches_uninterrupted_run(self, tmp_path):
