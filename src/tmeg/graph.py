@@ -11,15 +11,16 @@ algebra over per-node arrays: a symmetric, off-diagonal boolean N x N mask
 written with first-write precedence, `phi[mask & (phi == NONE)] = code`.
 
 `assemble_candidate_graphs` labels the candidates of one context with one
-`assemble_graph` call over the union of their images and slices each
-candidate out: its code matrices and its rows of the union's node arrays.
-Every candidate shares the union's text `Node`s; only its visual nodes are
-built for it. That is exact: a pair's codes depend only on the two nodes'
+`assemble_graph` call over the union of their images and slices all of
+them out at once: a (K, L) index of union rows, padded with an appended
+NONE row, gathers a (K, L, L) stack per code matrix and the candidates'
+node arrays. That is exact: a pair's codes depend only on the two nodes'
 own attributes, the text nodes and the groundings in one (step, image)
 scope, all the same in the union as in the candidate. The exception is a
 candidate that repeats an image: the copies share a `unit_id`, so their
 node pairs are INTRA_VIS, but the union holds one copy and the slice would
-read them from its NONE diagonal, so they are set from the candidate.
+read them from its NONE diagonal, so they are set from the index. A
+candidate's `Node` list is built only when something reads it.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ class Node:
 
 @dataclass
 class TmegGraph:
-    nodes: list[Node]
+    _nodes: list[Node] | tuple[list[Node], list[StepImage]]   # or (text nodes, images)
     phi_t: np.ndarray
     phi_m: np.ndarray
     candidate_index: int = -1
@@ -87,23 +88,42 @@ class TmegGraph:
             self.arrays = node_arrays(self.nodes)
 
     @property
+    def nodes(self) -> list[Node]:
+        if isinstance(self._nodes, tuple):     # the visual nodes are built on first read
+            text, images = self._nodes
+            self._nodes = text + _visual_nodes(images, len(text))
+        return self._nodes
+
+    @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
+        return len(self.arrays.kind)
+
+    def numbered(self, candidate_index: int) -> TmegGraph:
+        """A copy with its own `candidate_index` that shares the nodes, code
+        matrices and arrays."""
+        return TmegGraph(self._nodes, self.phi_t, self.phi_m, candidate_index, self.arrays)
 
     def validate(self):
         """Raise ValueError unless both code matrices are N x N, symmetric,
         NONE on the diagonal and inside their code vocabularies."""
-        n = self.n_nodes
-        for name, phi, n_codes in (("phi_t", self.phi_t, N_TEMPORAL_CODES),
-                                   ("phi_m", self.phi_m, N_MODAL_CODES)):
-            if phi.shape != (n, n):
-                raise ValueError(f"{name} has shape {phi.shape}, expected {(n, n)}")
-            if not (phi == phi.T).all():
-                raise ValueError(f"{name} not symmetric")
-            if phi.diagonal().any():
-                raise ValueError(f"{name} has a non-NONE diagonal entry")
-            if phi.size and (phi.min() < 0 or phi.max() >= n_codes):
-                raise ValueError(f"{name} has codes outside [0, {n_codes})")
+        check_code_stack(self.phi_t[None], self.phi_m[None], [self.n_nodes])
+
+
+def check_code_stack(phi_t: np.ndarray, phi_m: np.ndarray, sizes: list[int]) -> None:
+    """Raise ValueError naming the first bad candidate unless both stacks
+    are (K, L, L), L = max(sizes), symmetric, NONE on the diagonal and
+    inside their code vocabularies."""
+    shape = (len(sizes),) + (max(sizes, default=0),) * 2
+    for name, phi, n_codes in (("phi_t", phi_t, N_TEMPORAL_CODES),
+                               ("phi_m", phi_m, N_MODAL_CODES)):
+        if phi.shape != shape:
+            raise ValueError(f"{name} has shape {phi.shape}, expected {shape}")
+        for bad, what in ((phi != phi.transpose(0, 2, 1), "not symmetric"),
+                          (np.diagonal(phi, axis1=1, axis2=2), "has a non-NONE diagonal entry"),
+                          ((phi < 0) | (phi >= n_codes), f"has codes outside [0, {n_codes})")):
+            if bad.any():
+                k = int(bad.reshape(len(bad), -1).any(axis=1).argmax())
+                raise ValueError(f"candidate {k}: {name} {what}")
 
 
 # ----------------------------------------------------------------------
@@ -328,38 +348,49 @@ def assemble_candidate_graphs(steps: list[Step], candidates: list[list[StepImage
                               lambda_t: float = DEFAULT_LAMBDA_T,
                               lambda_m: float = DEFAULT_LAMBDA_M) -> list[TmegGraph]:
     """One graph per candidate, equal to `assemble_graph(steps, candidate,
-    ..., candidate_index=c)`, labeled by one `assemble_graph` call over the
-    union of the candidates' images (see the module docstring)."""
+    ..., candidate_index=c)`, sliced out of one `assemble_graph` call over
+    the union of the candidates' images (see the module docstring)."""
     union: dict[str, StepImage] = {}
     for image in itertools.chain.from_iterable(candidates):
         if union.setdefault(image.image_id, image) is not image:
             raise ValueError(f"two different images share the id {image.image_id!r}")
     whole = assemble_graph(steps, list(union.values()), lambda_t, lambda_m)
-    arr, n_text = whole.arrays, whole.arrays.n_text
-    sizes = [1 + len(image.objects) for image in union.values()]
-    rows = {image_id: np.arange(start, start + size)   # image id -> its nodes in `whole`
-            for image_id, start, size in zip(
-                union, itertools.accumulate(sizes, initial=n_text), sizes)}
-    obj_row = np.cumsum(arr.kind == OBJECT) - 1        # node -> its row of features, boxes
-    graphs = []
-    for ci, cand in enumerate(candidates):
-        idx = np.concatenate([np.arange(n_text)] + [rows[image.image_id] for image in cand])
-        sub = idx[:, None], idx
-        phi_m = whole.phi_m[sub]
-        repeat = idx[:, None] == idx     # node pairs of a repeated image's copies
-        np.fill_diagonal(repeat, False)
-        phi_m[repeat] = ModalCode.INTRA_VIS
-        visual = _visual_nodes(cand, n_text)
-        kind = arr.kind[idx]
-        objects = obj_row[idx[kind == OBJECT]]
-        step = np.array([n.step_index for n in visual], dtype=np.int64)
-        arrays = SimpleNamespace(n_text=n_text, kind=kind, token=arr.token,
-                                 step=np.concatenate([arr.step[:n_text], step]),
-                                 features=arr.features[objects], boxes=arr.boxes[objects])
-        graph = TmegGraph(whole.nodes[:n_text] + visual, whole.phi_t[sub], phi_m, ci, arrays)
-        graph.validate()
-        graphs.append(graph)
-    return graphs
+    arr, n, n_text, k = whole.arrays, whole.n_nodes, whole.arrays.n_text, len(candidates)
+    # every candidate image, candidates in order: its union slot `image` and `owner`;
+    # then every node of those images: its image `of`, owner `at` and column `col`
+    slot = {image_id: u for u, image_id in enumerate(union)}
+    image = np.array([slot[im.image_id] for cand in candidates for im in cand], dtype=np.int64)
+    owner = np.repeat(np.arange(k), [len(cand) for cand in candidates])
+    size = np.array([1 + len(im.objects) for im in union.values()], dtype=np.int64)
+    first = n_text + np.cumsum(size) - size               # each union image's CLS row
+    of = np.repeat(np.arange(len(image)), size[image])
+    at = owner[of]
+    col = n_text + np.arange(len(of)) - np.searchsorted(at, at)
+    sizes = (n_text + np.bincount(at, minlength=k)).tolist()
+    # union rows: the text rows in place, then each image's rows; padding reads row n (NONE)
+    idx = np.arange(max(sizes, default=0))[None].repeat(k, axis=0)
+    idx[:, n_text:] = n
+    idx[at, col] = first[image][of] + np.arange(len(of)) - np.searchsorted(of, of)
+    step = arr.step.take(idx, mode="clip")                # a visual node's step: its position
+    step[at, col] = (np.arange(len(image)) - np.searchsorted(owner, owner) + 1)[of]
+    padded = np.zeros((2, n + 1, n + 1), dtype=np.int8)
+    padded[:, :n, :n] = whole.phi_t, whole.phi_m
+    phi_t, phi_m = padded.reshape(2, -1).take(idx[:, :, None] * (n + 1) + idx[:, None, :], axis=1)
+    vis = idx[:, n_text:]                 # node pairs of a repeated image's copies: INTRA_VIS
+    repeat = (vis[:, :, None] == vis[:, None, :]) & (vis < n)[:, :, None]
+    repeat[:, np.arange(vis.shape[1]), np.arange(vis.shape[1])] = False
+    phi_m[:, n_text:, n_text:][repeat] = ModalCode.INTRA_VIS
+    check_code_stack(phi_t, phi_m, sizes)
+    kind = arr.kind.take(idx, mode="clip")
+    is_object = (kind == OBJECT) & (idx < n)
+    objects = np.cumsum(arr.kind == OBJECT)[idx[is_object]] - 1   # rows of features, boxes
+    features, boxes = arr.features[objects], arr.boxes[objects]
+    ends = np.cumsum(is_object.sum(axis=1)).tolist()
+    text = whole.nodes[:n_text]
+    return [TmegGraph((text, cand), phi_t[c, :m, :m], phi_m[c, :m, :m], c, SimpleNamespace(
+                n_text=n_text, kind=kind[c, :m], token=arr.token, step=step[c, :m],
+                features=features[start:end], boxes=boxes[start:end]))
+            for c, (cand, m, start, end) in enumerate(zip(candidates, sizes, [0] + ends, ends))]
 
 
 # ----------------------------------------------------------------------

@@ -185,9 +185,11 @@ _CLEARED = {"no_temporal": ("phi_t",), "no_modal": ("phi_m",),
 def ablate_graph(graph: G.TmegGraph, ablation: str) -> G.TmegGraph:
     """A copy of `graph` without the relations `ablation` removes: its
     temporal codes (no_temporal), modal codes (no_modal) or both (no_both)
-    all NONE. Other ablations clear nothing."""
+    all NONE. Other ablations clear nothing and return `graph` itself."""
+    if ablation not in _CLEARED:
+        return graph
     return replace(graph, **{name: np.zeros_like(getattr(graph, name))
-                             for name in _CLEARED.get(ablation, ())})
+                             for name in _CLEARED[ablation]})
 
 
 def prepare_instances(corpus: D.Corpus, instances: list[D.TaskInstance],
@@ -199,43 +201,41 @@ def prepare_instances(corpus: D.Corpus, instances: list[D.TaskInstance],
     `assemble_candidate_graphs` call over the group's distinct candidates.
     Each distinct graph is ablated once (`ablate_graph`). A repeated
     candidate is labelled once; each repeat is a copy with its own
-    `candidate_index` sharing the nodes, code matrices and arrays."""
-    docs = {doc.doc_id: doc for doc in corpus.documents}
+    `candidate_index` sharing the code matrices and arrays."""
+    steps_of = {doc.doc_id: {s.index: s for s in doc.steps} for doc in corpus.documents}
     images = corpus.image_index()
-    resolved, groups = [], {}
-    for k, inst in enumerate(instances):
-        doc = docs.get(inst.doc_id)
-        if doc is None:
+    groups: dict[tuple, dict] = {}    # (doc_id, context) -> refs -> images
+    for inst in instances:
+        by_index = steps_of.get(inst.doc_id)
+        if by_index is None:
             raise TrainError(f"instance references unknown doc {inst.doc_id}")
-        step_by_index = {s.index: s for s in doc.steps}
-        missing = [i for i in inst.context_steps if i not in step_by_index]
+        missing = [i for i in inst.context_steps if i not in by_index]
         if missing:
             raise TrainError(
                 f"instance for {inst.doc_id}: context steps {missing} "
                 f"not in the document")
-        try:
-            cands = [[images[r] for r in cand] for cand in inst.candidates]
-        except KeyError as exc:
-            raise TrainError(
-                f"instance for {inst.doc_id}: unresolved image ref {exc}")
-        resolved.append(([step_by_index[i] for i in inst.context_steps], cands))
-        groups.setdefault((inst.doc_id, tuple(inst.context_steps)), []).append(k)
+        distinct = groups.setdefault((inst.doc_id, tuple(inst.context_steps)), {})
+        for refs in map(tuple, inst.candidates):
+            if refs not in distinct:
+                try:
+                    distinct[refs] = [images[r] for r in refs]
+                except KeyError as exc:
+                    raise TrainError(
+                        f"instance for {inst.doc_id}: unresolved image ref {exc}")
 
-    prepared: list[PreparedInstance] = [None] * len(instances)
-    for members in groups.values():
-        steps = resolved[members[0]][0]
-        distinct = {tuple(refs): cand for k in members
-                    for refs, cand in zip(instances[k].candidates, resolved[k][1])}
-        graphs = {refs: ablate_graph(g, ablation) for refs, g in zip(
-            distinct, G.assemble_candidate_graphs(
-                steps, list(distinct.values()), lambda_t, lambda_m))}
-        with_images = [pos for pos, s in enumerate(steps) if s.images]
-        for k in members:
-            inst = instances[k]
-            prepared[k] = PreparedInstance(
-                inst, [replace(graphs[tuple(cand)], candidate_index=ci)
-                       for ci, cand in enumerate(inst.candidates)],
-                np.array(with_images[:len(inst.candidates[0])], dtype=np.int64))
+    built = {}    # (doc_id, context) -> (refs -> graph, text CLS rows with images)
+    for (doc_id, context), distinct in groups.items():
+        steps = [steps_of[doc_id][i] for i in context]
+        graphs = G.assemble_candidate_graphs(steps, list(distinct.values()), lambda_t, lambda_m)
+        built[doc_id, context] = (dict(zip(distinct, (ablate_graph(g, ablation) for g in graphs))),
+                                  np.array([pos for pos, s in enumerate(steps) if s.images],
+                                           dtype=np.int64))
+    prepared = []
+    for inst in instances:
+        graphs, aligned = built[inst.doc_id, tuple(inst.context_steps)]
+        prepared.append(PreparedInstance(
+            inst, [graphs[tuple(cand)].numbered(ci) for ci, cand in enumerate(inst.candidates)],
+            aligned[:len(inst.candidates[0])]))
     return prepared
 
 

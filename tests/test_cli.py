@@ -386,11 +386,17 @@ class TestMalformedTasks:
         lambda d: dict(d, context_steps=[i + 0.5 for i in d["context_steps"]]),
         lambda d: dict(d, context_steps=[float(i) for i in d["context_steps"]]),
         lambda d: dict(d, context_steps=[str(i) for i in d["context_steps"]]),
+        # refs are never converted to strings; a context is distinct steps
+        lambda d: dict(d, candidates=[[True, False]] * len(d["candidates"])),
+        lambda d: dict(d, candidates=[[1.5]] * len(d["candidates"])),
+        lambda d: dict(d, context_steps=[]),
+        lambda d: dict(d, context_steps=[1, 1, 2, 3]),
     ], ids=["not-an-object", "null-context", "int-context", "null-candidates",
             "no-candidates", "empty-candidate", "null-candidate", "gold-too-large",
             "gold-negative", "int-task-kind", "unknown-task-kind", "list-doc-id",
             "null-doc-id", "fractional-gold", "float-gold", "string-gold",
-            "bool-gold", "fractional-context", "float-context", "string-context"])
+            "bool-gold", "fractional-context", "float-context", "string-context",
+            "bool-refs", "number-refs", "empty-context", "repeated-context"])
     def test_malformed_task_line_exits_3(self, eval_files, mutate):
         tmp_path, corpus_path, tasks, ckpt, _ = eval_files
         with open(tasks) as fh:

@@ -226,6 +226,25 @@ class TestCorpusIO:
         with pytest.raises(CorpusError, match=":1:"):
             load_task_instances(path)
 
+    @pytest.mark.parametrize("field,value,match", [
+        ("candidates", [[True, False], [True, True]], "must be strings"),
+        ("candidates", [[1.5], [2.5]], "must be strings"),
+        ("context_steps", [], "non-empty and distinct"),
+        ("context_steps", [1, 1, 2, 3], "non-empty and distinct"),
+    ], ids=["bool-refs", "number-refs", "empty-context", "repeated-context"])
+    def test_task_line_strict_refs_and_context(self, tmp_path, field, value, match):
+        """Image refs are JSON strings, never converted; the context is a
+        non-empty list of distinct steps. The error names the bad line."""
+        corpus = generate_synthetic_corpus(tiny_config())
+        path = tmp_path / "tasks.jsonl"
+        save_task_instances(make_instances(corpus, ["cloze"], 2, seed=0)[:2], path)
+        lines = path.read_text().splitlines()
+        line = json.loads(lines[1])
+        line[field] = value
+        path.write_text("\n".join([lines[0], json.dumps(line)]) + "\n")
+        with pytest.raises(CorpusError, match=f":2: .*{match}"):
+            load_task_instances(path)
+
 
 class TestSyntheticGeneration:
 

@@ -20,8 +20,8 @@ from tmeg.data import (
 )
 from tmeg.graph import (
     DEFAULT_LAMBDA_M, DEFAULT_LAMBDA_T, ModalCode, TemporalCode,
-    assemble_candidate_graphs, assemble_graph, build_nodes, dump_graph,
-    euclidean, iou, node_arrays,
+    assemble_candidate_graphs, assemble_graph, build_nodes, check_code_stack,
+    dump_graph, euclidean, iou, node_arrays,
 )
 from tmeg.harness import make_instances, prepare_instances
 
@@ -312,7 +312,8 @@ class TestWideOracle:
         """On 80-document corpora with all three tasks, every prepared
         graph equals assembling its candidate alone: node dump,
         candidate_index, code matrices with their dtypes, and node arrays.
-        Repeated candidates share one graph's nodes, matrices and arrays."""
+        Repeated candidates share one graph's matrices and arrays, and
+        build equal nodes on demand."""
         kw = (dict(steps_min=7, steps_max=7, tokens_per_step_min=3,
                    tokens_per_step_max=3, entity_vocab_size=24,
                    token_vocab_size=30, objects_per_image_min=3,
@@ -337,7 +338,8 @@ class TestWideOracle:
                     if key in alone:    # a repeat: the first graph with its own index
                         first = alone[key][0]
                         assert all(getattr(g, f) is getattr(first, f)
-                                   for f in ("nodes", "phi_t", "phi_m", "arrays"))
+                                   for f in ("phi_t", "phi_m", "arrays"))
+                        assert g.nodes == first.nodes
                         continue
                     ref = assemble_graph(steps, [images[r] for r in cand],
                                          candidate_index=ci)
@@ -422,7 +424,8 @@ class TestGeometry:
 # structural invariants
 
 
-def small_fixture(lambda_t=DEFAULT_LAMBDA_T, lambda_m=DEFAULT_LAMBDA_M):
+def small_inputs():
+    """Two steps and two images (imgA, imgB) for the small fixture."""
     box = BoundingBox(0.1, 0.1, 0.4, 0.4)
     far_box = BoundingBox(0.6, 0.6, 0.9, 0.9)
     f0 = np.array([0.0, 0.0])
@@ -442,7 +445,12 @@ def small_fixture(lambda_t=DEFAULT_LAMBDA_T, lambda_m=DEFAULT_LAMBDA_M):
                  NounPhrase((2, 3), "e1", {}),
              ], images=[]),
     ]
-    return assemble_graph(steps, [img_a, img_b], lambda_t, lambda_m)
+    return steps, [img_a, img_b]
+
+
+def small_fixture(lambda_t=DEFAULT_LAMBDA_T, lambda_m=DEFAULT_LAMBDA_M):
+    steps, images = small_inputs()
+    return assemble_graph(steps, images, lambda_t, lambda_m)
 
 
 class TestGraphInvariants:
@@ -557,6 +565,87 @@ class TestValidate:
         out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "rejected"
+
+
+def small_group():
+    """The small fixture's steps and a ragged K = 3 candidate group; the
+    last candidate repeats an image."""
+    steps, (img_a, img_b) = small_inputs()
+    return steps, [[img_b], [img_a, img_b], [img_a, img_b, img_a]]
+
+
+def code_stacks(graphs):
+    """Each graph's code matrices in one NONE-padded (K, L, L) stack."""
+    size = max(g.n_nodes for g in graphs)
+    stacks = np.zeros((2, len(graphs), size, size), dtype=np.int8)
+    for k, g in enumerate(graphs):
+        stacks[:, k, :g.n_nodes, :g.n_nodes] = g.phi_t, g.phi_m
+    return stacks, [g.n_nodes for g in graphs]
+
+
+class TestCandidateStack:
+
+    def test_ragged_group_with_a_repeated_image_equals_each_alone(self):
+        steps, candidates = small_group()
+        group = assemble_candidate_graphs(steps, candidates)
+        assert len({g.n_nodes for g in group}) == 3
+        for ci, (cand, g) in enumerate(zip(candidates, group)):
+            assert_same_graph(g, assemble_graph(steps, cand, candidate_index=ci))
+            ref_t, ref_m = oracle_matrices(g.nodes, DEFAULT_LAMBDA_T, DEFAULT_LAMBDA_M)
+            np.testing.assert_array_equal(g.phi_t, ref_t)
+            np.testing.assert_array_equal(g.phi_m, ref_m)
+        # the copies of the repeated image are INTRA_VIS to each other
+        units = [n.unit_id for n in group[2].nodes]
+        first, again = units.index("imgA"), len(units) - 1 - units[::-1].index("imgA")
+        assert group[2].phi_m[first, again] == ModalCode.INTRA_VIS
+
+    def test_nodes_built_on_demand_equal_build_nodes(self):
+        steps, candidates = small_group()
+        group = assemble_candidate_graphs(steps, candidates)
+        assert all(isinstance(g._nodes, tuple) for g in group)    # nothing built yet
+        for cand, g in zip(candidates, group):
+            want = build_nodes(steps, cand)
+            assert [vars(n) for n in g.nodes] == [vars(n) for n in want]
+            assert g.nodes is g.nodes and g.n_nodes == len(want)
+
+    @pytest.mark.parametrize("corrupt,match", [
+        (lambda t, m: t.__setitem__((1, 0, 1), (t[1, 1, 0] + 1) % 4), "phi_t not symmetric"),
+        (lambda t, m: m.__setitem__((1, 2, 2), ModalCode.INTRA_TEXT), "phi_m has a non-NONE diag"),
+        (lambda t, m: t.__setitem__((1, slice(0, 2), slice(0, 2)), [[0, 99], [99, 0]]),
+         "phi_t has codes outside"),
+        (lambda t, m: m.__setitem__((1, slice(0, 2), slice(0, 2)), [[0, -1], [-1, 0]]),
+         "phi_m has codes outside"),
+    ], ids=["asymmetric", "diagonal", "out-of-range", "negative"])
+    def test_check_names_the_corrupt_candidate(self, corrupt, match):
+        steps, candidates = small_group()
+        (phi_t, phi_m), sizes = code_stacks(assemble_candidate_graphs(steps, candidates))
+        check_code_stack(phi_t, phi_m, sizes)
+        corrupt(phi_t, phi_m)
+        with pytest.raises(ValueError, match=f"candidate 1: {match}"):
+            check_code_stack(phi_t, phi_m, sizes)
+
+    def test_check_survives_python_optimize_flag(self):
+        script = textwrap.dedent("""
+            import numpy as np
+            from tmeg.graph import check_code_stack
+            for k, (i, j, code) in enumerate([(0, 1, 1), (2, 2, 1), (0, 1, 9), (0, 1, -1)]):
+                phi = np.zeros((2, 3, 4, 4), np.int8)
+                phi[:, 1, i, j] = code
+                if k > 1:
+                    phi[:, 1, j, i] = code
+                try:
+                    check_code_stack(phi[0], phi[1], [4, 4, 2])
+                except ValueError as exc:
+                    print(exc)
+        """)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(tmeg.__file__)))
+        out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                             env=dict(os.environ, PYTHONPATH=src), text=True, check=True)
+        assert out.stdout.splitlines() == [
+            "candidate 1: phi_t not symmetric",
+            "candidate 1: phi_t has a non-NONE diagonal entry",
+            "candidate 1: phi_t has codes outside [0, 4)",
+            "candidate 1: phi_t has codes outside [0, 4)"]
 
 
 class TestDumpGraph:

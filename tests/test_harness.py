@@ -7,12 +7,14 @@ learning-quality checks live in the acceptance tests.
 
 import json
 import os
+from collections import Counter
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from tmeg.data import Corpus, SyntheticConfig, build_vocab, generate_synthetic_corpus
+from tmeg import graph as G
 from tmeg.autodiff import no_grad
 from tmeg.harness import (
     RunConfig, TrainError, _batch_loss, _batch_scores, _restore, _snapshot,
@@ -127,6 +129,40 @@ class TestPrepareInstances:
         for p in prepared:
             assert len(p.graphs) == len(p.instance.candidates)
             assert p.aligned_rows.size == len(p.instance.candidates[0])
+
+    def test_reaches_every_graph_function_the_benchmark_traces(self, monkeypatch):
+        """`bench/run.py --trace 1` wraps these graph functions where tmeg
+        looks them up and fails a run in which one never fires; its graph
+        counter reads assemble_graph's `steps` and `candidate` arguments and
+        the result's `n_nodes`. One prepare_instances call reaches each."""
+        corpus = tiny_corpus()
+        instances = make_instances(corpus, ["cloze", "ordering"], 2, seed=0)
+        calls, assembled = Counter(), []
+
+        def spy(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                result = fn(*args, **kwargs)
+                if name == "assemble_graph":    # read as the benchmark reads it
+                    assembled.append((args[0] if args else kwargs["steps"],
+                                      args[1] if len(args) > 1 else kwargs["candidate"],
+                                      result.n_nodes))
+                return result
+            return wrapper
+
+        passes = ("build_nodes", "intra_modal_labels", "temporal_text_labels",
+                  "temporal_visual_labels", "inter_modal_labels",
+                  "derive_edge_based_labels")
+        for name in ("assemble_graph",) + passes:
+            monkeypatch.setattr(G, name, spy(name, getattr(G, name)))
+        monkeypatch.setattr(G.TmegGraph, "validate", spy("validate", G.TmegGraph.validate))
+        prepare_instances(corpus, instances, 7.0, 0.5)
+        groups = {(i.doc_id, tuple(i.context_steps)) for i in instances}
+        assert calls["assemble_graph"] == len(groups)
+        assert all(calls[name] >= len(groups) for name in passes + ("validate",))
+        for steps, candidate, n_nodes in assembled:
+            assert {s.index for s in steps} <= {i for g in groups for i in g[1]}
+            assert n_nodes == len(G.build_nodes(steps, candidate))
 
 
 class TestTraining:
