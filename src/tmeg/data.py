@@ -46,13 +46,11 @@ class BoundingBox:
 
     @staticmethod
     def from_list(vals, where: str) -> "BoundingBox":
-        """A box from 4 JSON numbers; a boolean or a string is rejected,
-        not converted, and `validate` rejects NaN and infinities."""
+        """A box from 4 JSON numbers; a boolean or a string is rejected, not
+        converted. `validate_corpus` checks its range (NaN fails it)."""
         if len(vals) != 4 or not _all_numbers(vals):
             raise CorpusError(f"{where}: box must have 4 numeric coordinates")
-        box = BoundingBox(*(float(v) for v in vals))
-        box.validate(where)
-        return box
+        return BoundingBox(*map(float, vals))
 
     def area(self) -> float:
         return (self.x2 - self.x1) * (self.y2 - self.y1)
@@ -312,26 +310,9 @@ def _number_rows(rows: list, what: str) -> np.ndarray:
     return out
 
 
-def _boxes_valid(payload: dict) -> bool:
-    """Whether every object and grounding box in a corpus payload is 4
-    finite JSON numbers with 0 <= x1 < x2 <= 1 and 0 <= y1 < y2 <= 1,
-    checked as one array. A malformed payload reads False."""
-    try:
-        steps = [sd for dd in payload["documents"] for sd in dd["steps"]]
-        x1, y1, x2, y2 = _number_rows(
-            [od["box"] for sd in steps for idd in sd.get("images", []) for od in idd["objects"]]
-            + [box for sd in steps for nd in sd.get("noun_phrases", [])
-               for box in nd.get("grounding_boxes", {}).values()], "boxes").T
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError):
-        return False
-    return bool(((0.0 <= x1) & (x1 < x2) & (x2 <= 1.0)
-                 & (0.0 <= y1) & (y1 < y2) & (y2 <= 1.0)).all())
-
-
-def _image_from_dict(idd: dict, where: str, box) -> StepImage:
-    """One image; its objects' features are type-checked as one array and
-    their boxes read by `box`. (`_validate_document` rejects a NaN or
-    infinite confidence.)"""
+def _image_from_dict(idd: dict, where: str) -> StepImage:
+    """One image; its objects' features are type-checked as one array.
+    (`_validate_document` rejects a NaN or infinite confidence.)"""
     image_id = _str(idd["image_id"], f"{where} image_id")
     where = f"{where} image {image_id}"
     objects = idd["objects"]
@@ -341,7 +322,7 @@ def _image_from_dict(idd: dict, where: str, box) -> StepImage:
     if not _all_numbers(confidences):
         raise TypeError(f"{where}: confidences must be numbers")
     return StepImage(image_id=image_id, objects=[
-        ObjectFeature(feature=feature, box=box(od["box"], where),
+        ObjectFeature(feature=feature, box=BoundingBox.from_list(od["box"], where),
                       confidence=float(confidence))
         for od, feature, confidence in zip(objects, features, confidences)])
 
@@ -353,9 +334,6 @@ def _span_from_list(vals, where: str) -> tuple[int, int]:
 
 
 def corpus_from_dict(payload: dict) -> Corpus:
-    # boxes checked as one array are built unchecked; else from_list names a bad one
-    box = ((lambda vals, where: BoundingBox(*map(float, vals)))
-           if _boxes_valid(payload) else BoundingBox.from_list)
     try:
         d_v = _int(payload["d_v"], "d_v")
         documents = []
@@ -369,8 +347,8 @@ def corpus_from_dict(payload: dict) -> Corpus:
                         span=_span_from_list(nd["span"], where),
                         entity_id=_str(nd["entity_id"], f"{where} entity_id"),
                         grounding_boxes={
-                            iid: box(vals, where)
-                            for iid, vals in nd.get("grounding_boxes", {}).items()
+                            iid: BoundingBox.from_list(box, where)
+                            for iid, box in nd.get("grounding_boxes", {}).items()
                         },
                     )
                     for nd in sd.get("noun_phrases", [])
@@ -382,7 +360,7 @@ def corpus_from_dict(payload: dict) -> Corpus:
                     index=_int(sd["index"], "step index"),
                     tokens=list(tokens),
                     noun_phrases=noun_phrases,
-                    images=[_image_from_dict(idd, where, box)
+                    images=[_image_from_dict(idd, where)
                             for idd in sd.get("images", [])],
                 ))
             documents.append(PmdDocument(
@@ -441,11 +419,10 @@ def load_task_instances(path) -> list[TaskInstance]:
                 for key in ("context_steps", "candidates"):
                     if not isinstance(d[key], list):
                         raise TypeError(f"{key} must be a list")
-                if not d["candidates"] or not all(
-                        isinstance(c, list) and c for c in d["candidates"]):
-                    raise ValueError("candidates must be non-empty lists of image ids")
-                if not all(set(map(type, c)) <= {str} for c in d["candidates"]):
-                    raise TypeError("candidate image refs must be strings")
+                if not d["candidates"] or not all(isinstance(c, list) and c and set(
+                        map(type, c)) <= {str} for c in d["candidates"]):
+                    raise ValueError("candidates must be non-empty lists of image ids "
+                                     "(JSON strings)")
                 if d["task_kind"] not in TASK_KINDS:
                     raise ValueError(f"task_kind {d['task_kind']!r} is not one "
                                      f"of {', '.join(TASK_KINDS)}")
@@ -458,9 +435,8 @@ def load_task_instances(path) -> list[TaskInstance]:
                     candidates=d["candidates"],
                     gold_index=_int(d["gold_index"], "gold_index"),
                 )
-                steps = inst.context_steps
-                if not steps or len(set(steps)) < len(steps):
-                    raise ValueError(f"context_steps {steps} must be non-empty and distinct")
+                if not 0 < len(set(inst.context_steps)) == len(inst.context_steps):
+                    raise ValueError("context_steps must be non-empty and distinct")
                 if not 0 <= inst.gold_index < len(inst.candidates):
                     raise ValueError(f"gold_index {inst.gold_index} outside "
                                      f"[0, {len(inst.candidates)})")

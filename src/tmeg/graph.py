@@ -10,17 +10,12 @@ inter-modal node-based, then the edge-based derivations). Each is mask
 algebra over per-node arrays: a symmetric, off-diagonal boolean N x N mask
 written with first-write precedence, `phi[mask & (phi == NONE)] = code`.
 
-`assemble_candidate_graphs` labels the candidates of one context with one
-`assemble_graph` call over the union of their images and slices all of
-them out at once: a (K, L) index of union rows, padded with an appended
-NONE row, gathers a (K, L, L) stack per code matrix and the candidates'
-node arrays. That is exact: a pair's codes depend only on the two nodes'
-own attributes, the text nodes and the groundings in one (step, image)
-scope, all the same in the union as in the candidate. The exception is a
-candidate that repeats an image: the copies share a `unit_id`, so their
-node pairs are INTRA_VIS, but the union holds one copy and the slice would
-read them from its NONE diagonal, so they are set from the index. A
-candidate's `Node` list is built only when something reads it.
+`assemble_candidate_graphs` labels one context's candidates with one
+`assemble_graph` call over the union of their images and slices all K of
+them out at once, as (K, L, L) stacks. That is exact: a pair's codes depend
+only on the two nodes' own attributes, the text nodes and the groundings in
+one (step, image) scope. But the copies of a repeated image are INTRA_VIS
+(one `unit_id`) where the union holds one copy, so they are set after slicing.
 """
 
 from __future__ import annotations
@@ -99,20 +94,20 @@ class TmegGraph:
         return len(self.arrays.kind)
 
     def numbered(self, candidate_index: int) -> TmegGraph:
-        """A copy with its own `candidate_index` that shares the nodes, code
-        matrices and arrays."""
+        """A copy with its own `candidate_index`; it shares everything else."""
         return TmegGraph(self._nodes, self.phi_t, self.phi_m, candidate_index, self.arrays)
 
     def validate(self):
         """Raise ValueError unless both code matrices are N x N, symmetric,
         NONE on the diagonal and inside their code vocabularies."""
-        check_code_stack(self.phi_t[None], self.phi_m[None], [self.n_nodes])
+        check_code_stack(self.phi_t[None], self.phi_m[None], [self.n_nodes], candidates=False)
 
 
-def check_code_stack(phi_t: np.ndarray, phi_m: np.ndarray, sizes: list[int]) -> None:
-    """Raise ValueError naming the first bad candidate unless both stacks
-    are (K, L, L), L = max(sizes), symmetric, NONE on the diagonal and
-    inside their code vocabularies."""
+def check_code_stack(phi_t: np.ndarray, phi_m: np.ndarray, sizes: list[int],
+                     candidates: bool = True) -> None:
+    """`TmegGraph.validate` at once over K candidates' (K, L, L) code stacks,
+    L = max(sizes). The error names the first bad candidate, unless the
+    stack is one graph's (`candidates=False`)."""
     shape = (len(sizes),) + (max(sizes, default=0),) * 2
     for name, phi, n_codes in (("phi_t", phi_t, N_TEMPORAL_CODES),
                                ("phi_m", phi_m, N_MODAL_CODES)):
@@ -123,7 +118,8 @@ def check_code_stack(phi_t: np.ndarray, phi_m: np.ndarray, sizes: list[int]) -> 
                           ((phi < 0) | (phi >= n_codes), f"has codes outside [0, {n_codes})")):
             if bad.any():
                 k = int(bad.reshape(len(bad), -1).any(axis=1).argmax())
-                raise ValueError(f"candidate {k}: {name} {what}")
+                where = f"candidate {k}: " if candidates else ""
+                raise ValueError(f"{where}{name} {what}")
 
 
 # ----------------------------------------------------------------------
@@ -355,37 +351,36 @@ def assemble_candidate_graphs(steps: list[Step], candidates: list[list[StepImage
         if union.setdefault(image.image_id, image) is not image:
             raise ValueError(f"two different images share the id {image.image_id!r}")
     whole = assemble_graph(steps, list(union.values()), lambda_t, lambda_m)
-    arr, n, n_text, k = whole.arrays, whole.n_nodes, whole.arrays.n_text, len(candidates)
-    # every candidate image, candidates in order: its union slot `image` and `owner`;
-    # then every node of those images: its image `of`, owner `at` and column `col`
+    arr, n, n_text = whole.arrays, whole.n_nodes, whole.arrays.n_text
+    # every candidate image in order: its union slot, position, CLS row and node count
     slot = {image_id: u for u, image_id in enumerate(union)}
     image = np.array([slot[im.image_id] for cand in candidates for im in cand], dtype=np.int64)
-    owner = np.repeat(np.arange(k), [len(cand) for cand in candidates])
+    pos = np.array([p for cand in candidates for p in range(1, len(cand) + 1)], dtype=np.int64)
     size = np.array([1 + len(im.objects) for im in union.values()], dtype=np.int64)
-    first = n_text + np.cumsum(size) - size               # each union image's CLS row
-    of = np.repeat(np.arange(len(image)), size[image])
-    at = owner[of]
-    col = n_text + np.arange(len(of)) - np.searchsorted(at, at)
-    sizes = (n_text + np.bincount(at, minlength=k)).tolist()
-    # union rows: the text rows in place, then each image's rows; padding reads row n (NONE)
-    idx = np.arange(max(sizes, default=0))[None].repeat(k, axis=0)
-    idx[:, n_text:] = n
-    idx[at, col] = first[image][of] + np.arange(len(of)) - np.searchsorted(of, of)
-    step = arr.step.take(idx, mode="clip")                # a visual node's step: its position
-    step[at, col] = (np.arange(len(image)) - np.searchsorted(owner, owner) + 1)[of]
+    first, size = (n_text + np.cumsum(size) - size)[image], size[image]
+    # their nodes' union rows, filled row-major into a (K, L) index padded with NONE row n
+    rows = np.arange(size.sum()) + np.repeat(first - np.cumsum(size) + size, size)
+    sizes = [n_text + sum(1 + len(im.objects) for im in cand) for cand in candidates]
+    idx = np.full((len(candidates), max(sizes)), n)
+    idx[:, :n_text] = np.arange(n_text)
+    fill = np.arange(idx.shape[1] - n_text) < np.array(sizes)[:, None] - n_text
+    idx[:, n_text:][fill] = rows
+    step = arr.step.take(idx, mode="clip")        # a visual node's step: its image's position
+    step[:, n_text:][fill] = np.repeat(pos, size)
     padded = np.zeros((2, n + 1, n + 1), dtype=np.int8)
     padded[:, :n, :n] = whole.phi_t, whole.phi_m
-    phi_t, phi_m = padded.reshape(2, -1).take(idx[:, :, None] * (n + 1) + idx[:, None, :], axis=1)
-    vis = idx[:, n_text:]                 # node pairs of a repeated image's copies: INTRA_VIS
-    repeat = (vis[:, :, None] == vis[:, None, :]) & (vis < n)[:, :, None]
-    repeat[:, np.arange(vis.shape[1]), np.arange(vis.shape[1])] = False
-    phi_m[:, n_text:, n_text:][repeat] = ModalCode.INTRA_VIS
+    flat = idx[:, :, None] * (n + 1) + idx[:, None, :]
+    phi_t, phi_m = padded[0].ravel()[flat], padded[1].ravel()[flat]
+    owner = np.repeat(np.arange(len(candidates)), [len(cand) for cand in candidates])
+    if np.unique(owner * n + image).size < image.size:    # a candidate repeats an image
+        vis = idx[:, n_text:]
+        repeat = (vis[:, :, None] == vis[:, None, :]) & (vis < n)[:, :, None]
+        repeat &= ~np.eye(vis.shape[1], dtype=bool)
+        phi_m[:, n_text:, n_text:][repeat] = ModalCode.INTRA_VIS
     check_code_stack(phi_t, phi_m, sizes)
-    kind = arr.kind.take(idx, mode="clip")
-    is_object = (kind == OBJECT) & (idx < n)
-    objects = np.cumsum(arr.kind == OBJECT)[idx[is_object]] - 1   # rows of features, boxes
-    features, boxes = arr.features[objects], arr.boxes[objects]
-    ends = np.cumsum(is_object.sum(axis=1)).tolist()
+    objects = np.searchsorted(arr.objects, rows[arr.kind[rows] == OBJECT])   # feature rows
+    features, boxes, kind = arr.features[objects], arr.boxes[objects], arr.kind.take(idx, mode="clip")
+    ends = list(itertools.accumulate(m - n_text - len(c) for m, c in zip(sizes, candidates)))
     text = whole.nodes[:n_text]
     return [TmegGraph((text, cand), phi_t[c, :m, :m], phi_m[c, :m, :m], c, SimpleNamespace(
                 n_text=n_text, kind=kind[c, :m], token=arr.token, step=step[c, :m],

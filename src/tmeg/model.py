@@ -269,6 +269,9 @@ def _key_bias(valid: np.ndarray) -> np.ndarray | None:
 def _scatter(mask: np.ndarray, parts: list[np.ndarray], fill=0,
              dtype=np.int64) -> np.ndarray:
     """`parts`, concatenated, laid out over the True entries of `mask`."""
+    if mask.all():        # no padding, as in a batch of one graph shape
+        return np.concatenate(parts).astype(dtype, copy=False).reshape(
+            mask.shape + parts[0].shape[1:])
     out = np.full(mask.shape + parts[0].shape[1:], fill, dtype=dtype)
     out[mask] = np.concatenate(parts)
     return out

@@ -4,6 +4,7 @@ Every test drives main(argv) directly and checks exit codes plus the files
 or JSON the commands leave behind.
 """
 
+import gc
 import json
 import os
 
@@ -405,6 +406,21 @@ class TestMalformedTasks:
         with open(bad, "w") as fh:
             fh.write("\n".join(lines[:1] + [json.dumps(mutate(json.loads(lines[0])))]))
         assert main(eval_argv(ckpt, bad, corpus_path)) == 3
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_eval_restores_the_collector(eval_files, enabled):
+    """eval pauses the cyclic garbage collector while it runs and leaves it
+    as it found it, also when the request fails."""
+    tmp_path, corpus_path, tasks, ckpt, _ = eval_files
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(eval_argv(ckpt, tasks, corpus_path)) == 0
+        assert gc.isenabled() is enabled
+        assert main(eval_argv(ckpt, tasks, os.path.join(tmp_path, "missing.json"))) == 2
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
 
 
 def test_empty_entity_id_in_corpus_exits_3(eval_files):

@@ -202,6 +202,24 @@ class TestCorpusIO:
         with pytest.raises(CorpusError):
             load_corpus(path)
 
+    @pytest.mark.parametrize("field", ["box", "grounding_box"])
+    @pytest.mark.parametrize("coords", [[0.5, 0.1, 0.2, 0.3], [0.1, 0.1, float("nan"), 0.3],
+                                        [0.1, 0.1, 1.5, 0.3]], ids=["inverted", "nan", "past-1"])
+    def test_out_of_range_boxes_rejected_at_load(self, tmp_path, field, coords):
+        """A box of 4 numbers is built as read; `validate_corpus` then
+        rejects one outside the unit square, naming where it is."""
+        payload = corpus_to_dict(generate_synthetic_corpus(tiny_config()))
+        step = payload["documents"][0]["steps"][0]
+        if field == "box":
+            step["images"][0]["objects"][0]["box"] = coords
+        else:
+            phrase = step["noun_phrases"][0]
+            phrase["grounding_boxes"][next(iter(phrase["grounding_boxes"]))] = coords
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CorpusError, match=r"doc \S+ step 1 .*invalid bounding box"):
+            load_corpus(path)
+
     def test_malformed_json_reports_location(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"d_v": 4, "documents": [')
@@ -227,8 +245,8 @@ class TestCorpusIO:
             load_task_instances(path)
 
     @pytest.mark.parametrize("field,value,match", [
-        ("candidates", [[True, False], [True, True]], "must be strings"),
-        ("candidates", [[1.5], [2.5]], "must be strings"),
+        ("candidates", [[True, False], [True, True]], "JSON strings"),
+        ("candidates", [[1.5], [2.5]], "JSON strings"),
         ("context_steps", [], "non-empty and distinct"),
         ("context_steps", [1, 1, 2, 3], "non-empty and distinct"),
     ], ids=["bool-refs", "number-refs", "empty-context", "repeated-context"])

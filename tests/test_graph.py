@@ -545,6 +545,13 @@ class TestValidate:
         with pytest.raises(ValueError):
             g.validate()
 
+    def test_single_graph_error_names_no_candidate(self):
+        g = small_fixture()
+        g.phi_t = g.phi_t.copy()
+        g.phi_t[0, 1] = TemporalCode.EDGE
+        with pytest.raises(ValueError, match="^phi_t not symmetric$"):
+            g.validate()
+
     def test_checks_survive_python_optimize_flag(self):
         """`python -O` strips asserts; validation must not rely on them."""
         script = textwrap.dedent("""

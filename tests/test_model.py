@@ -23,7 +23,7 @@ from tmeg.harness import (
     _batch_scores,
 )
 from tmeg.model import (
-    GraphBatch, ModelConfig, TmegModel, coherence_loss, edge_codes,
+    GraphBatch, ModelConfig, TmegModel, _scatter, coherence_loss, edge_codes,
     init_params, prediction_loss, prediction_loss_batch, prepare_batch,
     total_loss,
 )
@@ -502,6 +502,16 @@ class TestEdgeBias:
 
 
 class TestEncoderShapes:
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.float64])
+    def test_scatter_without_padding_equals_masked_fill(self, dtype):
+        parts = [np.arange(6.0).reshape(3, 2), np.arange(6.0, 10.0).reshape(2, 2)]
+        full, ragged = np.ones((5,), dtype=bool), np.array([True, True, False, True, True, True])
+        got = _scatter(full.reshape(1, 5), parts, dtype=dtype)
+        assert got.dtype == dtype and got.shape == (1, 5, 2)
+        np.testing.assert_array_equal(got, np.concatenate(parts)[None].astype(dtype))
+        np.testing.assert_array_equal(_scatter(ragged, parts, fill=-1, dtype=dtype)[ragged],
+                                      got[0])
 
     def make_batch(self, model, corpus, n_candidates=3):
         instances = make_instances(corpus, ["cloze"], n_candidates, 0)
