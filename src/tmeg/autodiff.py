@@ -6,6 +6,16 @@ topological order. Only the operations the encoder and losses need are
 implemented; all of them support a leading batch dimension where it makes
 sense (matmul uses numpy's stacked-matrix semantics).
 
+A tape is single-use. As `backward()` passes each interior node it drops
+that node's closure (and with it every array the op saved), its parents
+and its gradient, so no tape outlives its backward: a training step never
+holds the previous step's tape while it builds its own. Leaves (parameters
+and constants) keep their gradients and every node keeps its value; a
+second `backward()` through a released node raises RuntimeError. So that
+the next tape reuses the freed pages instead of faulting them in again,
+importing this module tells glibc's malloc to keep freed heap mapped
+(`_keep_freed_pages`).
+
 Composed operations are fused into single tape nodes: `softmax`,
 `layer_norm` and `encoder_layer`, a whole post-norm transformer layer with
 graph-biased attention that reads its per-head edge biases from the bias
@@ -32,12 +42,39 @@ forward pass stops using it.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import math
 
 import numpy as np
 from scipy.special import erf
 
 _grad_enabled = True
+
+# glibc mallopt parameters
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_pages():
+    """Keep the pages a released tape frees mapped, for the next tape.
+
+    `backward()` frees a step's whole tape, so after every step the heap
+    empties down to what outlives the step. By default glibc's malloc would
+    then hand the emptied top of the heap back to the system, and the next
+    step would pay system time to fault the same pages in again. Here
+    arrays of up to 32 MB come from the heap, and up to 256 MB of freed
+    heap stays mapped. That keeps only memory the process has already
+    reached, so its peak does not rise. Other C libraries keep their
+    defaults."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+
+
+_keep_freed_pages()
 
 
 @contextlib.contextmanager
@@ -95,6 +132,13 @@ def _is_basic_index(idx) -> bool:
                for p in parts)
 
 
+def _released(g):
+    """The backward closure of a node whose tape a backward() has walked."""
+    raise RuntimeError(
+        "this tape was released by an earlier backward(): a tape can be "
+        "walked once; build the graph again to backpropagate through it")
+
+
 class Tensor:
     """A node in the computation graph."""
 
@@ -130,6 +174,14 @@ class Tensor:
             self.grad += g
 
     def backward(self):
+        """Accumulate d(self)/d(leaf) into every leaf's `.grad`, releasing
+        the tape as the walk passes it.
+
+        A tape is single-use: once an interior node's backward closure has
+        run, its closure (and with it every array it saved), its parents and
+        its gradient are dropped, so the tape is gone when this returns.
+        Leaves keep their gradients, and every node keeps its `.data`. A
+        second `backward()` through a released node raises RuntimeError."""
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar loss")
         if not self.requires_grad:
@@ -152,9 +204,13 @@ class Tensor:
                 if id(p) not in visited:
                     stack.append((p, False))
         self._accumulate(np.ones_like(self.data))
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue  # a leaf
+            if node.grad is not None:
                 node._backward(node.grad)
+            node._backward, node._parents, node.grad = _released, (), None
 
     # ------------------------------------------------------------------
     # arithmetic

@@ -5,8 +5,10 @@ the tests themselves, plus closed-form identities where they exist.
 """
 
 import contextlib
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -491,8 +493,8 @@ class TestEncoderLayer:
         taped = self.build(*leaves)
         with no_grad():
             free = self.build(*leaves)
-        taped.sum().backward()
         assert taped.requires_grad and taped._parents
+        taped.sum().backward()
         assert not free.requires_grad
         assert free._parents == () and free._backward is None
         np.testing.assert_array_equal(free.data, taped.data)
@@ -836,6 +838,51 @@ class TestGraphMechanics:
         out = Tensor(np.ones(3)) * Tensor(np.ones(3))
         assert not out.requires_grad
         assert out._parents == ()
+
+    def test_a_tape_is_walked_once(self):
+        """A second backward() through a released tape raises instead of
+        leaving the leaves without gradients; a leaf's backward() does not
+        record a tape and may repeat."""
+        t = Tensor(np.array([2.0, 3.0]), requires_grad=True)
+        hidden = t * t
+        loss = hidden.sum()
+        loss.backward()
+        np.testing.assert_array_equal(t.grad, [4.0, 6.0])
+        with pytest.raises(RuntimeError, match="released by an earlier"):
+            loss.backward()
+        with pytest.raises(RuntimeError, match="released by an earlier"):
+            (hidden * 2.0).sum().backward()
+        np.testing.assert_array_equal(t.grad, [4.0, 6.0])
+        leaf = Tensor(1.5, requires_grad=True)
+        leaf.backward()
+        leaf.backward()
+        assert leaf.grad == 2.0
+
+    def test_backward_frees_the_tape(self):
+        """Once backward() returns, the values the tape held for it are
+        freed by reference counting alone; the leaves' gradients and the
+        root's value stay."""
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+        hidden = linear(x, w).tanh()
+        probs = softmax(hidden, axis=-1)
+        refs = [weakref.ref(hidden.data), weakref.ref(probs.data)]
+        loss = (probs * probs).sum()
+        want = float(loss.data)
+        del hidden, probs
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            assert all(ref() is not None for ref in refs)
+            loss.backward()
+            assert all(ref() is None for ref in refs)
+        finally:
+            if collecting:
+                gc.enable()
+        assert float(loss.data) == want
+        assert x.grad.shape == (4, 3) and w.grad.shape == (3, 5)
+        assert loss._parents == () and loss.grad is None
 
 
 @settings(max_examples=50, deadline=None)

@@ -7,6 +7,11 @@ learning-quality checks live in the acceptance tests.
 
 import json
 import os
+import platform
+import subprocess
+import sys
+import textwrap
+import tracemalloc
 from collections import Counter
 from dataclasses import asdict
 
@@ -45,6 +50,31 @@ def tiny_run_config(**overrides):
               max_epochs=2, patience=5, n_candidates=2, seed=0)
     kw.update(overrides)
     return RunConfig(**kw)
+
+
+def criterion6_step_setup():
+    """A model, prepared instances and run config at the criterion-6
+    learnability config, for single training steps of batch_size 16."""
+    syn = SyntheticConfig(num_docs=16, steps_min=7, steps_max=7,
+                          tokens_per_step_min=3, tokens_per_step_max=3,
+                          entity_vocab_size=24, token_vocab_size=30,
+                          objects_per_image_min=3, objects_per_image_max=3,
+                          images_per_step=1, d_v=8, n_candidates=4,
+                          seed=123, feature_noise_sigma=0.1,
+                          roster_size=3, box_grid=True)
+    corpus = generate_synthetic_corpus(syn)
+    model_cfg = ModelConfig(d_model=32, n_heads=4, n_layers=2,
+                            ffn_multiplier=2, scorer_layers=2,
+                            scorer_heads=4, tau=0.07, k_negatives=8,
+                            lambda_b=0.1, token_vocab_size=64, d_v=8,
+                            max_steps=16, init_scale=0.1)
+    cfg = RunConfig(model=model_cfg, tasks=["cloze"], batch_size=16,
+                    learning_rate=1e-3, n_candidates=4, seed=0)
+    model = TmegModel(model_cfg, build_vocab(corpus), seed=0)
+    instances = make_instances(corpus, cfg.tasks, cfg.n_candidates, 0)
+    prepared = prepare_instances(corpus, instances[:2 * cfg.batch_size],
+                                 cfg.lambda_t, cfg.lambda_m)
+    return model, prepared, cfg
 
 
 class TestRunConfig:
@@ -233,26 +263,9 @@ class TestTraining:
         """A criterion-6 training step's loss reaches at most 15 non-leaf
         tape nodes: one per embedding, modality-MLP, transformer layer,
         CLS split, scorer input, readout, score reshape and loss node."""
-        syn = SyntheticConfig(num_docs=16, steps_min=7, steps_max=7,
-                              tokens_per_step_min=3, tokens_per_step_max=3,
-                              entity_vocab_size=24, token_vocab_size=30,
-                              objects_per_image_min=3, objects_per_image_max=3,
-                              images_per_step=1, d_v=8, n_candidates=4,
-                              seed=123, feature_noise_sigma=0.1,
-                              roster_size=3, box_grid=True)
-        corpus = generate_synthetic_corpus(syn)
-        model_cfg = ModelConfig(d_model=32, n_heads=4, n_layers=2,
-                                ffn_multiplier=2, scorer_layers=2,
-                                scorer_heads=4, tau=0.07, k_negatives=8,
-                                lambda_b=0.1, token_vocab_size=64, d_v=8,
-                                max_steps=16, init_scale=0.1)
-        cfg = RunConfig(model=model_cfg, tasks=["cloze"], batch_size=16,
-                        learning_rate=1e-3, n_candidates=4, seed=0)
-        model = TmegModel(model_cfg, build_vocab(corpus), seed=0)
-        instances = make_instances(corpus, cfg.tasks, cfg.n_candidates, 0)
-        prepared = prepare_instances(corpus, instances[:cfg.batch_size],
-                                     cfg.lambda_t, cfg.lambda_m)
-        loss = _batch_loss(model, prepared, cfg, np.random.default_rng(0))
+        model, prepared, cfg = criterion6_step_setup()
+        loss = _batch_loss(model, prepared[:cfg.batch_size], cfg,
+                           np.random.default_rng(0))
         seen, stack, interior = {id(loss)}, [loss], 0
         while stack:
             node = stack.pop()
@@ -262,6 +275,61 @@ class TestTraining:
                     seen.add(id(parent))
                     stack.append(parent)
         assert interior <= 15
+
+    def test_backward_frees_each_step_tape(self):
+        """Two criterion-6 steps in a row, as the training loop runs them:
+        each backward() frees its step's tape, so traced memory returns to
+        its value before the step, and the second step, built while the
+        first step's loss is still bound, peaks no higher than the first."""
+        model, prepared, cfg = criterion6_step_setup()
+        rng = np.random.default_rng(0)
+        mb = 1e6
+        peaks = []
+        tracemalloc.start()
+        try:
+            for start in (0, cfg.batch_size):
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                loss = _batch_loss(
+                    model, prepared[start:start + cfg.batch_size], cfg, rng)
+                grad_eval(loss, model.store)
+                after, peak = tracemalloc.get_traced_memory()
+                assert abs(after - before) < mb, (after - before) / mb
+                peaks.append(peak)
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(loss.data)
+        assert abs(peaks[1] - peaks[0]) < mb, [p / mb for p in peaks]
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the heap settings are glibc's")
+    def test_steps_reuse_the_freed_tape_pages(self):
+        """Each step builds its tape in the heap pages the previous step's
+        backward() freed: after two steps, a step faults in well under a
+        tenth of its tape's ~6000 pages. A fresh process, so that no other
+        test's allocations shape the heap."""
+        script = textwrap.dedent("""
+            import resource
+            import numpy as np
+            from test_harness import criterion6_step_setup
+            from tmeg.harness import _batch_loss
+            from tmeg.optim import grad_eval
+            model, prepared, cfg = criterion6_step_setup()
+            rng, b = np.random.default_rng(0), cfg.batch_size
+            for start in (0, b) * 2:
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                loss = _batch_loss(model, prepared[start:start + b], cfg, rng)
+                grad_eval(loss, model.store)
+                print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                      - before)
+        """)
+        tests = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(G.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests]))
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        faults = [int(n) for n in out.stdout.split()]
+        assert len(faults) == 4 and max(faults[2:]) < 500, faults
 
     def test_vocab_overflow_rejected(self):
         cfg = tiny_run_config()
