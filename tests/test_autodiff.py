@@ -19,10 +19,11 @@ from scipy.special import logsumexp as scipy_logsumexp
 from scipy.special import softmax as scipy_softmax
 
 from tmeg.autodiff import (
-    Tensor, _add_code_bias, _code_grad, _code_table, _fold_code_grad,
-    _gelu_backward, _gelu_cdf, add_scaled, concat, cross_entropy,
-    encoder_layer, info_nce, layer_norm, linear, logsumexp, mlp_readout,
-    no_grad, node_embedding, pair_sequence, softmax, split_tanh_mlps,
+    _ERFC_SPLIT, Tensor, _add_code_bias, _code_grad, _code_table, _erf,
+    _fold_code_grad, _gelu_backward, _gelu_cdf, add_scaled, concat,
+    cross_entropy, encoder_layer, info_nce, layer_norm, linear, logsumexp,
+    mlp_readout, no_grad, node_embedding, pair_sequence, softmax,
+    split_tanh_mlps,
 )
 
 
@@ -65,8 +66,8 @@ def layer_shapes(dim, mult):
 
 def gelu(x):
     """The exact GELU x * Phi(x) as one elementary tape node: the
-    reference the fused encoder layer's FFN must repeat."""
-    cdf = 0.5 * (1.0 + erf(x.data / math.sqrt(2.0)))
+    reference the fused encoder layer's FFN must repeat, with its erf."""
+    cdf = 0.5 * (1.0 + _erf(x.data / math.sqrt(2.0)))
 
     def bw(g):
         pdf = np.exp(-0.5 * x.data * x.data) / math.sqrt(2.0 * math.pi)
@@ -146,6 +147,63 @@ class TestElementwiseGrads:
         g = _gelu_backward(np.ones(9), x, _gelu_cdf(x))
         num = numeric_grad(lambda: float((x * _gelu_cdf(x)).sum()), x)
         np.testing.assert_allclose(g, num, rtol=1e-6, atol=1e-6)
+
+
+def assert_within_ulps(actual, expected, ulps):
+    """|actual - expected| <= ulps units in the last place of expected."""
+    err = np.abs(actual - expected)
+    assert np.all(err <= ulps * np.spacing(np.abs(expected))), \
+        np.max(err / np.spacing(np.abs(expected)))
+
+
+class TestErf:
+    """`_erf`, the fdlibm port behind the GELU, against glibc's erf
+    (`math.erf`) and scipy's."""
+
+    # fdlibm's break points; it splits near 1/0.35 at _ERFC_SPLIT
+    BREAKS = (0.84375, 1.25, 1.0 / 0.35, _ERFC_SPLIT, 6.0)
+
+    @staticmethod
+    def libm(x):
+        return np.array([math.erf(v) for v in x])
+
+    def test_within_one_ulp_of_libm_on_a_dense_grid(self):
+        x = np.linspace(-8.0, 8.0, 200_001)
+        assert_within_ulps(_erf(x), self.libm(x), 1)
+
+    def test_within_one_ulp_of_libm_at_and_beside_break_points(self):
+        b = np.array(self.BREAKS)
+        x = np.concatenate([b, np.nextafter(b, 0.0), np.nextafter(b, 9.0)])
+        x = np.concatenate([x, -x])
+        assert_within_ulps(_erf(x), self.libm(x), 1)
+
+    def test_zeros_subnormals_infinities_and_nan(self):
+        tiny = np.array([5e-324, 1e-310, np.finfo(float).tiny, 2.0 ** -28])
+        assert_within_ulps(_erf(tiny), self.libm(tiny), 1)
+        assert_within_ulps(_erf(-tiny), self.libm(-tiny), 1)
+        y = _erf(np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e300]))
+        assert y[0] == 0.0 and not np.signbit(y[0])
+        assert y[1] == 0.0 and np.signbit(y[1])
+        assert y[2] == 1.0 and y[3] == -1.0 and y[5] == 1.0
+        assert np.isnan(y[4])
+
+    def test_odd_symmetry_is_exact(self):
+        x = np.random.default_rng(3).normal(0.0, 2.0, size=100_000)
+        np.testing.assert_array_equal(_erf(-x), -_erf(x))
+
+    def test_in_place_matches(self):
+        x = np.random.default_rng(4).normal(0.0, 1.0, size=(3, 40_000))
+        expected = _erf(x)
+        y = x.copy()
+        assert _erf(y, out=y) is y
+        np.testing.assert_array_equal(y, expected)
+        np.testing.assert_array_equal(_erf(x.ravel()), expected.ravel())
+        with pytest.raises(ValueError):
+            _erf(x, out=np.empty((40_000, 3)).T)
+
+    def test_within_four_ulps_of_scipy(self):
+        x = np.linspace(-8.0, 8.0, 200_001)
+        assert_within_ulps(_erf(x), erf(x), 4)
 
 
 class TestMatmulAndShapes:

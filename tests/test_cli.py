@@ -7,11 +7,15 @@ or JSON the commands leave behind.
 import gc
 import json
 import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tmeg
 from tmeg.cli import build_parser, main
 from tmeg.data import SyntheticConfig, build_vocab, load_corpus
 from tmeg.harness import RunConfig, config_kwargs, save_model
@@ -192,6 +196,34 @@ class TestTrainEval:
                      "--corpus", corpus_path]) == 0
         payload = json.loads(open(eval_metrics).read())
         assert 0.0 <= payload["average_accuracy"] <= 1.0
+
+    def test_train_and_eval_load_no_scipy(self, workspace):
+        """numpy is the only runtime dependency: a fresh process that trains
+        and evaluates through main() never imports scipy."""
+        tmp_path, _, corpus_path = workspace
+        script = textwrap.dedent("""
+            import json, sys
+            from tmeg.cli import main
+            run, ckpt, corpus, tasks = sys.argv[1:]
+            codes = [
+                main(["train", "--config", run, "--checkpoint-out", ckpt]),
+                main(["make-tasks", "--corpus", corpus, "--task", "cloze",
+                      "--n-candidates", "2", "--out", tasks]),
+                main(["eval", "--checkpoint", ckpt, "--tasks", tasks,
+                      "--corpus", corpus])]
+            print(json.dumps([codes, sorted(
+                m for m in sys.modules if m.split(".")[0] == "scipy")]))
+        """)
+        argv = [write_run_config(tmp_path, corpus_path),
+                os.path.join(tmp_path, "model.ckpt"), corpus_path,
+                os.path.join(tmp_path, "tasks.jsonl")]
+        src = os.path.dirname(os.path.dirname(os.path.abspath(tmeg.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                             capture_output=True, text=True, check=True)
+        codes, scipy_modules = json.loads(out.stdout.splitlines()[-1])
+        assert codes == [0, 0, 0]
+        assert scipy_modules == []
 
     def test_eval_dump_graphs_writes_sidecar(self, workspace):
         tmp_path, _, corpus_path = workspace
