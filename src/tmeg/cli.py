@@ -56,7 +56,7 @@ def _maybe_dump_graphs(args, corpus, instances, cfg: RunConfig):
         return
     prepared = prepare_instances(corpus, instances[:4], cfg.lambda_t,
                                  cfg.lambda_m, cfg.ablation)
-    dumps = [G.dump_graph(g) for p in prepared for g in p.graphs]
+    dumps = [G.dump_graph(g, ci) for p in prepared for ci, g in enumerate(p.graphs)]
     path = (args.metrics_out or "metrics.json") + ".graphs.json"
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(dumps, fh)

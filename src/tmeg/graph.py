@@ -10,6 +10,7 @@ inter-modal node-based, then the edge-based derivations). Each is mask
 algebra over per-node arrays: a symmetric, off-diagonal boolean N x N mask
 written with first-write precedence, `phi[mask & (phi == NONE)] = code`.
 
+A `TmegGraph` builds its `Node` list from its steps and images on first read.
 `assemble_candidate_graphs` labels one context's candidates with one
 `assemble_graph` call over the union of their images and slices all K of
 them out at once, as (K, L, L) stacks. That is exact: a pair's codes depend
@@ -20,6 +21,7 @@ one (step, image) scope. But the copies of a repeated image are INTRA_VIS
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -71,31 +73,20 @@ class Node:
 
 @dataclass
 class TmegGraph:
-    _nodes: list[Node] | tuple[list[Node], list[StepImage]]   # or (text nodes, images)
+    """A candidate's graph; the instances that share the candidate share it."""
+    steps: list[Step]
+    images: list[StepImage]    # the candidate
     phi_t: np.ndarray
     phi_m: np.ndarray
-    candidate_index: int = -1
-    # the arrays the model batches from: `node_arrays(nodes)` unless given
-    arrays: SimpleNamespace | None = field(default=None, repr=False)
+    arrays: SimpleNamespace = field(repr=False)    # what the model batches from
 
-    def __post_init__(self):
-        if self.arrays is None:
-            self.arrays = node_arrays(self.nodes)
-
-    @property
+    @functools.cached_property
     def nodes(self) -> list[Node]:
-        if isinstance(self._nodes, tuple):     # the visual nodes are built on first read
-            text, images = self._nodes
-            self._nodes = text + _visual_nodes(images, len(text))
-        return self._nodes
+        return build_nodes(self.steps, self.images)
 
     @property
     def n_nodes(self) -> int:
         return len(self.arrays.kind)
-
-    def numbered(self, candidate_index: int) -> TmegGraph:
-        """A copy with its own `candidate_index`; it shares everything else."""
-        return TmegGraph(self._nodes, self.phi_t, self.phi_m, candidate_index, self.arrays)
 
     def validate(self):
         """Raise ValueError unless both code matrices are N x N, symmetric,
@@ -169,17 +160,10 @@ def build_nodes(steps: list[Step], candidate: list[StepImage]) -> list[Node]:
                               entity_id=phrase.entity_id if phrase else None,
                               token=tok, phrase=phrase))
         nodes.append(Node(len(nodes), "text", "sep", t, unit, len(step.tokens) + 1))
-    return nodes + _visual_nodes(candidate, len(nodes))
-
-
-def _visual_nodes(candidate: list[StepImage], start: int) -> list[Node]:
-    """The candidate's image nodes, numbered from global index `start`."""
-    nodes: list[Node] = []
     for pos, image in enumerate(candidate, start=1):
-        nodes.append(Node(start + len(nodes), "visual", "cls", pos, image.image_id, 0))
+        nodes.append(Node(len(nodes), "visual", "cls", pos, image.image_id, 0))
         for oi, obj in enumerate(image.objects):
-            nodes.append(Node(start + len(nodes), "visual", "object", pos,
-                              image.image_id, oi + 1, obj=obj))
+            nodes.append(Node(len(nodes), "visual", "object", pos, image.image_id, oi + 1, obj=obj))
     return nodes
 
 
@@ -324,8 +308,8 @@ def derive_edge_based_labels(arr: SimpleNamespace, phi_t: np.ndarray, phi_m: np.
 
 
 def assemble_graph(steps: list[Step], candidate: list[StepImage],
-                   lambda_t: float = DEFAULT_LAMBDA_T, lambda_m: float = DEFAULT_LAMBDA_M,
-                   candidate_index: int = -1) -> TmegGraph:
+                   lambda_t: float = DEFAULT_LAMBDA_T,
+                   lambda_m: float = DEFAULT_LAMBDA_M) -> TmegGraph:
     nodes = build_nodes(steps, candidate)
     arr = node_arrays(nodes)
     phi_t = np.zeros((len(nodes), len(nodes)), dtype=np.int8)
@@ -335,7 +319,7 @@ def assemble_graph(steps: list[Step], candidate: list[StepImage],
     temporal_visual_labels(arr, phi_t, lambda_t)
     inter_modal_labels(arr, phi_m, lambda_m)
     derive_edge_based_labels(arr, phi_t, phi_m)
-    graph = TmegGraph(nodes, phi_t, phi_m, candidate_index, arr)
+    graph = TmegGraph(steps, candidate, phi_t, phi_m, arr)
     graph.validate()
     return graph
 
@@ -344,8 +328,8 @@ def assemble_candidate_graphs(steps: list[Step], candidates: list[list[StepImage
                               lambda_t: float = DEFAULT_LAMBDA_T,
                               lambda_m: float = DEFAULT_LAMBDA_M) -> list[TmegGraph]:
     """One graph per candidate, equal to `assemble_graph(steps, candidate,
-    ..., candidate_index=c)`, sliced out of one `assemble_graph` call over
-    the union of the candidates' images (see the module docstring)."""
+    ...)`, sliced out of one `assemble_graph` call over the union of the
+    candidates' images (see the module docstring)."""
     union: dict[str, StepImage] = {}
     for image in itertools.chain.from_iterable(candidates):
         if union.setdefault(image.image_id, image) is not image:
@@ -381,8 +365,7 @@ def assemble_candidate_graphs(steps: list[Step], candidates: list[list[StepImage
     objects = np.searchsorted(arr.objects, rows[arr.kind[rows] == OBJECT])   # feature rows
     features, boxes, kind = arr.features[objects], arr.boxes[objects], arr.kind.take(idx, mode="clip")
     ends = list(itertools.accumulate(m - n_text - len(c) for m, c in zip(sizes, candidates)))
-    text = whole.nodes[:n_text]
-    return [TmegGraph((text, cand), phi_t[c, :m, :m], phi_m[c, :m, :m], c, SimpleNamespace(
+    return [TmegGraph(steps, cand, phi_t[c, :m, :m], phi_m[c, :m, :m], SimpleNamespace(
                 n_text=n_text, kind=kind[c, :m], token=arr.token, step=step[c, :m],
                 features=features[start:end], boxes=boxes[start:end]))
             for c, (cand, m, start, end) in enumerate(zip(candidates, sizes, [0] + ends, ends))]
@@ -396,11 +379,11 @@ def _rle(matrix: np.ndarray) -> list[list[int]]:
     return [[v, len(list(run))] for v, run in itertools.groupby(matrix.reshape(-1).tolist())]
 
 
-def dump_graph(graph: TmegGraph) -> dict:
+def dump_graph(graph: TmegGraph, candidate_index: int = -1) -> dict:
     """JSON-ready dump: node table plus run-length-encoded code matrices."""
     return {
         "n_nodes": graph.n_nodes,
-        "candidate_index": graph.candidate_index,
+        "candidate_index": candidate_index,
         "nodes": [{f: getattr(n, f) for f in (
             "global_index", "modality", "kind", "step_index", "unit_id",
             "local_index", "entity_id", "token")} for n in graph.nodes],

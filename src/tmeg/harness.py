@@ -173,7 +173,7 @@ def make_instances(corpus: D.Corpus, kinds: list[str], n_candidates: int,
 @dataclass
 class PreparedInstance:
     instance: D.TaskInstance
-    graphs: list[G.TmegGraph]     # one per candidate
+    graphs: list[G.TmegGraph]     # one per candidate, shared with other instances
     aligned_rows: np.ndarray      # text CLS row indices aligned with candidates
 
 
@@ -200,8 +200,8 @@ def prepare_instances(corpus: D.Corpus, instances: list[D.TaskInstance],
     share a context window get their graphs from one
     `assemble_candidate_graphs` call over the group's distinct candidates.
     Each distinct graph is ablated once (`ablate_graph`). A repeated
-    candidate is labelled once; each repeat is a copy with its own
-    `candidate_index` sharing the code matrices and arrays."""
+    candidate is labelled once, and every instance that has it holds that
+    one graph object."""
     steps_of = {doc.doc_id: {s.index: s for s in doc.steps} for doc in corpus.documents}
     images = corpus.image_index()
     groups: dict[tuple, dict] = {}    # (doc_id, context) -> refs -> images
@@ -233,9 +233,8 @@ def prepare_instances(corpus: D.Corpus, instances: list[D.TaskInstance],
     prepared = []
     for inst in instances:
         graphs, aligned = built[inst.doc_id, tuple(inst.context_steps)]
-        prepared.append(PreparedInstance(
-            inst, [graphs[tuple(cand)].numbered(ci) for ci, cand in enumerate(inst.candidates)],
-            aligned[:len(inst.candidates[0])]))
+        prepared.append(PreparedInstance(inst, [graphs[tuple(cand)] for cand in inst.candidates],
+                                         aligned[:len(inst.candidates[0])]))
     return prepared
 
 
@@ -321,17 +320,17 @@ def _pad_rows(parts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
 
 def score_prepared(model: TmegModel, prepared: list[PreparedInstance],
                    batch_size: int) -> list[np.ndarray]:
-    """Each instance's candidate scores, without a tape. Graphs that share
-    their code matrices are copies of one graph (see `prepare_instances`):
+    """Each instance's candidate scores, without a tape. Instances that
+    share a candidate hold one graph object (see `prepare_instances`):
     each distinct graph is scored once, in chunks of `batch_size` x N_c
-    graphs, and its score fanned back out to every copy."""
-    distinct = {id(g.phi_t): g for p in prepared for g in p.graphs}
+    graphs, and its score fanned back out to every instance holding it."""
+    distinct = {id(g): g for p in prepared for g in p.graphs}
     graphs, chunk = list(distinct.values()), batch_size * len(prepared[0].graphs)
     with no_grad():
         scores = dict(zip(distinct, np.concatenate([
             model.score_graphs(graphs[k:k + chunk]).data
             for k in range(0, len(graphs), chunk)])))
-    return [np.array([scores[id(g.phi_t)] for g in p.graphs]) for p in prepared]
+    return [np.array([scores[id(g)] for g in p.graphs]) for p in prepared]
 
 
 def evaluate_prepared(model: TmegModel, prepared: list[PreparedInstance],

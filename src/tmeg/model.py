@@ -81,6 +81,8 @@ class ModelConfig:
     coherence_inclusive: bool = True
 
     def __post_init__(self):
+        if self.n_heads < 1 or self.scorer_heads < 1:
+            raise ValueError("n_heads and scorer_heads must be >= 1")
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
         if self.n_layers < 1 or self.scorer_layers < 1:
@@ -215,16 +217,16 @@ class GraphBatch:
     counts in the batch. Padding rows are False in `node_mask`, carry the
     NONE pair code in `codes`, and are masked out as attention keys, so
     they never reach a real row. Graphs of one structure need no padding.
+    `segments` holds each node's step: a text node's step number, a
+    visual node's candidate position.
     """
     size: int
     n_nodes: int
     n_text: int
     token_ids: np.ndarray       # (B, n_text) into the extended token table
-    text_positions: np.ndarray  # (n_text,)
-    text_segments: np.ndarray   # (B, n_text)
+    segments: np.ndarray        # (B, N) each node's step
     vis_features: np.ndarray    # (B, n_vis, d_v); zero rows at CLS positions
     vis_boxes: np.ndarray       # (B, n_vis, 6); zero rows at CLS positions
-    vis_segments: np.ndarray    # (B, n_vis)
     vis_cls_mask: np.ndarray    # (B, n_vis) 1.0 at visual CLS rows
     node_mask: np.ndarray       # (B, N) True at real nodes
     codes: np.ndarray           # (B, N, N) pair codes, see `edge_codes`
@@ -232,10 +234,6 @@ class GraphBatch:
     vis_cls_idx: np.ndarray     # (B, N_a) rows of the visual CLS nodes
     n_text_cls: np.ndarray      # (B,) real entries of each text_cls_idx row
     n_vis_cls: np.ndarray       # (B,) real entries of each vis_cls_idx row
-
-    @property
-    def n_vis(self) -> int:
-        return self.n_nodes - self.n_text
 
     def cls_rows(self) -> np.ndarray:
         """(B, N_t + N_a) rows of each graph's text, then visual, CLS
@@ -311,7 +309,7 @@ def prepare_batch(graphs: list[TmegGraph], vocab: dict[str, int],
     kind = _scatter(node_mask, [a.kind for a in arrays], fill=-1, dtype=np.int8)
     step = _scatter(node_mask, [a.step for a in arrays])
     text_kind, vis_kind = kind[:, :n_text], kind[:, n_text:]
-    if n_text and step[:, :n_text].max() > config.max_steps:
+    if step.max(initial=0) > config.max_steps:    # text and visual nodes alike
         raise ValueError("step index exceeds max_steps")
 
     tokens, where = np.unique(np.concatenate([a.token for a in arrays]),
@@ -330,12 +328,10 @@ def prepare_batch(graphs: list[TmegGraph], vocab: dict[str, int],
     vis_cls_idx, n_vis_cls = _left_pack(vis_kind == CLS, n_text)
     return GraphBatch(
         size=len(graphs), n_nodes=n_text + n_vis, n_text=n_text,
-        token_ids=token_ids, text_positions=np.arange(n_text, dtype=np.int64),
-        text_segments=step[:, :n_text],
+        token_ids=token_ids, segments=step,
         vis_features=_scatter(objects, [np.zeros((0, config.d_v))] + features, dtype=np.float64),
         vis_boxes=_scatter(objects, [np.concatenate(
             [boxes, boxes[:, 2:] - boxes[:, :2]], axis=1)], dtype=np.float64),
-        vis_segments=step[:, n_text:],
         vis_cls_mask=(vis_kind == CLS).astype(np.float64), node_mask=node_mask,
         codes=_scatter(pairs, [edge_codes(
             np.concatenate([g.phi_t.ravel() for g in graphs]),
@@ -373,8 +369,7 @@ class TmegModel:
         box and a segment row."""
         return node_embedding(
             [self.p(f"emb/{name}") for name in _EMBEDDING_PARAMS],
-            batch.token_ids, batch.text_positions,
-            np.concatenate([batch.text_segments, batch.vis_segments], axis=1),
+            batch.token_ids, np.arange(batch.n_text), batch.segments,
             batch.vis_features, batch.vis_boxes, batch.vis_cls_mask)
 
     def project_modalities(self, h0: Tensor, batch: GraphBatch) -> Tensor:

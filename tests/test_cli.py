@@ -140,6 +140,8 @@ class TestMalformedConfig:
         ("train", run_config_dict(tasks=["cloze", 1]), "tasks"),
         ("train", run_config_dict(model={"d_model": "32"}), "d_model"),
         ("train", run_config_dict(model={"tau": None}), "tau"),
+        ("train", run_config_dict(model={"n_heads": 0}), "n_heads"),
+        ("train", run_config_dict(model={"scorer_heads": 0}), "scorer_heads"),
         ("gen-data", dict(SYN_CONFIG, num_docs="3"), "num_docs"),
         ("gen-data", dict(SYN_CONFIG, feature_noise_sigma=True),
          "feature_noise_sigma"),
@@ -151,6 +153,7 @@ class TestMalformedConfig:
             "train-str-for-int", "train-bool-for-int", "train-bool-for-float",
             "train-null-for-int", "train-int-in-str-list",
             "train-model-str-for-int", "train-model-null-for-float",
+            "train-model-zero-heads", "train-model-zero-scorer-heads",
             "gen-data-str-for-int", "gen-data-bool-for-float",
             "gen-data-int-for-bool"])
     def test_exits_2_naming_the_offender(self, tmp_path, capsys, command,
@@ -394,6 +397,20 @@ class TestCorruptCheckpoint:
             dst.write(src.read())
         assert main(eval_argv(bad, tasks, corpus_path)) == 4
 
+    @pytest.mark.parametrize("heads", ["n_heads", "scorer_heads"])
+    def test_zero_heads_in_sidecar_exit_4(self, eval_files, heads, capsys):
+        tmp_path, corpus_path, tasks, ckpt, ckpt_bytes = eval_files
+        bad = os.path.join(tmp_path, "zero_heads.ckpt")
+        with open(bad, "wb") as fh:
+            fh.write(ckpt_bytes)
+        with open(ckpt + ".json") as fh:
+            sidecar = json.load(fh)
+        sidecar["model_config"][heads] = 0
+        with open(bad + ".json", "w") as fh:
+            json.dump(sidecar, fh)
+        assert main(eval_argv(bad, tasks, corpus_path)) == 4
+        assert heads in capsys.readouterr().err
+
 
 class TestMalformedTasks:
 
@@ -453,6 +470,44 @@ def test_eval_restores_the_collector(eval_files, enabled):
         assert gc.isenabled() is enabled
     finally:
         gc.enable()
+
+
+def write_tasks(tmp_path, name, lines):
+    path = os.path.join(tmp_path, name)
+    with open(path, "w") as fh:
+        fh.write("\n".join(json.dumps(d) for d in lines))
+    return path
+
+
+def test_candidate_with_more_images_than_max_steps_exits_2(eval_files, capsys):
+    """A visual node's step is its candidate position, so a candidate of
+    17 images exceeds max_steps 16 like a 17th text step would."""
+    tmp_path, corpus_path, tasks, ckpt, _ = eval_files
+    with open(tasks) as fh:
+        first = json.loads(fh.readline())
+    ids = [im["image_id"] for doc in json.load(open(corpus_path))["documents"]
+           for step in doc["steps"] for im in step["images"]]
+    assert len(ids) > 17
+    bad = write_tasks(tmp_path, "long_tasks.jsonl",
+                      [dict(first, candidates=[ids[:17], ids[1:18]], gold_index=0)])
+    assert main(eval_argv(ckpt, bad, corpus_path)) == 2
+    assert "max_steps" in capsys.readouterr().err
+
+
+def test_dump_graphs_numbers_each_instances_candidates(eval_files):
+    """--dump-graphs writes candidate_index 0..N_c-1 for each dumped
+    instance, also for two instances that share their candidates."""
+    tmp_path, corpus_path, tasks, ckpt, _ = eval_files
+    with open(tasks) as fh:
+        lines = [json.loads(line) for line in fh]
+    shared = write_tasks(tmp_path, "shared_tasks.jsonl", [lines[0]] + lines)
+    metrics = os.path.join(tmp_path, "shared.json")
+    assert main(["--metrics-out", metrics, "--dump-graphs"]
+                + eval_argv(ckpt, shared, corpus_path)) == 0
+    dumps = json.load(open(metrics + ".graphs.json"))
+    n_c = [len(d["candidates"]) for d in ([lines[0]] + lines)[:4]]
+    assert [d["candidate_index"] for d in dumps] == [i for n in n_c for i in range(n)]
+    assert dumps[:n_c[0]] == dumps[n_c[0]:2 * n_c[0]]
 
 
 def test_empty_entity_id_in_corpus_exits_3(eval_files):

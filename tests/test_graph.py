@@ -277,9 +277,8 @@ class TestWideOracle:
             candidates.append([images[0], images[-1], images[0]])
             group = assemble_candidate_graphs(steps, candidates, lam_t, lam_m)
             assert len(group) == len(candidates)
-            for ci, (cand, g) in enumerate(zip(candidates, group)):
-                assert_same_graph(g, assemble_graph(steps, cand, lam_t, lam_m,
-                                                    candidate_index=ci))
+            for cand, g in zip(candidates, group):
+                assert_same_graph(g, assemble_graph(steps, cand, lam_t, lam_m))
                 ref_t, ref_m = oracle_matrices(g.nodes, lam_t, lam_m)
                 np.testing.assert_array_equal(g.phi_t, ref_t)
                 np.testing.assert_array_equal(g.phi_m, ref_m)
@@ -297,23 +296,21 @@ class TestWideOracle:
         for p in prepared:
             steps = [s for i in p.instance.context_steps
                      for s in docs[p.instance.doc_id].steps if s.index == i]
-            for ci, (cand, g) in enumerate(zip(p.instance.candidates, p.graphs)):
+            for cand, g in zip(p.instance.candidates, p.graphs):
                 ref_t, ref_m = oracle_matrices(g.nodes, DEFAULT_LAMBDA_T,
                                                DEFAULT_LAMBDA_M)
                 np.testing.assert_array_equal(g.phi_t, ref_t)
                 np.testing.assert_array_equal(g.phi_m, ref_m)
-                assert_same_graph(g, assemble_graph(
-                    steps, [images[r] for r in cand], candidate_index=ci))
+                assert_same_graph(g, assemble_graph(steps, [images[r] for r in cand]))
                 n_graphs += 1
         assert n_graphs == 96
 
     @pytest.mark.parametrize("shape", ["uniform", "default"])
     def test_prepared_graphs_equal_one_assembly_per_candidate(self, shape):
         """On 80-document corpora with all three tasks, every prepared
-        graph equals assembling its candidate alone: node dump,
-        candidate_index, code matrices with their dtypes, and node arrays.
-        Repeated candidates share one graph's matrices and arrays, and
-        build equal nodes on demand."""
+        graph equals assembling its candidate alone: node dump, code
+        matrices with their dtypes, and node arrays. Instances that repeat
+        a candidate hold one graph object."""
         kw = (dict(steps_min=7, steps_max=7, tokens_per_step_min=3,
                    tokens_per_step_max=3, entity_vocab_size=24,
                    token_vocab_size=30, objects_per_image_min=3,
@@ -332,17 +329,12 @@ class TestWideOracle:
             alone = {}
             for p in prepared:
                 steps = [docs[p.instance.doc_id][i] for i in p.instance.context_steps]
-                for ci, (cand, g) in enumerate(zip(p.instance.candidates, p.graphs)):
-                    assert g.candidate_index == ci
+                for cand, g in zip(p.instance.candidates, p.graphs):
                     key = (p.instance.doc_id, tuple(p.instance.context_steps), tuple(cand))
-                    if key in alone:    # a repeat: the first graph with its own index
-                        first = alone[key][0]
-                        assert all(getattr(g, f) is getattr(first, f)
-                                   for f in ("phi_t", "phi_m", "arrays"))
-                        assert g.nodes == first.nodes
+                    if key in alone:    # a repeat: the first instance's graph itself
+                        assert g is alone[key][0]
                         continue
-                    ref = assemble_graph(steps, [images[r] for r in cand],
-                                         candidate_index=ci)
+                    ref = assemble_graph(steps, [images[r] for r in cand])
                     alone[key] = g, ref
                     assert dump_graph(g) == dump_graph(ref)
                     for got, want in ((g.phi_t, ref.phi_t), (g.phi_m, ref.phi_m)):
@@ -556,10 +548,10 @@ class TestValidate:
         """`python -O` strips asserts; validation must not rely on them."""
         script = textwrap.dedent("""
             import numpy as np
-            from tmeg.graph import Node, TmegGraph
+            from tmeg.graph import Node, TmegGraph, node_arrays
             nodes = [Node(i, "text", "token", 1, "s1", i) for i in range(3)]
-            g = TmegGraph(nodes, np.zeros((2, 2), np.int8),
-                          np.zeros((3, 3), np.int8))
+            g = TmegGraph([], [], np.zeros((2, 2), np.int8),
+                          np.zeros((3, 3), np.int8), node_arrays(nodes))
             try:
                 g.validate()
             except ValueError:
@@ -596,8 +588,8 @@ class TestCandidateStack:
         steps, candidates = small_group()
         group = assemble_candidate_graphs(steps, candidates)
         assert len({g.n_nodes for g in group}) == 3
-        for ci, (cand, g) in enumerate(zip(candidates, group)):
-            assert_same_graph(g, assemble_graph(steps, cand, candidate_index=ci))
+        for cand, g in zip(candidates, group):
+            assert_same_graph(g, assemble_graph(steps, cand))
             ref_t, ref_m = oracle_matrices(g.nodes, DEFAULT_LAMBDA_T, DEFAULT_LAMBDA_M)
             np.testing.assert_array_equal(g.phi_t, ref_t)
             np.testing.assert_array_equal(g.phi_m, ref_m)
@@ -609,7 +601,7 @@ class TestCandidateStack:
     def test_nodes_built_on_demand_equal_build_nodes(self):
         steps, candidates = small_group()
         group = assemble_candidate_graphs(steps, candidates)
-        assert all(isinstance(g._nodes, tuple) for g in group)    # nothing built yet
+        assert all("nodes" not in vars(g) for g in group)    # nothing built yet
         for cand, g in zip(candidates, group):
             want = build_nodes(steps, cand)
             assert [vars(n) for n in g.nodes] == [vars(n) for n in want]

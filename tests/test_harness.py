@@ -368,7 +368,7 @@ class TestEvaluate:
         instances = make_instances(corpus, cfg.tasks, cfg.n_candidates, 2)
         prepared = prepare_instances(corpus, instances, cfg.lambda_t, cfg.lambda_m)
         graphs = [g for p in prepared for g in p.graphs]
-        assert len({id(g.phi_t) for g in graphs}) < len(graphs)
+        assert len({id(g) for g in graphs}) < len(graphs)
 
         with no_grad():
             single = [_batch_scores(model, [p])[0].data[0] for p in prepared]
@@ -390,6 +390,30 @@ class TestEvaluate:
         assert log == want_log
         assert acc == {t: float(np.mean(v)) for t, v in sorted(by_task.items())}
         assert len({entry["predicted"] for entry in log}) > 1
+
+    def test_each_distinct_graph_is_scored_once(self, monkeypatch):
+        """score_prepared hands every distinct graph object to score_graphs
+        once: the rows it scores number the distinct graphs, not the
+        candidates of all instances."""
+        corpus = generate_synthetic_corpus(SyntheticConfig(num_docs=4, d_v=4, seed=2))
+        cfg = tiny_run_config(tasks=["cloze", "coherence", "ordering"],
+                              n_candidates=4)
+        model = TmegModel(cfg.model, build_vocab(corpus), seed=0)
+        instances = make_instances(corpus, cfg.tasks, cfg.n_candidates, 2)
+        prepared = prepare_instances(corpus, instances, cfg.lambda_t, cfg.lambda_m)
+        scored, score_graphs = [], model.score_graphs
+
+        def spy(graphs):
+            scored.extend(graphs)
+            return score_graphs(graphs)
+
+        monkeypatch.setattr(model, "score_graphs", spy)
+        rows = score_prepared(model, prepared, cfg.batch_size)
+        distinct = {id(g) for p in prepared for g in p.graphs}
+        assert len(scored) == len({id(g) for g in scored}) == len(distinct)
+        assert {id(g) for g in scored} == distinct
+        assert len(distinct) < sum(len(p.graphs) for p in prepared)
+        assert [len(r) for r in rows] == [len(p.graphs) for p in prepared]
 
     def test_metrics_json_excludes_wall_clock(self):
         corpus = tiny_corpus()

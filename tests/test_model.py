@@ -17,7 +17,7 @@ from tmeg.autodiff import (
     linear, logsumexp,
 )
 from tmeg.data import SyntheticConfig, build_vocab, generate_synthetic_corpus
-from tmeg.graph import N_MODAL_CODES, N_TEMPORAL_CODES
+from tmeg.graph import N_MODAL_CODES, N_TEMPORAL_CODES, node_arrays
 from tmeg.harness import (
     RunConfig, ablate_graph, make_instances, prepare_instances, _batch_loss,
     _batch_scores,
@@ -133,10 +133,9 @@ def node_walking_prepare_batch(graphs, vocab, config):
     special = {"cls": config.token_vocab_size, "sep": config.token_vocab_size + 1}
     B, N = len(graphs), n_text + n_vis
     token_ids = np.zeros((B, n_text), dtype=np.int64)
-    text_segments = np.zeros((B, n_text), dtype=np.int64)
+    segments = np.zeros((B, N), dtype=np.int64)
     vis_features = np.zeros((B, n_vis, config.d_v))
     vis_boxes = np.zeros((B, n_vis, 6))
-    vis_segments = np.zeros((B, n_vis), dtype=np.int64)
     vis_cls_mask = np.zeros((B, n_vis))
     node_mask = np.zeros((B, N), dtype=bool)
     codes = np.zeros((B, N, N), dtype=np.int64)
@@ -144,8 +143,6 @@ def node_walking_prepare_batch(graphs, vocab, config):
     for b, (g, nt) in enumerate(zip(graphs, splits)):
         text, vis = g.nodes[:nt], g.nodes[nt:]
         token_ids[b, :nt] = [special.get(n.kind, vocab.get(n.token, 0)) for n in text]
-        text_segments[b, :nt] = [n.step_index for n in text]
-        vis_segments[b, :len(vis)] = [n.step_index for n in vis]
         for k, node in enumerate(vis):
             if node.kind == "cls":
                 vis_cls_mask[b, k] = 1.0
@@ -157,6 +154,7 @@ def node_walking_prepare_batch(graphs, vocab, config):
         node_mask[b, :nt] = True
         node_mask[b, n_text:n_text + len(vis)] = True
         rows = np.flatnonzero(node_mask[b])
+        segments[b, rows] = [n.step_index for n in g.nodes]
         codes[b][np.ix_(rows, rows)] = g.phi_t * N_MODAL_CODES + g.phi_m
         text_cls.append([k for k, n in enumerate(text) if n.kind == "cls"])
         vis_cls.append([n_text + k for k, n in enumerate(vis) if n.kind == "cls"])
@@ -171,9 +169,7 @@ def node_walking_prepare_batch(graphs, vocab, config):
     (text_cls_idx, n_text_cls), (vis_cls_idx, n_vis_cls) = pad(text_cls), pad(vis_cls)
     return GraphBatch(
         size=B, n_nodes=N, n_text=n_text, token_ids=token_ids,
-        text_positions=np.arange(n_text, dtype=np.int64),
-        text_segments=text_segments, vis_features=vis_features,
-        vis_boxes=vis_boxes, vis_segments=vis_segments,
+        segments=segments, vis_features=vis_features, vis_boxes=vis_boxes,
         vis_cls_mask=vis_cls_mask, node_mask=node_mask, codes=codes,
         text_cls_idx=text_cls_idx, vis_cls_idx=vis_cls_idx,
         n_text_cls=n_text_cls, n_vis_cls=n_vis_cls)
@@ -474,9 +470,9 @@ class TestEdgeBias:
                 assert_rel_close(got[name], g, what=name)
 
     def test_ablated_repeats_share_one_graph(self):
-        """Ablation clears each distinct graph once, before its copies are
-        made: repeated candidates still share one set of code matrices,
-        so evaluation still scores each distinct graph once."""
+        """Ablation clears each distinct graph once: instances that repeat
+        a candidate still share one graph object, so evaluation still
+        scores each distinct graph once."""
         corpus = generate_synthetic_corpus(SyntheticConfig(num_docs=4, d_v=4, seed=2))
         instances = make_instances(corpus, ["cloze", "coherence", "ordering"], 4, 2)
         full = [g for p in prepare_instances(corpus, instances, 7.0, 0.5)
@@ -488,7 +484,8 @@ class TestEdgeBias:
                                                    ablation) for g in p.graphs]
             for name in ("phi_t", "phi_m"):
                 n_distinct = len({id(getattr(g, name)) for g in graphs})
-                assert n_distinct == len({id(g.phi_t) for g in full}) < len(graphs)
+                assert n_distinct == len({id(g) for g in graphs}) == len({id(g) for g in full})
+                assert n_distinct < len(graphs)
                 for g, ref in zip(graphs, full):
                     np.testing.assert_array_equal(
                         getattr(g, name),
@@ -604,7 +601,8 @@ class TestEncoderShapes:
                   for g in p.graphs]
         chunks = [graphs[:4], graphs[-4:]] + [graphs[k:k + 24]
                                               for k in range(0, len(graphs), 24)]
-        chunks.append([dataclasses.replace(g, arrays=None) for g in chunks[-1]])
+        chunks.append([dataclasses.replace(g, arrays=node_arrays(g.nodes))
+                       for g in chunks[-1]])
         for chunk in chunks:
             assert_same_batch(prepare_batch(chunk, vocab, model.config),
                               node_walking_prepare_batch(chunk, vocab, model.config))
