@@ -16,23 +16,22 @@ the next tape reuses the freed pages instead of faulting them in again,
 importing this module tells glibc's malloc to keep freed heap mapped
 (`_keep_freed_pages`).
 
-Composed operations are fused into single tape nodes: `softmax`,
-`layer_norm` and `encoder_layer`, a whole post-norm transformer layer with
-graph-biased attention that reads its per-head edge biases from the bias
-tables at the pair codes itself. The rest of the model's training step
-has one node per stage: `node_embedding` (token, position, segment,
-object and box rows), `split_tanh_mlps` (the two modality MLPs),
-`pair_sequence` (the scorer input), `mlp_readout` (the scorer head),
-`cross_entropy` (the prediction loss), `info_nce` (the coherence loss,
-gathering its rows inside the node) and `add_scaled` (their weighted
-sum). Each repeats, operation for operation, the float arithmetic of the
-chain it replaces, sharing private helpers for the softmax, layer-norm,
-linear and tanh-MLP arithmetic, so values and gradients are bit-identical
-to the composed graph, while the tape holds one node and only the arrays
-its backward pass needs. `encoder_layer` can also compute only chosen
-output rows (its `rows` argument), with keys and values still taken from
-every row: the encoder runs each stack's last layer that way, over just
-the rows that are read next.
+Composed operations are fused into single tape nodes: `encoder_layer`, a
+whole post-norm transformer layer with graph-biased attention that reads
+its per-head edge biases from the bias tables at the pair codes itself,
+and one node per other stage of the training step: `node_embedding`
+(token, position, segment, object and box rows), `split_tanh_mlps` (the
+two modality MLPs), `pair_sequence` (the scorer input), `mlp_readout`
+(the scorer head), `cross_entropy` (the prediction loss), `info_nce` (the
+coherence loss, gathering its rows inside the node) and `add_scaled`
+(their weighted sum). Each repeats, operation for operation, the float
+arithmetic of the chain it replaces, sharing private helpers for the
+softmax, layer-norm, linear and tanh-MLP arithmetic, so values and
+gradients are bit-identical to the composed graph, while the tape holds
+one node and only the arrays its backward pass needs. `encoder_layer` can
+also compute only chosen output rows (its `rows` argument), with keys and
+values still taken from every row: the encoder runs each stack's last
+layer that way, over just the rows that are read next.
 
 The FFN's exact GELU x * Phi(x) takes its erf from `_erf`, a numpy port of
 `s_erf.c` from Sun's fdlibm 5.3 (as kept in FreeBSD's msun) with the same
@@ -94,11 +93,6 @@ def no_grad():
         _grad_enabled = previous
 
 
-def _as_array(x) -> np.ndarray:
-    a = np.asarray(x, dtype=np.float64)
-    return a
-
-
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum `grad` down to `shape`, undoing numpy broadcasting."""
     if grad.shape == shape:
@@ -150,7 +144,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad=False, parents=(), backward=None):
-        self.data = _as_array(data)
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = requires_grad or (
             _grad_enabled and any(p.requires_grad for p in parents))
@@ -676,43 +670,12 @@ def _fold_code_grad(g_pair: np.ndarray, n_t: int, n_m: int):
 # fused operations
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax; shift by the (detached) max.
-
-    One tape node whose forward and backward repeat, operation for
-    operation, the arithmetic of the composed exp(x - max) / sum graph."""
-    e, s, r = _softmax_parts(x.data, axis)
-
-    def bw(g):
-        if x.requires_grad:
-            x._accumulate(_softmax_backward(g, e, s, r, axis))
-
-    return Tensor(e * r, parents=(x,), backward=bw)
-
-
 def logsumexp(x: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
     m = x.data.max(axis=axis, keepdims=True)
     s = (x - m).exp().sum(axis=axis, keepdims=True).log() + m
     if not keepdims:
         s = s.reshape(tuple(np.squeeze(s.data, axis=axis).shape))
     return s
-
-
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = _LN_EPS) -> Tensor:
-    """Row-wise layer normalization over the last axis, then affine.
-
-    One tape node whose forward and backward repeat, operation for
-    operation, the arithmetic of the composed graph
-    (x - mean) / sqrt(var + eps) * gamma + beta."""
-    c, sd, inv = _ln_stats(x.data, eps)
-
-    def bw(g):
-        g_x = _ln_backward(g, c, sd, inv, gamma, beta)
-        if x.requires_grad:
-            x._accumulate(g_x)
-
-    return Tensor(_ln_affine(c, inv, gamma.data, beta.data),
-                  parents=(x, gamma, beta), backward=bw)
 
 
 def encoder_layer(h: Tensor, params, n_heads: int, edge=None, key_bias=None,
@@ -744,8 +707,9 @@ def encoder_layer(h: Tensor, params, n_heads: int, edge=None, key_bias=None,
     -inf mask of padded keys).
 
     Forward and backward repeat, operation for operation, the arithmetic
-    of that chain composed from `linear`, `softmax`, `layer_norm`, the
-    exact GELU and an edge bias gathered per code from the two tables.
+    of that chain composed from `linear`, elementwise ops (the softmax as
+    exp(x - max) / sum, each layer norm as (x - mean) / sqrt(var + eps)),
+    the exact GELU and an edge bias gathered per code from the two tables.
     For backward the node keeps the layer input, q, k and v, the exp
     numerator, its sums and the probabilities, the attention output, each
     layer norm's centred rows, std and inverse, the first layer norm's

@@ -274,17 +274,16 @@ def corpus_to_dict(corpus: Corpus) -> dict:
     return {"d_v": corpus.d_v, "documents": docs}
 
 
-def _int(value, what: str) -> int:
-    """A JSON integer; a float, string or boolean raises TypeError."""
-    if type(value) is not int:
-        raise TypeError(f"{what} must be an integer, not {type(value).__name__}")
-    return value
+_JSON_TYPES = {int: "an integer", str: "a string", list: "a JSON array",
+               dict: "a JSON object"}
 
 
-def _str(value, what: str) -> str:
-    """A JSON string; a number, boolean or null raises TypeError."""
-    if type(value) is not str:
-        raise TypeError(f"{what} must be a string, not {type(value).__name__}")
+def _typed(value, tp: type, what: str):
+    """`value` if it is a JSON value of type `tp`, else TypeError naming
+    `what`. A float, string or boolean is never an integer."""
+    if type(value) is not tp:
+        raise TypeError(f"{what} must be {_JSON_TYPES[tp]}, "
+                        f"not {type(value).__name__}")
     return value
 
 
@@ -313,9 +312,9 @@ def _number_rows(rows: list, what: str) -> np.ndarray:
 def _image_from_dict(idd: dict, where: str) -> StepImage:
     """One image; its objects' features are type-checked as one array.
     (`_validate_document` rejects a NaN or infinite confidence.)"""
-    image_id = _str(idd["image_id"], f"{where} image_id")
+    image_id = _typed(idd["image_id"], str, f"{where} image_id")
     where = f"{where} image {image_id}"
-    objects = idd["objects"]
+    objects = _typed(idd["objects"], list, f"{where} objects")
     features = _number_rows([od["feature"] for od in objects],
                             f"{where} features")
     confidences = [od["confidence"] for od in objects]
@@ -335,37 +334,40 @@ def _span_from_list(vals, where: str) -> tuple[int, int]:
 
 def corpus_from_dict(payload: dict) -> Corpus:
     try:
-        d_v = _int(payload["d_v"], "d_v")
+        d_v = _typed(payload["d_v"], int, "d_v")
         documents = []
-        for dd in payload["documents"]:
-            doc_id = _str(dd["doc_id"], "doc_id")
+        for dd in _typed(payload["documents"], list, "documents"):
+            doc_id = _typed(dd["doc_id"], str, "doc_id")
             steps = []
-            for sd in dd["steps"]:
+            for sd in _typed(dd["steps"], list, f"doc {doc_id} steps"):
                 where = f"doc {doc_id} step {sd['index']}"
                 noun_phrases = [
                     NounPhrase(
                         span=_span_from_list(nd["span"], where),
-                        entity_id=_str(nd["entity_id"], f"{where} entity_id"),
+                        entity_id=_typed(nd["entity_id"], str, f"{where} entity_id"),
                         grounding_boxes={
                             iid: BoundingBox.from_list(box, where)
-                            for iid, box in nd.get("grounding_boxes", {}).items()
+                            for iid, box in _typed(nd.get("grounding_boxes", {}), dict,
+                                                   f"{where} grounding_boxes").items()
                         },
                     )
-                    for nd in sd.get("noun_phrases", [])
+                    for nd in _typed(sd.get("noun_phrases", []), list,
+                                     f"{where} noun_phrases")
                 ]
-                tokens = sd["tokens"]
+                tokens = _typed(sd["tokens"], list, f"{where} tokens")
                 if not set(map(type, tokens)) <= {str}:
                     raise TypeError(f"{where}: tokens must be strings")
                 steps.append(Step(
-                    index=_int(sd["index"], "step index"),
+                    index=_typed(sd["index"], int, "step index"),
                     tokens=list(tokens),
                     noun_phrases=noun_phrases,
-                    images=[_image_from_dict(idd, where)
-                            for idd in sd.get("images", [])],
+                    images=[_image_from_dict(idd, where) for idd in _typed(
+                        sd.get("images", []), list, f"{where} images")],
                 ))
             documents.append(PmdDocument(
                 doc_id=doc_id,
-                domain_tag=_str(dd.get("domain_tag", ""), f"doc {doc_id} domain_tag"),
+                domain_tag=_typed(dd.get("domain_tag", ""), str,
+                                  f"doc {doc_id} domain_tag"),
                 steps=steps,
             ))
     except (KeyError, TypeError, ValueError) as exc:
@@ -375,12 +377,21 @@ def corpus_from_dict(payload: dict) -> Corpus:
     return corpus
 
 
-def load_corpus(path) -> Corpus:
+def _read_text(path) -> str:
+    """The file at `path` decoded as UTF-8; CorpusError if it is not."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CorpusError(f"{path}: JSON parse error at line {exc.lineno}: {exc.msg}")
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise CorpusError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
+def load_corpus(path) -> Corpus:
+    text = _read_text(path)
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise CorpusError(f"{path}: JSON parse error at line {exc.lineno}: {exc.msg}")
     return corpus_from_dict(payload)
 
 
@@ -407,42 +418,36 @@ def save_task_instances(instances: list[TaskInstance], path):
 
 def load_task_instances(path) -> list[TaskInstance]:
     instances = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                d = json.loads(line)
-                if not isinstance(d, dict):
-                    raise TypeError(f"expected a JSON object, got {type(d).__name__}")
-                for key in ("context_steps", "candidates"):
-                    if not isinstance(d[key], list):
-                        raise TypeError(f"{key} must be a list")
-                if not d["candidates"] or not all(isinstance(c, list) and c and set(
-                        map(type, c)) <= {str} for c in d["candidates"]):
-                    raise ValueError("candidates must be non-empty lists of image ids "
-                                     "(JSON strings)")
-                if d["task_kind"] not in TASK_KINDS:
-                    raise ValueError(f"task_kind {d['task_kind']!r} is not one "
-                                     f"of {', '.join(TASK_KINDS)}")
-                if not isinstance(d["doc_id"], str):
-                    raise TypeError("doc_id must be a string")
-                inst = TaskInstance(
-                    task_kind=d["task_kind"],
-                    doc_id=d["doc_id"],
-                    context_steps=[_int(i, "context step") for i in d["context_steps"]],
-                    candidates=d["candidates"],
-                    gold_index=_int(d["gold_index"], "gold_index"),
-                )
-                if not 0 < len(set(inst.context_steps)) == len(inst.context_steps):
-                    raise ValueError("context_steps must be non-empty and distinct")
-                if not 0 <= inst.gold_index < len(inst.candidates):
-                    raise ValueError(f"gold_index {inst.gold_index} outside "
-                                     f"[0, {len(inst.candidates)})")
-                instances.append(inst)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise CorpusError(f"{path}:{lineno}: bad task instance: {exc}")
+    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            d = _typed(json.loads(line), dict, "a task instance")
+            for key in ("context_steps", "candidates"):
+                _typed(d[key], list, key)
+            if not d["candidates"] or not all(isinstance(c, list) and c and set(
+                    map(type, c)) <= {str} for c in d["candidates"]):
+                raise ValueError("candidates must be non-empty lists of image ids "
+                                 "(JSON strings)")
+            if d["task_kind"] not in TASK_KINDS:
+                raise ValueError(f"task_kind {d['task_kind']!r} is not one "
+                                 f"of {', '.join(TASK_KINDS)}")
+            inst = TaskInstance(
+                task_kind=d["task_kind"],
+                doc_id=_typed(d["doc_id"], str, "doc_id"),
+                context_steps=[_typed(i, int, "context step") for i in d["context_steps"]],
+                candidates=d["candidates"],
+                gold_index=_typed(d["gold_index"], int, "gold_index"),
+            )
+            if not 0 < len(set(inst.context_steps)) == len(inst.context_steps):
+                raise ValueError("context_steps must be non-empty and distinct")
+            if not 0 <= inst.gold_index < len(inst.candidates):
+                raise ValueError(f"gold_index {inst.gold_index} outside "
+                                 f"[0, {len(inst.candidates)})")
+            instances.append(inst)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CorpusError(f"{path}:{lineno}: bad task instance: {exc}")
     return instances
 
 

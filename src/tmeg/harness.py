@@ -14,6 +14,7 @@ corpus) triple reproduces byte-identical metrics and checkpoints.
 from __future__ import annotations
 
 import json
+import math
 import time
 import types
 import typing
@@ -26,8 +27,8 @@ from . import data as D
 from . import graph as G
 from .autodiff import Tensor, no_grad
 from .model import (
-    ModelConfig, TmegModel, coherence_loss, prediction_loss_batch,
-    param_spec, prepare_batch, total_loss,
+    ModelConfig, TmegModel, _left_pack, coherence_loss, param_spec,
+    prediction_loss_batch, prepare_batch, total_loss,
 )
 from .optim import (
     CheckpointError, ParamStore, adam_step, grad_eval, load_checkpoint,
@@ -46,7 +47,6 @@ class RunConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
     train_corpus: str | None = None
     valid_corpus: str | None = None
-    test_corpus: str | None = None
     tasks: list[str] = field(default_factory=lambda: ["cloze"])
     batch_size: int = 16
     learning_rate: float = 5e-5
@@ -60,8 +60,15 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lambda_b is not None and not self.lambda_b >= 0:  # NaN too
+        # each bound is written so that NaN fails it too
+        if self.lambda_b is not None and not self.lambda_b >= 0:
             raise TrainError("lambda_b must be >= 0")
+        if not 0 < self.lambda_t < math.inf:
+            raise TrainError("lambda_t must be > 0 and finite")
+        if not 0 <= self.lambda_m < 1:
+            raise TrainError("lambda_m must be in [0, 1)")
+        if not 0 <= self.learning_rate < math.inf:
+            raise TrainError("learning_rate must be >= 0 and finite")
         if self.patience < 1:
             raise TrainError("patience must be >= 1")
         if self.max_epochs < 1:
@@ -294,24 +301,15 @@ def _batch_loss(model: TmegModel, prepared: list[PreparedInstance],
         return pred
     # every instance at once, padded to the most rows and negatives
     graphs = np.array(kept)[:, None]
-    text_rows, n_rows = _pad_rows(text_rows)
-    neg_pairs, n_neg = _pad_rows(neg_pairs)
+    n_rows = np.array([len(rows) for rows in text_rows])
+    n_neg = np.array([len(pairs) for pairs in neg_pairs])
+    text_rows = _left_pack(n_rows, np.concatenate(text_rows))
+    neg_pairs = _left_pack(n_neg, np.concatenate(neg_pairs))
     index = ((graphs, text_rows), (graphs, np.arange(text_rows.shape[1])),
              (neg_pairs[..., 0], neg_pairs[..., 1]))
     coh = coherence_loss(ht, hv, hv, config.model.tau,
                          config.model.coherence_inclusive, n_rows, n_neg, index)
     return total_loss(pred, coh, lambda_b)
-
-
-def _pad_rows(parts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Arrays of varying length stacked into one, zero-padded to the
-    longest along the first axis; and their lengths."""
-    counts = np.array([len(a) for a in parts])
-    out = np.zeros((len(parts), counts.max()) + parts[0].shape[1:],
-                   dtype=np.int64)
-    for i, a in enumerate(parts):
-        out[i, :len(a)] = a
-    return out, counts
 
 
 # ----------------------------------------------------------------------
@@ -334,27 +332,23 @@ def score_prepared(model: TmegModel, prepared: list[PreparedInstance],
 
 
 def evaluate_prepared(model: TmegModel, prepared: list[PreparedInstance],
-                      batch_size: int) -> tuple[dict, list]:
-    """Accuracy per task plus a per-instance prediction log."""
+                      batch_size: int) -> dict:
+    """Accuracy per task."""
     if not prepared:
         raise TrainError("cannot evaluate an empty instance list")
-    log, by_task = [], {}
+    by_task = {}
     for p, row in zip(prepared, score_prepared(model, prepared, batch_size)):
-        pred_idx = int(np.argmax(row))  # ties resolve to the lowest index
-        correct = int(pred_idx == p.instance.gold_index)
-        by_task.setdefault(p.instance.task_kind, []).append(correct)
-        log.append({"doc_id": p.instance.doc_id, "task_kind": p.instance.task_kind,
-                    "predicted": pred_idx, "gold": p.instance.gold_index,
-                    "correct": correct})
-    acc = {task: float(np.mean(v)) for task, v in sorted(by_task.items())}
-    return acc, log
+        # ties resolve to the lowest index
+        by_task.setdefault(p.instance.task_kind, []).append(
+            int(np.argmax(row)) == p.instance.gold_index)
+    return {task: float(np.mean(v)) for task, v in sorted(by_task.items())}
 
 
 def evaluate(model: TmegModel, instances: list[D.TaskInstance],
              corpus: D.Corpus, config: RunConfig) -> MetricsReport:
     prepared = prepare_instances(corpus, instances, config.lambda_t,
                                  config.lambda_m, config.ablation)
-    acc, _ = evaluate_prepared(model, prepared, config.batch_size)
+    acc = evaluate_prepared(model, prepared, config.batch_size)
     return MetricsReport(
         per_task_accuracy=acc,
         average_accuracy=float(np.mean(list(acc.values()))),
@@ -443,7 +437,7 @@ def train(config: RunConfig, train_corpus: D.Corpus | None = None,
             grad_eval(loss, model.store)
             adam_step(model.store, config.learning_rate)
             losses.append(float(loss.data))
-        acc, _ = evaluate_prepared(model, valid_prep, config.batch_size)
+        acc = evaluate_prepared(model, valid_prep, config.batch_size)
         valid_acc = float(np.mean(list(acc.values())))
         curves.append({
             "epoch": epoch,
@@ -481,10 +475,10 @@ def load_model(path: str) -> TmegModel:
     """Load a checkpoint and its JSON sidecar. A malformed sidecar, or
     parameters whose names or shapes do not match the sidecar's model
     config, raise CheckpointError."""
-    with open(path + ".json", "r", encoding="utf-8") as fh:
-        text = fh.read()
+    with open(path + ".json", "rb") as fh:
+        raw = fh.read()
     try:
-        sidecar = json.loads(text)
+        sidecar = json.loads(raw.decode("utf-8"))
         config = ModelConfig(**sidecar["model_config"])
         vocab = sidecar["vocab"]
         if not isinstance(vocab, dict) or not all(

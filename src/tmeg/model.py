@@ -36,8 +36,8 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .autodiff import (
-    Tensor, add_scaled, cross_entropy, encoder_layer, info_nce, logsumexp,
-    mlp_readout, node_embedding, pair_sequence, split_tanh_mlps,
+    Tensor, add_scaled, cross_entropy, encoder_layer, info_nce, mlp_readout,
+    node_embedding, pair_sequence, split_tanh_mlps,
 )
 from .graph import CLS, N_MODAL_CODES, N_TEMPORAL_CODES, OBJECT, SEP, TmegGraph
 from .optim import ParamStore, config_hash
@@ -190,18 +190,18 @@ def init_params(config: ModelConfig, seed: int = 0,
     if init_scale is None:
         init_scale = config.init_scale
     rng = np.random.default_rng(seed)
-    store = ParamStore()
+    values = {}
     for name, kind, shape in param_spec(config):
         if kind == "w":
-            store.add(name, rng.normal(0.0, init_scale, size=shape))
+            values[name] = rng.normal(0.0, init_scale, size=shape)
         elif kind == "edge":
-            store.add(name, rng.normal(0.0, config.edge_bias_init_scale,
-                                       size=shape))
+            values[name] = rng.normal(0.0, config.edge_bias_init_scale,
+                                      size=shape)
         elif kind == "zero":
-            store.add(name, np.zeros(shape))
+            values[name] = np.zeros(shape)
         else:
-            store.add(name, np.ones(shape))
-    return store
+            values[name] = np.ones(shape)
+    return ParamStore(values)
 
 
 # ----------------------------------------------------------------------
@@ -275,11 +275,10 @@ def _scatter(mask: np.ndarray, parts: list[np.ndarray], fill=0,
     return out
 
 
-def _left_pack(mask: np.ndarray, offset: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's True columns (+ offset), left-aligned and zero-padded; counts."""
-    counts = mask.sum(axis=1)
-    return _scatter(np.arange(counts.max()) < counts[:, None],
-                    [np.nonzero(mask)[1] + offset]), counts
+def _left_pack(counts: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """`values` cut into consecutive runs of counts[b] entries, run b as
+    row b, left-aligned and zero-padded to the longest run."""
+    return _scatter(np.arange(counts.max()) < counts[:, None], [values])
 
 
 def edge_codes(phi_t, phi_m) -> np.ndarray:
@@ -324,15 +323,17 @@ def prepare_batch(graphs: list[TmegGraph], vocab: dict[str, int],
     boxes = np.concatenate([a.boxes for a in arrays])
     objects = vis_kind == OBJECT
     pairs = node_mask[:, :, None] & node_mask[:, None, :]
-    text_cls_idx, n_text_cls = _left_pack(text_kind == CLS)
-    vis_cls_idx, n_vis_cls = _left_pack(vis_kind == CLS, n_text)
+    text_cls, vis_cls = text_kind == CLS, vis_kind == CLS
+    n_text_cls, n_vis_cls = text_cls.sum(axis=1), vis_cls.sum(axis=1)
+    text_cls_idx = _left_pack(n_text_cls, np.nonzero(text_cls)[1])
+    vis_cls_idx = _left_pack(n_vis_cls, np.nonzero(vis_cls)[1] + n_text)
     return GraphBatch(
         size=len(graphs), n_nodes=n_text + n_vis, n_text=n_text,
         token_ids=token_ids, segments=step,
         vis_features=_scatter(objects, [np.zeros((0, config.d_v))] + features, dtype=np.float64),
         vis_boxes=_scatter(objects, [np.concatenate(
             [boxes, boxes[:, 2:] - boxes[:, :2]], axis=1)], dtype=np.float64),
-        vis_cls_mask=(vis_kind == CLS).astype(np.float64), node_mask=node_mask,
+        vis_cls_mask=vis_cls.astype(np.float64), node_mask=node_mask,
         codes=_scatter(pairs, [edge_codes(
             np.concatenate([g.phi_t.ravel() for g in graphs]),
             np.concatenate([g.phi_m.ravel() for g in graphs]))]),
@@ -509,13 +510,14 @@ def coherence_loss(ht: Tensor, hv_pos: Tensor, negatives: Tensor,
 
 
 def prediction_loss(scores: Tensor, gold: int) -> Tensor:
-    """Softmax cross-entropy over all candidate scores."""
+    """Softmax cross-entropy over one instance's candidate scores, the
+    `cross_entropy` node of a batch of one."""
     n = scores.shape[-1]
     if n < 2:
         raise ValueError("need at least 2 candidates")
     if not (0 <= gold < n):
         raise ValueError("gold index out of range")
-    return logsumexp(scores, axis=-1) - scores[gold]
+    return cross_entropy(scores.reshape(1, n), [gold])
 
 
 def prediction_loss_batch(scores: Tensor, gold: np.ndarray) -> Tensor:

@@ -25,17 +25,14 @@ class Parameter:
     (`tensor.grad`) and Adam moments `m1` and `m2` are views into its
     store's flat vectors."""
 
-    def __init__(self, name: str, start: int, shape: tuple):
+    def __init__(self, name: str, flat: np.ndarray, start: int, shape: tuple):
         self.name = name
         self.slice = slice(start, start + math.prod(shape))
         self.shape = shape
-        self.tensor = Tensor(0.0, requires_grad=True)
-
-    def _bind(self, flat: np.ndarray):
-        """Point every array at this parameter's slice of `flat`'s rows."""
-        t = self.tensor
-        t.data, t.grad, self.m1, self.m2 = (
-            row[self.slice].reshape(self.shape) for row in flat)
+        value, grad, self.m1, self.m2 = (row[self.slice].reshape(shape)
+                                         for row in flat)
+        self.tensor = Tensor(value, requires_grad=True)
+        self.tensor.grad = grad
 
     @property
     def value(self) -> np.ndarray:
@@ -50,29 +47,21 @@ class ParamStore:
     """Ordered name -> Parameter map over one float64 vector each of
     values, gradients and first and second Adam moments, the rows of
     `flat`: every parameter's arrays are views into them, so the optimizer
-    updates all parameters with a few elementwise operations."""
+    updates all parameters with a few elementwise operations.
 
-    def __init__(self):
-        self.params: dict[str, Parameter] = {}
+    `values` maps each name to its initial value, in parameter order; the
+    flat vectors are allocated once, with zero gradients and moments."""
+
+    def __init__(self, values: dict[str, np.ndarray]):
         self.step_count = 0
-        self.flat = self._buffer = np.zeros((4, 0))
-
-    def add(self, name: str, value: np.ndarray) -> Parameter:
-        if name in self.params:
-            raise ValueError(f"duplicate parameter name: {name}")
-        value = np.asarray(value, dtype=np.float64)
-        start, stop = self.flat.shape[1], self.flat.shape[1] + value.size
-        if stop > self._buffer.shape[1]:
-            # grow geometrically; every view moves to the new buffer
-            self._buffer = np.concatenate([self.flat, np.zeros(
-                (4, max(stop, 2 * start) - start))], axis=1)
-            for p in self.params.values():
-                p._bind(self._buffer)
-        self.flat = self._buffer[:, :stop]
-        p = self.params[name] = Parameter(name, start, value.shape)
-        p._bind(self._buffer)
-        p.value[...] = value
-        return p
+        self.flat = np.zeros((4, sum(np.size(v) for v in values.values())))
+        self.params: dict[str, Parameter] = {}
+        start = 0
+        for name, value in values.items():
+            p = self.params[name] = Parameter(name, self.flat, start,
+                                              np.shape(value))
+            p.value[...] = value
+            start = p.slice.stop
 
     def __getitem__(self, name: str) -> Parameter:
         return self.params[name]
@@ -245,10 +234,13 @@ def _parse_checkpoint(rd: _Reader, expected_config_hash: str | None) -> ParamSto
     n_params = header["num_params"]
     if not isinstance(n_params, int) or n_params < 0:
         raise CheckpointError(f"{path}: bad parameter count {n_params!r}")
-    store = ParamStore()
+    values = {}
     for _ in range(n_params):
         name, data = rd.array()
-        store.add(name, data)
+        if name in values:
+            raise CheckpointError(f"{path}: repeated parameter record {name}")
+        values[name] = data
+    store = ParamStore(values)
     for _ in range(n_params * 2):
         name, data = rd.array()
         kind, pname = name.split("/", 1)

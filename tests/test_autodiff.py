@@ -19,11 +19,11 @@ from scipy.special import logsumexp as scipy_logsumexp
 from scipy.special import softmax as scipy_softmax
 
 from tmeg.autodiff import (
-    _ERFC_SPLIT, Tensor, _add_code_bias, _code_grad, _code_table, _erf,
-    _fold_code_grad, _gelu_backward, _gelu_cdf, add_scaled, concat,
-    cross_entropy, encoder_layer, info_nce, layer_norm, linear, logsumexp,
-    mlp_readout, no_grad, node_embedding, pair_sequence, softmax,
-    split_tanh_mlps,
+    _ERFC_SPLIT, _LN_EPS, Tensor, _add_code_bias, _code_grad, _code_table,
+    _erf, _fold_code_grad, _gelu_backward, _gelu_cdf, _ln_affine,
+    _ln_backward, _ln_stats, _softmax_backward, _softmax_parts, add_scaled,
+    concat, cross_entropy, encoder_layer, info_nce, linear, logsumexp,
+    mlp_readout, no_grad, node_embedding, pair_sequence, split_tanh_mlps,
 )
 
 
@@ -54,6 +54,45 @@ def check_op(build, *shapes, seed=0, tol=1e-6):
         num = numeric_grad(lambda: float(build(
             *[Tensor(x) for x in arrays]).data), a)
         np.testing.assert_allclose(t.grad, num, rtol=tol, atol=tol)
+
+
+def composed_softmax(x, axis=-1):
+    """Softmax from elementary tape ops: exp(x - max) / sum, with the max
+    taken as a constant."""
+    e = (x - x.data.max(axis=axis, keepdims=True)).exp()
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def composed_layer_norm(x, g, b):
+    """Layer norm over the last axis, then affine, from elementary tape ops."""
+    centered = x - x.mean(axis=-1, keepdims=True)
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    return centered / (var + _LN_EPS).sqrt() * g + b
+
+
+def helper_softmax(x, axis=-1):
+    """A softmax tape node over the helpers `encoder_layer` computes its
+    attention softmax with (`_softmax_parts`, `_softmax_backward`)."""
+    e, s, r = _softmax_parts(x.data, axis)
+
+    def bw(g):
+        x._accumulate(_softmax_backward(g, e, s, r, axis))
+
+    return Tensor(e * r, parents=(x,), backward=bw)
+
+
+def helper_layer_norm(x, g, b):
+    """A layer-norm tape node over the helpers `encoder_layer` computes both
+    of its layer norms with (`_ln_stats`, `_ln_affine`, `_ln_backward`)."""
+    c, sd, inv = _ln_stats(x.data, _LN_EPS)
+
+    def bw(grad):
+        g_x = _ln_backward(grad, c, sd, inv, g, b)
+        if x.requires_grad:
+            x._accumulate(g_x)
+
+    return Tensor(_ln_affine(c, inv, g.data, b.data), parents=(x, g, b),
+                  backward=bw)
 
 
 def layer_shapes(dim, mult):
@@ -270,31 +309,35 @@ class TestMatmulAndShapes:
 
 
 class TestComposedOps:
+    """Logsumexp and linear, from which the tests' composed references are
+    built, and the softmax and layer-norm helpers of `encoder_layer`, each
+    run as a node of its own (`helper_softmax`, `helper_layer_norm`)."""
 
     def test_softmax_matches_scipy(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(4, 5))
-        np.testing.assert_allclose(softmax(Tensor(x), axis=-1).data,
+        np.testing.assert_allclose(helper_softmax(Tensor(x), axis=-1).data,
                                    scipy_softmax(x, axis=-1), rtol=1e-12)
-        np.testing.assert_allclose(softmax(Tensor(x), axis=0).data,
+        np.testing.assert_allclose(helper_softmax(Tensor(x), axis=0).data,
                                    scipy_softmax(x, axis=0), rtol=1e-12)
 
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(1)
-        s = softmax(Tensor(rng.normal(size=(6, 7)) * 50.0), axis=-1)
+        s = helper_softmax(Tensor(rng.normal(size=(6, 7)) * 50.0), axis=-1)
         np.testing.assert_allclose(s.data.sum(axis=-1), np.ones(6), rtol=1e-12)
 
     def test_softmax_shift_invariance(self):
         x = np.array([[1.0, 2.0, 3.0]])
-        np.testing.assert_allclose(softmax(Tensor(x)).data,
-                                   softmax(Tensor(x + 100.0)).data, rtol=1e-12)
+        np.testing.assert_allclose(helper_softmax(Tensor(x)).data,
+                                   helper_softmax(Tensor(x + 100.0)).data,
+                                   rtol=1e-12)
 
     def test_softmax_rejects_nan(self):
         with pytest.raises(ValueError):
-            softmax(Tensor(np.array([np.nan, 0.0])))
+            helper_softmax(Tensor(np.array([np.nan, 0.0])))
 
     def test_softmax_grad(self):
-        check_op(lambda a: (softmax(a, axis=-1) ** 2.0).sum(), (3, 4))
+        check_op(lambda a: (helper_softmax(a, axis=-1) ** 2.0).sum(), (3, 4))
 
     def test_logsumexp_matches_scipy(self):
         rng = np.random.default_rng(2)
@@ -319,29 +362,21 @@ class TestComposedOps:
     def test_layer_norm_statistics(self):
         rng = np.random.default_rng(4)
         x = rng.normal(2.0, 3.0, size=(4, 8))
-        out = layer_norm(Tensor(x), Tensor(np.ones(8)), Tensor(np.zeros(8)))
+        out = helper_layer_norm(Tensor(x), Tensor(np.ones(8)),
+                                Tensor(np.zeros(8)))
         np.testing.assert_allclose(out.data.mean(axis=-1), np.zeros(4),
                                    atol=1e-12)
         np.testing.assert_allclose(out.data.var(axis=-1), np.ones(4),
                                    rtol=1e-6)
 
     def test_layer_norm_grad(self):
-        check_op(lambda x, g, b: (layer_norm(x, g, b) ** 2.0).sum(),
+        check_op(lambda x, g, b: (helper_layer_norm(x, g, b) ** 2.0).sum(),
                  (3, 5), (5,), (5,), tol=1e-5)
 
     @pytest.mark.parametrize("op", ["softmax", "layer_norm", "encoder_layer"])
     def test_fused_op_repeats_composed_arithmetic(self, op):
         """The one-node ops must equal, bit for bit, the same formula
         composed from elementary tape ops, in values and gradients."""
-
-        def composed_softmax(x):
-            e = (x - x.data.max(axis=-2, keepdims=True)).exp()
-            return e / e.sum(axis=-2, keepdims=True)
-
-        def composed_layer_norm(x, g, b):
-            centered = x - x.mean(axis=-1, keepdims=True)
-            var = (centered * centered).mean(axis=-1, keepdims=True)
-            return centered / (var + 1e-12).sqrt() * g + b
 
         # the layer as the encoder runs it: pair codes with NONE entries of
         # either kind, layer 1 of two layers' tables, the last key of graph
@@ -366,19 +401,20 @@ class TestComposedOps:
             logits = ((k @ q.swapaxes(-1, -2)) * (1.0 / math.sqrt(dim // 2))
                       + composed_edge_bias(table_t, table_m, 1, codes)
                       + key_bias)
-            merged = softmax(logits, axis=-2).swapaxes(-1, -2) @ v
+            merged = composed_softmax(logits, axis=-2).swapaxes(-1, -2) @ v
             merged = merged.swapaxes(-2, -3).reshape(B, n, dim)
-            h1 = layer_norm(linear(merged, wo, bo) + h, g1, b1)
+            h1 = composed_layer_norm(linear(merged, wo, bo) + h, g1, b1)
             ffn = linear(gelu(linear(h1, w1, c1)), w2, c2)
-            return layer_norm(ffn + h1, g2, b2)
+            return composed_layer_norm(ffn + h1, g2, b2)
 
         rng = np.random.default_rng(5)
         if op == "softmax":
             shapes = [(3, 2, 6, 6)]
-            fused, composed = (lambda x: softmax(x, axis=-2)), composed_softmax
+            fused, composed = (lambda x: helper_softmax(x, axis=-2),
+                               lambda x: composed_softmax(x, axis=-2))
         elif op == "layer_norm":
             shapes = [(3, 6, 8), (8,), (8,)]
-            fused, composed = layer_norm, composed_layer_norm
+            fused, composed = helper_layer_norm, composed_layer_norm
         else:
             shapes = [(3, 6, 8)] + layer_shapes(8, 2) + [(2, 2, 3), (2, 2, 4)]
             fused, composed = fused_encoder_layer, composed_encoder_layer
@@ -841,7 +877,7 @@ class TestFusedModelOps:
 class TestNoGrad:
 
     def build(self, x, w):
-        return (softmax(linear(x, w).tanh(), axis=-1) * 2.0).sum()
+        return (composed_softmax(linear(x, w).tanh(), axis=-1) * 2.0).sum()
 
     def test_same_values_and_no_tape(self):
         rng = np.random.default_rng(0)
@@ -924,7 +960,7 @@ class TestGraphMechanics:
         x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
         w = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
         hidden = linear(x, w).tanh()
-        probs = softmax(hidden, axis=-1)
+        probs = composed_softmax(hidden, axis=-1)
         refs = [weakref.ref(hidden.data), weakref.ref(probs.data)]
         loss = (probs * probs).sum()
         want = float(loss.data)

@@ -7,6 +7,7 @@ or JSON the commands leave behind.
 import gc
 import json
 import os
+import struct
 import subprocess
 import sys
 import textwrap
@@ -288,6 +289,17 @@ class TestTrainEval:
         run_path = write_run_config(tmp_path, corpus_path, ablation="bogus")
         assert main(["train", "--config", run_path]) == 5
 
+    def test_train_nan_threshold_is_train_error(self, workspace, capsys):
+        """JSON NaN parses; as lambda_m it would clear every inter-modal
+        code, so the run stops before training."""
+        tmp_path, _, corpus_path = workspace
+        run_path = write_run_config(tmp_path, corpus_path, lambda_m=float("nan"))
+        assert "NaN" in open(run_path).read()
+        ckpt = os.path.join(tmp_path, "model.ckpt")
+        assert main(["train", "--config", run_path, "--checkpoint-out", ckpt]) == 5
+        assert "lambda_m" in capsys.readouterr().err
+        assert not os.path.exists(ckpt)
+
 
 class TestGradCheck:
 
@@ -410,6 +422,58 @@ class TestCorruptCheckpoint:
             json.dump(sidecar, fh)
         assert main(eval_argv(bad, tasks, corpus_path)) == 4
         assert heads in capsys.readouterr().err
+
+
+    def test_repeated_parameter_record_exits_4(self, eval_files, capsys):
+        tmp_path, corpus_path, tasks, ckpt, ckpt_bytes = eval_files
+        first, second = (struct.pack("<I", len(name)) + name.encode()
+                         for name in ("scorer/cls", "scorer/sep"))
+        assert ckpt_bytes.count(second) == 1
+        bad = os.path.join(tmp_path, "repeated.ckpt")
+        with open(bad, "wb") as fh:
+            fh.write(ckpt_bytes.replace(second, first))
+        with open(ckpt + ".json", "rb") as src, open(bad + ".json", "wb") as dst:
+            dst.write(src.read())
+        assert main(eval_argv(bad, tasks, corpus_path)) == 4
+        assert "repeated parameter record scorer/cls" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target,code,message", [
+    ("corpus", 3, "not UTF-8"), ("tasks", 3, "not UTF-8"),
+    ("sidecar", 4, "bad sidecar")])
+def test_file_that_is_not_utf8_exits_with_its_data_code(eval_files, capsys,
+                                                        target, code, message):
+    """A corpus or task file that is not UTF-8 is malformed data (3), a
+    sidecar that is not UTF-8 a malformed checkpoint (4)."""
+    tmp_path, corpus_path, tasks, ckpt, ckpt_bytes = eval_files
+    paths = {"corpus": corpus_path, "tasks": tasks, "ckpt": ckpt}
+    if target == "sidecar":
+        paths["ckpt"] = os.path.join(tmp_path, "latin1.ckpt")
+        with open(paths["ckpt"], "wb") as fh:
+            fh.write(ckpt_bytes)
+        source, bad = ckpt + ".json", paths["ckpt"] + ".json"
+    else:
+        source = paths[target]
+        bad = paths[target] = os.path.join(tmp_path, "latin1-" + target)
+    with open(source, "rb") as fh:
+        raw = fh.read()
+    with open(bad, "wb") as fh:     # one byte that never starts UTF-8
+        fh.write(raw[:20] + b"\xff" + raw[20:])
+    assert main(eval_argv(paths["ckpt"], paths["tasks"], paths["corpus"])) == code
+    assert message in capsys.readouterr().err
+
+
+def test_grounding_boxes_array_in_corpus_exits_3(eval_files, capsys):
+    tmp_path, corpus_path, tasks, ckpt, _ = eval_files
+    with open(corpus_path) as fh:
+        payload = json.load(fh)
+    phrase = payload["documents"][0]["steps"][0]["noun_phrases"][0]
+    phrase["grounding_boxes"] = list(phrase["grounding_boxes"].values())
+    bad = os.path.join(tmp_path, "boxes_array.json")
+    with open(bad, "w") as fh:
+        json.dump(payload, fh)
+    assert main(eval_argv(ckpt, tasks, bad)) == 3
+    assert "grounding_boxes must be a JSON object" in capsys.readouterr().err
 
 
 class TestMalformedTasks:

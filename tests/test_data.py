@@ -169,14 +169,22 @@ class TestCorpusIO:
         ("confidence", False), ("box", "0.1"), ("box", False),
         ("grounding_box", "0.1"), ("token", 5), ("doc_id", 7),
         ("image_id", 7), ("entity_id", 7), ("domain_tag", 1),
+        ("documents", {}), ("steps", {}), ("tokens", "abc"),
+        ("noun_phrases", {}), ("images", {}), ("objects", {}),
+        ("grounding_boxes", [[0.1, 0.1, 0.2, 0.2]]),
     ], ids=["feature-string", "feature-bool", "feature-nan", "feature-inf",
             "confidence-string", "confidence-bool", "box-string", "box-bool",
             "grounding-box-string", "token-number", "doc_id-number",
-            "image_id-number", "entity_id-number", "domain_tag-number"])
+            "image_id-number", "entity_id-number", "domain_tag-number",
+            "documents-object", "steps-object", "tokens-string",
+            "noun_phrases-object", "images-object", "objects-object",
+            "grounding_boxes-array"])
     def test_json_types_are_strict(self, tmp_path, field, value):
         """Numbers must be finite JSON numbers, never booleans or strings;
-        ids, tokens and tags must be strings. Loaded through a JSON file,
-        as `tmeg` reads it; each mistyped value raises CorpusError."""
+        ids, tokens and tags must be strings; lists must be JSON arrays and
+        grounding boxes a JSON object. Loaded through a JSON file, as `tmeg`
+        reads it; each mistyped value raises CorpusError, and one of the
+        wrong shape names its field."""
         payload = corpus_to_dict(generate_synthetic_corpus(tiny_config()))
         doc = payload["documents"][0]
         step = doc["steps"][0]
@@ -195,11 +203,22 @@ class TestCorpusIO:
             phrase["entity_id"] = value
         elif field == "image_id":
             image["image_id"] = value
+        elif field == "documents":
+            payload[field] = value
+        elif field in ("tokens", "noun_phrases", "images"):
+            step[field] = value
+        elif field == "objects":
+            image[field] = value
+        elif field == "grounding_boxes":
+            phrase[field] = value
         else:
             doc[field] = value
         path = tmp_path / "corpus.json"
         path.write_text(json.dumps(payload))
-        with pytest.raises(CorpusError):
+        shaped = ("documents", "steps", "tokens", "noun_phrases", "images",
+                  "objects", "grounding_boxes")
+        with pytest.raises(CorpusError, match=(
+                f"{field} must be a JSON" if field in shaped else None)):
             load_corpus(path)
 
     @pytest.mark.parametrize("field", ["box", "grounding_box"])

@@ -770,6 +770,25 @@ class TestLosses:
         ])
         assert float(batch.data) == pytest.approx(singles, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [2, 4, 7])
+    def test_prediction_loss_repeats_the_composed_chain(self, n):
+        """prediction_loss runs the `cross_entropy` node, and equals the
+        composed logsumexp - gather chain bit for bit, in value and in
+        gradient, on random rows."""
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            row = rng.normal(scale=rng.uniform(0.1, 30.0), size=n)
+            gold = int(rng.integers(n))
+            weight = rng.normal()
+            results = []
+            for loss_fn in (prediction_loss,
+                            lambda s, g: logsumexp(s, axis=-1) - s[g]):
+                scores = Tensor(row, requires_grad=True)
+                loss = loss_fn(scores * 1.0, gold)
+                (loss * weight).backward()
+                results.append((loss.data.tobytes(), scores.grad.tobytes()))
+            assert results[0] == results[1]
+
     def test_prediction_gold_range_checked(self):
         with pytest.raises(ValueError):
             prediction_loss(Tensor(np.zeros(3)), 3)

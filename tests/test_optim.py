@@ -1,5 +1,7 @@
 """Optimizer, gradient-check, and checkpoint tests."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -10,11 +12,9 @@ from tmeg.optim import (
 )
 
 
-def quadratic_store():
-    store = ParamStore()
-    store.add("x", np.array([1.0, -2.0, 0.5]))
-    store.add("y", np.array([[0.3, 0.7], [1.1, -0.4]]))
-    return store
+def quadratic_store(**extra):
+    return ParamStore({"x": np.array([1.0, -2.0, 0.5]),
+                       "y": np.array([[0.3, 0.7], [1.1, -0.4]]), **extra})
 
 
 def quadratic_loss(store):
@@ -25,11 +25,17 @@ def quadratic_loss(store):
 
 class TestParamStore:
 
-    def test_duplicate_name_rejected(self):
-        store = ParamStore()
-        store.add("a", np.zeros(2))
-        with pytest.raises(ValueError):
-            store.add("a", np.zeros(2))
+    def test_duplicate_name_rejected(self, tmp_path):
+        """A store maps each name once, so a checkpoint that repeats a
+        parameter record is rejected."""
+        path = tmp_path / "repeated.ckpt"
+        save_checkpoint(path, ParamStore({"a": np.zeros(2), "b": np.ones(2)}), "h")
+        raw = path.read_bytes()
+        record_b = struct.pack("<I", 1) + b"b"
+        assert raw.count(record_b) == 1
+        path.write_bytes(raw.replace(record_b, struct.pack("<I", 1) + b"a"))
+        with pytest.raises(CheckpointError, match="repeated parameter record a"):
+            load_checkpoint(path)
 
     def test_contains_and_names(self):
         store = quadratic_store()
@@ -37,22 +43,28 @@ class TestParamStore:
         assert store.names() == ["x", "y"]
 
     def test_values_stored_as_float64(self):
-        store = ParamStore()
-        p = store.add("a", np.array([1, 2], dtype=np.int32))
-        assert p.value.dtype == np.float64
+        store = ParamStore({"a": np.array([1, 2], dtype=np.int32)})
+        assert store["a"].value.dtype == np.float64
+        np.testing.assert_array_equal(store["a"].value, [1.0, 2.0])
 
     def test_arrays_are_views_of_the_flat_vectors(self):
-        """Values, gradients and both moments of every parameter live in
-        the store's four flat vectors, also after the store grew."""
-        store = quadratic_store()
-        for k in range(20):
-            store.add(f"extra{k}", np.full((k % 3, 2), float(k)))
+        """A store built from its values holds every parameter's value,
+        gradient and both moments as views of its four flat vectors, laid
+        out in the order of the values, empty parameters included."""
+        values = {f"p{k}": np.full((k % 3, 2), float(k)) for k in range(20)}
+        store = quadratic_store(**values)
+        assert store.names() == ["x", "y"] + list(values)
         assert store.flat.shape == (4, 3 + 4 + sum(2 * (k % 3) for k in range(20)))
+        np.testing.assert_array_equal(store.flat[1:], 0.0)
         np.testing.assert_array_equal(store["x"].value, [1.0, -2.0, 0.5])
-        np.testing.assert_array_equal(store["extra5"].value, np.full((2, 2), 5.0))
+        np.testing.assert_array_equal(store["p5"].value, np.full((2, 2), 5.0))
+        start = 0
         for p in store.params.values():
+            assert p.slice == slice(start, start + p.value.size)
+            start = p.slice.stop
             for row, arr in enumerate((p.value, p.gradient, p.m1, p.m2)):
                 assert arr.size == 0 or np.shares_memory(arr, store.flat[row])
+        assert start == store.flat.shape[1]
         store.flat[0] += 1.0
         np.testing.assert_array_equal(store["x"].value, [2.0, -1.0, 1.5])
 
@@ -68,8 +80,7 @@ class TestGradEval:
                                    store["y"].value, rtol=1e-14)
 
     def test_unreachable_parameter_gets_zero_gradient(self):
-        store = quadratic_store()
-        store.add("unused", np.ones(4))
+        store = quadratic_store(unused=np.ones(4))
         grad_eval(quadratic_loss(store), store)
         np.testing.assert_array_equal(store["unused"].gradient, np.zeros(4))
 
@@ -83,8 +94,7 @@ class TestAdam:
 
     def test_first_step_moves_by_lr(self):
         """With bias correction, the first Adam step is lr * sign(g)."""
-        store = ParamStore()
-        store.add("x", np.array([1.0, -3.0, 0.2]))
+        store = ParamStore({"x": np.array([1.0, -3.0, 0.2])})
         before = store["x"].value.copy()
         grad_eval((store["x"].tensor * np.array([2.0, -1.0, 4.0])).sum(), store)
         adam_step(store, lr=0.1)
@@ -161,9 +171,7 @@ class TestFiniteDifferenceCheck:
         assert err > 1e-2
 
     def test_subsampling_is_seeded(self):
-        store = ParamStore()
-        rng = np.random.default_rng(0)
-        store.add("big", rng.normal(size=200))
+        store = ParamStore({"big": np.random.default_rng(0).normal(size=200)})
 
         def loss_fn():
             t = store["big"].tensor
