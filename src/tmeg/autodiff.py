@@ -28,10 +28,13 @@ coherence loss, gathering its rows inside the node) and `add_scaled`
 arithmetic of the chain it replaces, sharing private helpers for the
 softmax, layer-norm, linear and tanh-MLP arithmetic, so values and
 gradients are bit-identical to the composed graph, while the tape holds
-one node and only the arrays its backward pass needs. `encoder_layer` can
-also compute only chosen output rows (its `rows` argument), with keys and
-values still taken from every row: the encoder runs each stack's last
-layer that way, over just the rows that are read next.
+one node and only the arrays its backward pass needs. `encoder_layer`
+runs its attention over chunks of graphs and recomputes each chunk's
+softmax in backward instead of taping it, so no (B, H, N, N) logit-sized
+array is taped or allocated whole. It can also compute only chosen
+output rows (its `rows` argument), with keys and values still taken from
+every row: the encoder runs each stack's last layer that way, over just
+the rows that are read next.
 
 The FFN's exact GELU x * Phi(x) takes its erf from `_erf`, a numpy port of
 `s_erf.c` from Sun's fdlibm 5.3 (as kept in FreeBSD's msun) with the same
@@ -402,6 +405,9 @@ def concat(tensors: list, axis: int = 0) -> Tensor:
 # arithmetic shared by the fused operations
 
 _LN_EPS = 1e-12   # variance floor of every layer norm
+# Logit elements per chunk of graphs that `encoder_layer`'s attention runs
+# over (512 KB); measured against 1 << 14 and 1 << 18 on the bench model.
+_ATTN_CHUNK = 1 << 16
 
 
 def _softmax_parts(x: np.ndarray, axis: int, out=None):
@@ -517,22 +523,25 @@ def _horner(s: np.ndarray, coef: tuple) -> np.ndarray:
 
 
 def _erf_large(a: np.ndarray) -> np.ndarray:
-    """erf(a) for a >= 0.84375 (inf included): fdlibm's upper ranges."""
+    """erf(a) for a >= 0.84375 (inf included): fdlibm's upper ranges, each
+    evaluated on its own elements only and skipped when it has none."""
     y = np.ones_like(a)                 # a >= 6: fdlibm's 1 - tiny rounds to 1
-    mid = a < 1.25
-    s = a[mid] - 1.0
-    y[mid] = _ERX + _horner(s, _ERF_PA) / _horner(s, _ERF_QA)
-    tail = a < 6.0
-    tail &= ~mid
-    t = a[tail]
-    s = 1.0 / (t * t)
-    r_s = np.where(t < _ERFC_SPLIT,
-                   _horner(s, _ERF_RA) / _horner(s, _ERF_SA),
-                   _horner(s, _ERF_RB) / _horner(s, _ERF_SB))
-    # z is t with the low 32 bits of its mantissa cleared, so z*z is exact
-    z = (t.view(np.uint64) & _HIGH_WORD).view(np.float64)
-    r = np.exp(-z * z - 0.5625) * np.exp((z - t) * (z + t) + r_s)
-    y[tail] = 1.0 - r / t
+    mid = np.flatnonzero(a < 1.25)
+    if mid.size:
+        s = a[mid] - 1.0
+        y[mid] = _ERX + _horner(s, _ERF_PA) / _horner(s, _ERF_QA)
+    for lo, hi, num, den in ((1.25, _ERFC_SPLIT, _ERF_RA, _ERF_SA),
+                             (_ERFC_SPLIT, 6.0, _ERF_RB, _ERF_SB)):
+        tail = np.flatnonzero((a >= lo) & (a < hi))
+        if not tail.size:
+            continue
+        t = a[tail]
+        s = 1.0 / (t * t)
+        # z is t with the low 32 bits of its mantissa cleared, so z*z is exact
+        z = (t.view(np.uint64) & _HIGH_WORD).view(np.float64)
+        r = np.exp(-z * z - 0.5625)
+        r *= np.exp((z - t) * (z + t) + _horner(s, num) / _horner(s, den))
+        y[tail] = 1.0 - r / t
     return y
 
 
@@ -628,27 +637,28 @@ def _code_table(bias_t: np.ndarray, bias_m: np.ndarray) -> np.ndarray:
 
 def _add_code_bias(logits: np.ndarray, table: np.ndarray, codes) -> None:
     """logits[..., a, i, j] += table[a, codes[..., i, j]] for every head a,
-    one head at a time, so no (..., H, N, M) bias array is built."""
-    codes = np.asarray(codes)
-    if codes.size and (codes.min() < 0 or codes.max() >= table.shape[-1]):
-        raise IndexError(f"edge code out of range [0, {table.shape[-1]})")
+    one head at a time, so no (..., H, N, M) bias array is built. The
+    caller checks that the codes lie in [0, table.shape[-1])."""
     for a, row in enumerate(table):
         logits[..., a, :, :] += np.take(row, codes)
 
 
-def _code_grad(g: np.ndarray, codes, n_codes: int) -> np.ndarray:
+def _code_grad(g: np.ndarray, codes, n_codes: int,
+               out: np.ndarray | None = None) -> np.ndarray:
     """(H, n_codes) gradient of the table `_add_code_bias` read, from the
-    gradient g (..., H, N, M) of the logits: one weighted bincount of the
-    codes per head. Each sums a (head, code) bin in the order g is laid
-    out, so the result is bit-identical to one bincount over offset
-    (head, code) indices, without building that (..., H, N, M) index.
-    The NONE column gets no gradient."""
+    gradient g (..., H, N, M) of the logits, added into `out` when given.
+    Each head's terms are added to their (head, code) bins one at a time,
+    in the order g is laid out (`np.add.at`), as one weighted bincount
+    over offset (head, code) indices sums them, without building that
+    (..., H, N, M) index. So chunks of a batch added in order give, bit
+    for bit, the whole batch's sums. The NONE column gets no gradient."""
     flat = np.asarray(codes).ravel()
-    grad = np.stack([np.bincount(flat, weights=g[..., a, :, :].ravel(),
-                                 minlength=n_codes)
-                     for a in range(g.shape[-3])])
-    grad[:, 0] = 0.0
-    return grad
+    if out is None:
+        out = np.zeros((g.shape[-3], n_codes))
+    for a, row in enumerate(out):
+        np.add.at(row, flat, g[..., a, :, :].ravel())
+    out[:, 0] = 0.0
+    return out
 
 
 def _fold_code_grad(g_pair: np.ndarray, n_t: int, n_m: int):
@@ -701,21 +711,31 @@ def encoder_layer(h: Tensor, params, n_heads: int, edge=None, key_bias=None,
     bias_t[layer, a, t] + bias_m[layer, a, m] at each pair's codes, with
     a NONE code of either kind reading exactly 0, straight into the
     logits, one head at a time; no bias array is built or taped. Its
-    backward bincounts the logit gradient once over offset (head, pair
-    code) indices and folds that pair-table gradient onto both tables, so
-    NONE entries get no gradient. `key_bias` is a constant array (the
-    -inf mask of padded keys).
+    backward adds the logit gradient per head into one pair-table
+    gradient, in the order of one pass over the whole batch, and folds it
+    onto both tables, so NONE entries get no gradient. `key_bias` is a
+    constant array (the -inf mask of padded keys). Like the codes, it has
+    h's leading axes.
+
+    Attention runs over chunks of graphs along the first axis, about
+    `_ATTN_CHUNK` logit elements each (a 2-D h is one chunk): each
+    chunk's logits, softmax and value product are computed and freed
+    before the next, so no (..., H, N, M) array exists whole. Every
+    matrix product is per (graph, head) and every reduction per graph, so
+    chunking changes no bit of the result.
 
     Forward and backward repeat, operation for operation, the arithmetic
     of that chain composed from `linear`, elementwise ops (the softmax as
     exp(x - max) / sum, each layer norm as (x - mean) / sqrt(var + eps)),
     the exact GELU and an edge bias gathered per code from the two tables.
-    For backward the node keeps the layer input, q, k and v, the exp
-    numerator, its sums and the probabilities, the attention output, each
-    layer norm's centred rows, std and inverse, the first layer norm's
-    output, and the FFN pre-activation, its Phi and its activation.
-    Without a tape it works in place and frees each intermediate once it
-    is used. The input arrays are never written.
+    For backward the node keeps the layer input, q, k and v, the attention
+    output, each layer norm's centred rows, std and inverse, the first
+    layer norm's output, and the FFN pre-activation, its Phi and its
+    activation; it keeps nothing of the softmax. Backward recomputes each
+    chunk's exp numerator, sums and probabilities by the forward's own
+    calls, so they are the forward's bit for bit. Without a tape it works
+    in place and frees each intermediate once it is used. The input
+    arrays are never written.
 
     `rows`, a (B, R) integer array over h of shape (B, N, dim), computes
     only the output rows h[b, rows[b]], in that order, as (B, R, dim):
@@ -752,25 +772,46 @@ def encoder_layer(h: Tensor, params, n_heads: int, edge=None, key_bias=None,
         return split(out)
 
     q, k, v = project(xq, wq, bq), project(x, wk, None), project(x, wv, bv)
-    # logits[..., i, j] = k_i . q_j * scale (+ biases), normalized over keys i
-    logits = k @ q.swapaxes(-1, -2)
-    logits *= scale
     parents = (h, *params)
+    table = None
     if edge is not None:
         bias_t, bias_m, layer, codes = edge
-        _add_code_bias(logits, _code_table(bias_t.data[layer],
-                                           bias_m.data[layer]), codes)
+        table = _code_table(bias_t.data[layer], bias_m.data[layer])
+        codes = np.asarray(codes)
+        if codes.size and (codes.min() < 0 or codes.max() >= table.shape[-1]):
+            raise IndexError(f"edge code out of range [0, {table.shape[-1]})")
         parents += (bias_t, bias_m)
-    if key_bias is not None:
-        logits += key_bias
     taped = _grad_enabled and any(p.requires_grad for p in parents)
-    e, s, r = _softmax_parts(logits, -2, out=logits)
-    del logits
-    # without a tape, arrays backward would keep are overwritten or freed
-    p = np.multiply(e, r, out=None if taped else e)
-    a = merge(p.swapaxes(-1, -2) @ v)
+    # attention runs over chunks of graphs, so no (..., H, N, M) array is
+    # allocated whole; backward recomputes each chunk's softmax
+    m_rows = q.shape[-2]
+    chunks = [Ellipsis]
+    if lead:
+        per_graph = n_heads * n * m_rows * math.prod(lead[1:])
+        step = max(1, _ATTN_CHUNK // per_graph)
+        chunks = [slice(i, i + step) for i in range(0, lead[0], step)]
+
+    def softmax_parts(c):
+        # logits[..., i, j] = k_i . q_j * scale (+ biases), normalized over
+        # keys i, for the graphs of chunk c
+        logits = k[c] @ q[c].swapaxes(-1, -2)
+        logits *= scale
+        if table is not None:
+            _add_code_bias(logits, table, codes[c])
+        if key_bias is not None:
+            logits += key_bias[c]
+        return _softmax_parts(logits, -2, out=logits)
+
+    attn = np.empty(q.shape)
+    for c in chunks:
+        e, _, r = softmax_parts(c)
+        e *= r                          # the probabilities, in place
+        np.matmul(e.swapaxes(-1, -2), v[c], out=attn[c])
+    a = merge(attn)
+    del attn
+    # without a tape, arrays backward would keep are freed once used
     if not taped:
-        del p, q, k, v, e
+        del q, k, v
     o = a @ wo.data
     if not taped:
         del a
@@ -806,24 +847,37 @@ def encoder_layer(h: Tensor, params, n_heads: int, edge=None, key_bias=None,
         g_o = _ln_backward(g_h1, *ln1, g1, b1)
         del g_h1
         g_a = split(_linear_backward(g_o, a, wo, bo))
-        g_v = p @ g_a
-        # the [key, query] gradient of the probabilities, contiguous
-        g_attn = v @ g_a.swapaxes(-1, -2)
-        del g_a
-        g_x = _softmax_backward(g_attn, e, s, r, -2, out=p)
-        del g_attn
-        if edge is not None and (bias_t.requires_grad or bias_m.requires_grad):
+        g_v, g_k = np.empty(v.shape), np.empty(k.shape)
+        # g_q is a [d_head, query] buffer's transpose, the layout its
+        # parameter gradients sum in
+        g_qt = np.empty((*q.shape[:-2], dh, m_rows))
+        need_codes = edge is not None and (bias_t.requires_grad
+                                           or bias_m.requires_grad)
+        if need_codes:
             n_t, n_m = bias_t.shape[-1], bias_m.shape[-1]
-            for table, grad in zip((bias_t, bias_m), _fold_code_grad(
-                    _code_grad(g_x, codes, n_t * n_m), n_t, n_m)):
-                if table.requires_grad:
-                    full = np.zeros_like(table.data)
+            g_pair = np.zeros(table.shape)
+        for c in chunks:
+            e, s, r = softmax_parts(c)
+            p = e * r
+            np.matmul(p, g_a[c], out=g_v[c])
+            # the [key, query] gradient of the probabilities, contiguous
+            g_attn = v[c] @ g_a[c].swapaxes(-1, -2)
+            g_x = _softmax_backward(g_attn, e, s, r, -2, out=p)
+            if need_codes:
+                _code_grad(g_x, codes[c], n_t * n_m, out=g_pair)
+            g_x *= scale
+            np.matmul(g_x, q[c], out=g_k[c])
+            np.matmul(k[c].swapaxes(-1, -2), g_x, out=g_qt[c])
+            del e, p, g_attn, g_x
+        del g_a
+        g_q = g_qt.swapaxes(-1, -2)
+        if need_codes:
+            for tab, grad in zip((bias_t, bias_m),
+                                 _fold_code_grad(g_pair, n_t, n_m)):
+                if tab.requires_grad:
+                    full = np.zeros_like(tab.data)
                     full[layer] = grad
-                    table._accumulate(full)
-        g_x *= scale
-        g_k = g_x @ q
-        g_q = (k.swapaxes(-1, -2) @ g_x).swapaxes(-1, -2)
-        del g_x
+                    tab._accumulate(full)
         # input projections; the input gradient sums the residual, key,
         # query and value terms in the order the composed chain's tape does
         if rows is None:

@@ -241,8 +241,14 @@ def _parse_checkpoint(rd: _Reader, expected_config_hash: str | None) -> ParamSto
             raise CheckpointError(f"{path}: repeated parameter record {name}")
         values[name] = data
     store = ParamStore(values)
+    # 2 * n_params distinct records, each m1/ or m2/ of a known parameter,
+    # are all of them: none can be missing
+    moments = set()
     for _ in range(n_params * 2):
         name, data = rd.array()
+        if name in moments:
+            raise CheckpointError(f"{path}: repeated moment record {name}")
+        moments.add(name)
         kind, pname = name.split("/", 1)
         moment = {"m1": store.params[pname].m1, "m2": store.params[pname].m2}[kind]
         if moment.shape != data.shape:

@@ -18,9 +18,10 @@ from scipy.special import erf
 from scipy.special import logsumexp as scipy_logsumexp
 from scipy.special import softmax as scipy_softmax
 
+from tmeg import autodiff
 from tmeg.autodiff import (
     _ERFC_SPLIT, _LN_EPS, Tensor, _add_code_bias, _code_grad, _code_table,
-    _erf, _fold_code_grad, _gelu_backward, _gelu_cdf, _ln_affine,
+    _erf, _erf_large, _fold_code_grad, _gelu_backward, _gelu_cdf, _ln_affine,
     _ln_backward, _ln_stats, _softmax_backward, _softmax_parts, add_scaled,
     concat, cross_entropy, encoder_layer, info_nce, linear, logsumexp,
     mlp_readout, no_grad, node_embedding, pair_sequence, split_tanh_mlps,
@@ -243,6 +244,42 @@ class TestErf:
     def test_within_four_ulps_of_scipy(self):
         x = np.linspace(-8.0, 8.0, 200_001)
         assert_within_ulps(_erf(x), erf(x), 4)
+
+    @staticmethod
+    def large_where_form(a):
+        """fdlibm's upper ranges with both erfc tail pairs evaluated on every
+        tail element and one of them kept by np.where."""
+        ad = autodiff
+        y = np.ones_like(a)
+        mid = a < 1.25
+        s = a[mid] - 1.0
+        y[mid] = ad._ERX + (ad._horner(s, ad._ERF_PA)
+                            / ad._horner(s, ad._ERF_QA))
+        tail = (a < 6.0) & ~mid
+        t = a[tail]
+        s = 1.0 / (t * t)
+        r_s = np.where(t < _ERFC_SPLIT,
+                       ad._horner(s, ad._ERF_RA) / ad._horner(s, ad._ERF_SA),
+                       ad._horner(s, ad._ERF_RB) / ad._horner(s, ad._ERF_SB))
+        z = (t.view(np.uint64) & ad._HIGH_WORD).view(np.float64)
+        r = np.exp(-z * z - 0.5625) * np.exp((z - t) * (z + t) + r_s)
+        y[tail] = 1.0 - r / t
+        return y
+
+    def test_large_ranges_bit_identical_to_one_where_form(self):
+        """`_erf_large` evaluates each range on its own elements and skips
+        an empty one: bit for bit the np.where form, across every break
+        point, on inputs inside a single range and on an empty input."""
+        b = np.array(self.BREAKS)
+        edges = np.concatenate([b, np.nextafter(b, 0.0), np.nextafter(b, 9.0),
+                                [np.inf]])
+        cases = [np.linspace(0.84375, 6.5, 100_001), edges[edges >= 0.84375],
+                 np.linspace(0.85, 1.2, 101), np.linspace(1.3, 2.8, 101),
+                 np.linspace(2.9, 5.9, 101), np.linspace(6.0, 30.0, 11),
+                 np.empty(0)]
+        for a in cases:
+            np.testing.assert_array_equal(_erf_large(a),
+                                          self.large_where_form(a))
 
 
 class TestMatmulAndShapes:
@@ -541,11 +578,19 @@ class TestGatherCodes:
             assert (grad[:, 0] == 0.0).all() and (grad[:, 1:] > 0.0).all()
 
     def test_out_of_range_code_rejected(self):
+        """`encoder_layer` checks the whole codes array once, before its
+        chunked attention, with and without a tape."""
+        rng = np.random.default_rng(2)
+        params = [Tensor(rng.normal(size=s), requires_grad=True)
+                  for s in layer_shapes(8, 2)]
+        h = Tensor(rng.normal(size=(3, 4, 8)))
+        tables = Tensor(np.zeros((1, 2, 4))), Tensor(np.zeros((1, 2, 5)))
         for bad in (20, -1):
-            with pytest.raises(IndexError):
-                _add_code_bias(np.zeros((1, 2, 2, 2)),
-                               _code_table(np.zeros((2, 4)), np.zeros((2, 5))),
-                               np.full((1, 2, 2), bad))
+            codes = np.zeros((3, 4, 4), dtype=np.int64)
+            codes[2, 1, 3] = bad
+            for context in (contextlib.nullcontext, no_grad):
+                with context(), pytest.raises(IndexError, match="edge code"):
+                    encoder_layer(h, params, 2, (*tables, 0, codes))
 
 
 class TestEncoderLayer:
@@ -668,6 +713,85 @@ class TestEncoderLayer:
             finally:
                 tracemalloc.stop()
         assert peak < 2 * b * heads * n * n * 8
+
+    @pytest.mark.parametrize("case", ["full", "rows", "no_grad"])
+    def test_chunking_is_invisible(self, case, monkeypatch):
+        """Five graphs, the attention run as chunks of 2 + 2 + 1 graphs,
+        equal the one-chunk run bit for bit in the output and all 18
+        gradients. Graph 3, in the second chunk, has a padded key."""
+        rng = np.random.default_rng(11)
+        shapes = [(5, 4, 8)] + layer_shapes(8, 2) + [(2, 2, 3), (2, 2, 5)]
+        arrays = [rng.normal(size=s) for s in shapes]
+        codes = rng.integers(0, 15, size=(5, 4, 4))
+        key_bias = np.zeros((5, 1, 4, 1))
+        key_bias[3, 0, 2] = -np.inf
+        rows = None
+        if case == "rows":
+            rows = rng.integers(0, 4, size=(5, 3))
+            codes = np.take_along_axis(codes, rows[:, None, :], axis=2)
+        weights = rng.normal(size=(5, 4 if rows is None else 3, 8))
+        chunk_graphs = []
+        parts = autodiff._softmax_parts
+
+        def counted_parts(x, *args, **kwargs):
+            chunk_graphs.append(len(x))
+            return parts(x, *args, **kwargs)
+
+        monkeypatch.setattr(autodiff, "_softmax_parts", counted_parts)
+        results = []
+        # two graphs' (H, N, M) logits per chunk, then every graph in one
+        for chunk in (2 * 2 * 4 * codes.shape[-1], 1 << 16):
+            monkeypatch.setattr(autodiff, "_ATTN_CHUNK", chunk)
+            leaves = [Tensor(a, requires_grad=True) for a in arrays]
+            context = no_grad if case == "no_grad" else contextlib.nullcontext
+            with context():
+                out = encoder_layer(leaves[0] * 1.0, leaves[1:16], 2,
+                                    (*leaves[16:], 1, codes), key_bias, rows)
+            if case == "no_grad":
+                results.append([out.data])
+                continue
+            (out * weights).sum().backward()
+            results.append([out.data] + [t.grad for t in leaves])
+        # forward, and backward's recompute, in both runs
+        per_run = [2, 2, 1] * (1 if case == "no_grad" else 2)
+        assert chunk_graphs == per_run + [5] * (len(per_run) // 3)
+        assert len(results[0]) == (1 if case == "no_grad" else 19)
+        for got, want in zip(*results):
+            np.testing.assert_array_equal(got, want)
+
+    def test_tape_holds_no_attention_sized_array(self):
+        """The taped layer keeps nothing of its softmax: no array its
+        backward closure reaches, directly or through a helper's closure
+        or a tuple, has the B * H * N * N elements of the logits."""
+        b, heads, n, dim = 64, 4, 48, 32
+        rng = np.random.default_rng(12)
+        params = [Tensor(rng.normal(size=s) * 0.1, requires_grad=True)
+                  for s in layer_shapes(dim, 2)]
+        h = Tensor(rng.normal(size=(b, n, dim)))
+        key_bias = np.zeros((b, 1, n, 1))
+        key_bias[5, 0, -2:] = -np.inf
+        edge = (Tensor(rng.normal(size=(1, heads, 4))),
+                Tensor(rng.normal(size=(1, heads, 5))), 0,
+                rng.integers(0, 20, size=(b, n, n)))
+        out = encoder_layer(h, params, heads, edge, key_bias)
+        sizes, stack, seen = [], [out._backward], set()
+        while stack:
+            item = stack.pop()
+            if id(item) in seen:
+                continue
+            seen.add(id(item))
+            if isinstance(item, np.ndarray):
+                sizes.append(item.size)
+            elif isinstance(item, (tuple, list)):
+                stack.extend(item)
+            elif callable(item) and getattr(item, "__closure__", None):
+                for cell in item.__closure__:
+                    try:
+                        stack.append(cell.cell_contents)
+                    except ValueError:   # a name the layer left unbound
+                        pass
+        assert len(sizes) > 10
+        assert b * heads * n * n not in sizes
 
     def test_rejects_nan(self):
         arrays = self.arrays(4)

@@ -437,6 +437,21 @@ class TestCorruptCheckpoint:
         assert main(eval_argv(bad, tasks, corpus_path)) == 4
         assert "repeated parameter record scorer/cls" in capsys.readouterr().err
 
+    def test_repeated_moment_record_exits_4(self, eval_files, capsys):
+        """m1/scorer/sep renamed m1/scorer/cls: scorer/sep's first moment
+        would be missing and scorer/cls's read twice."""
+        tmp_path, corpus_path, tasks, ckpt, ckpt_bytes = eval_files
+        first, second = (struct.pack("<I", len(name)) + name.encode()
+                         for name in ("m1/scorer/cls", "m1/scorer/sep"))
+        assert ckpt_bytes.count(second) == 1
+        bad = os.path.join(tmp_path, "repeated_moment.ckpt")
+        with open(bad, "wb") as fh:
+            fh.write(ckpt_bytes.replace(second, first))
+        with open(ckpt + ".json", "rb") as src, open(bad + ".json", "wb") as dst:
+            dst.write(src.read())
+        assert main(eval_argv(bad, tasks, corpus_path)) == 4
+        assert "repeated moment record m1/scorer/cls" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("target,code,message", [
     ("corpus", 3, "not UTF-8"), ("tasks", 3, "not UTF-8"),
