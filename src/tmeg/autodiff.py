@@ -29,9 +29,13 @@ arithmetic of the chain it replaces, sharing private helpers for the
 softmax, layer-norm, linear and tanh-MLP arithmetic, so values and
 gradients are bit-identical to the composed graph, while the tape holds
 one node and only the arrays its backward pass needs. `encoder_layer`
-runs its attention over chunks of graphs and recomputes each chunk's
-softmax in backward instead of taping it, so no (B, H, N, N) logit-sized
-array is taped or allocated whole. It can also compute only chosen
+runs its attention over chunks of graphs, projecting each chunk's q, k
+and v there, and tapes only what is costly to rebuild: its input, the
+attention output, each layer norm's centred rows, std and inverse, the
+GELU's Phi and the softmax column statistics. Backward rebuilds q, k, v
+and the softmax chunk by chunk, and the FFN's input and activation from
+the first layer norm, so no (B, H, N, N) logit-sized array and no whole
+q, k or v is taped or allocated. It can also compute only chosen
 output rows (its `rows` argument), with keys and values still taken from
 every row: the encoder runs each stack's last layer that way, over just
 the rows that are read next.
@@ -410,23 +414,41 @@ _LN_EPS = 1e-12   # variance floor of every layer norm
 _ATTN_CHUNK = 1 << 16
 
 
-def _softmax_parts(x: np.ndarray, axis: int, out=None):
+def _softmax_parts(x: np.ndarray, axis: int, out=None, stats=None,
+                   saved: bool = False):
     """Exp numerator e = exp(x - max), its sums s and r = s ** -1 along
-    `axis`; the softmax is e * r. With `out=x` the numerator overwrites x."""
-    m = x.max(axis=axis, keepdims=True)
-    # max propagates NaN, so this sees a NaN anywhere in x
-    if np.isnan(m).any():
-        raise ValueError("softmax received NaN input")
-    e = np.add(x, -m, out=out)
+    `axis`; the softmax is e * r. With `out=x` the numerator overwrites x.
+
+    `stats`, when given, is a (3, ...) array of x's shape with `axis` of
+    extent 1 that holds the negated max, s and r: they are written there,
+    or, with `saved`, read from there instead of computed, so that a
+    recompute of the same x skips the max, its NaN check and the sum and
+    gives the same e, s and r bit for bit."""
+    if saved:
+        neg_max, s, r = stats
+    else:
+        m = x.max(axis=axis, keepdims=True)
+        # max propagates NaN, so this sees a NaN anywhere in x
+        if np.isnan(m).any():
+            raise ValueError("softmax received NaN input")
+        neg_max = -m
+    e = np.add(x, neg_max, out=out)
     np.exp(e, out=e)
-    s = e.sum(axis=axis, keepdims=True)
-    return e, s, s ** -1.0
+    if not saved:
+        s = e.sum(axis=axis, keepdims=True)
+        r = s ** -1.0
+        if stats is not None:
+            stats[0], stats[1], stats[2] = neg_max, s, r
+    return e, s, r
 
 
 def _softmax_backward(g, e, s, r, axis: int, out=None) -> np.ndarray:
     """Gradient of the softmax input, (g * r + gs) * e, from the gradient g
-    of its output; written into `out` when given."""
-    gs = (g * e).sum(axis=axis, keepdims=True) * -1.0 * s ** -2.0
+    of its output; written into `out` when given, which also holds g * e
+    on the way."""
+    gs = np.multiply(g, e, out=out).sum(axis=axis, keepdims=True)
+    gs *= -1.0
+    gs *= s ** -2.0
     gx = np.multiply(g, r, out=out)
     gx += gs
     gx *= e
@@ -586,15 +608,15 @@ def _gelu_cdf(x: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def _gelu_backward(g, x, cdf) -> np.ndarray:
-    """Gradient of x * Phi(x): g * (Phi(x) + x * pdf(x))."""
-    d = -0.5 * x
+def _gelu_slope(x, cdf, out=None) -> np.ndarray:
+    """Derivative of x * Phi(x), Phi(x) + x * pdf(x), written into `out`
+    when given; the gradient of x is the output gradient times it."""
+    d = np.multiply(x, -0.5, out=out)
     d *= x
     np.exp(d, out=d)
     d /= math.sqrt(2.0 * math.pi)
     d *= x
     d += cdf
-    d *= g
     return d
 
 
@@ -719,23 +741,27 @@ def encoder_layer(h: Tensor, params, n_heads: int, edge=None, key_bias=None,
 
     Attention runs over chunks of graphs along the first axis, about
     `_ATTN_CHUNK` logit elements each (a 2-D h is one chunk): each
-    chunk's logits, softmax and value product are computed and freed
-    before the next, so no (..., H, N, M) array exists whole. Every
-    matrix product is per (graph, head) and every reduction per graph, so
-    chunking changes no bit of the result.
+    chunk's q, k and v, logits, softmax and value product are computed
+    and freed before the next, so no (..., H, N, M) array and no whole q,
+    k or v exists. Every matrix product is per (graph, head) and every
+    reduction per graph, so chunking changes no bit of the result.
 
     Forward and backward repeat, operation for operation, the arithmetic
     of that chain composed from `linear`, elementwise ops (the softmax as
     exp(x - max) / sum, each layer norm as (x - mean) / sqrt(var + eps)),
     the exact GELU and an edge bias gathered per code from the two tables.
-    For backward the node keeps the layer input, q, k and v, the attention
-    output, each layer norm's centred rows, std and inverse, the first
-    layer norm's output, and the FFN pre-activation, its Phi and its
-    activation; it keeps nothing of the softmax. Backward recomputes each
-    chunk's exp numerator, sums and probabilities by the forward's own
-    calls, so they are the forward's bit for bit. Without a tape it works
-    in place and frees each intermediate once it is used. The input
-    arrays are never written.
+    For backward the node keeps only what is costly to rebuild: the layer
+    input, the attention output, each layer norm's centred rows, std and
+    inverse, the FFN's Phi, and one (3, ..., H, 1, M) array of each
+    chunk's negated softmax column max, sums and inverse sums. Backward
+    rebuilds by the forward's own calls, so bit for bit: each chunk's q,
+    k and v, and its exp numerator from the saved statistics, skipping
+    the max and the sum; and the first layer norm's output, the FFN
+    pre-activation and its activation from the kept centred rows and Phi.
+    Each rebuilt array is freed before the next large one is allocated,
+    while the weight and bias gradients stay whole-batch reductions.
+    Without a tape it works in place and frees each intermediate once it
+    is used. The input arrays are never written.
 
     `rows`, a (B, R) integer array over h of shape (B, N, dim), computes
     only the output rows h[b, rows[b]], in that order, as (B, R, dim):
@@ -760,10 +786,10 @@ def encoder_layer(h: Tensor, params, n_heads: int, edge=None, key_bias=None,
         xq = x[picked]
 
     def split(a):  # (..., M, dim) -> (..., H, M, d_head), a view
-        return a.reshape(*lead, a.shape[-2], n_heads, dh).swapaxes(-2, -3)
+        return a.reshape(*a.shape[:-1], n_heads, dh).swapaxes(-2, -3)
 
     def merge(a):  # (..., H, M, d_head) -> (..., M, dim)
-        return a.swapaxes(-2, -3).reshape(*lead, a.shape[-2], dim)
+        return a.swapaxes(-2, -3).reshape(*a.shape[:-3], a.shape[-2], dim)
 
     def project(inp, w, b):
         out = inp @ w.data
@@ -771,7 +797,6 @@ def encoder_layer(h: Tensor, params, n_heads: int, edge=None, key_bias=None,
             out += b.data
         return split(out)
 
-    q, k, v = project(xq, wq, bq), project(x, wk, None), project(x, wv, bv)
     parents = (h, *params)
     table = None
     if edge is not None:
@@ -782,37 +807,41 @@ def encoder_layer(h: Tensor, params, n_heads: int, edge=None, key_bias=None,
             raise IndexError(f"edge code out of range [0, {table.shape[-1]})")
         parents += (bias_t, bias_m)
     taped = _grad_enabled and any(p.requires_grad for p in parents)
-    # attention runs over chunks of graphs, so no (..., H, N, M) array is
-    # allocated whole; backward recomputes each chunk's softmax
-    m_rows = q.shape[-2]
+    # attention runs over chunks of graphs, so no (..., H, N, M) array and
+    # no whole q, k or v is allocated; backward recomputes each chunk's
+    # projections and, from the saved column stats, its softmax
+    m_rows = xq.shape[-2]
     chunks = [Ellipsis]
     if lead:
         per_graph = n_heads * n * m_rows * math.prod(lead[1:])
         step = max(1, _ATTN_CHUNK // per_graph)
         chunks = [slice(i, i + step) for i in range(0, lead[0], step)]
 
-    def softmax_parts(c):
-        # logits[..., i, j] = k_i . q_j * scale (+ biases), normalized over
-        # keys i, for the graphs of chunk c
-        logits = k[c] @ q[c].swapaxes(-1, -2)
+    def attention(c, stats=None, saved=False):
+        # q, k and v of the graphs of chunk c (x[c] @ w runs the same
+        # per-graph products as (x @ w)[c]), and the softmax parts of
+        # logits[..., i, j] = k_i . q_j * scale (+ biases) over keys i
+        q, k, v = (project(xq[c], wq, bq), project(x[c], wk, None),
+                   project(x[c], wv, bv))
+        logits = k @ q.swapaxes(-1, -2)
         logits *= scale
         if table is not None:
             _add_code_bias(logits, table, codes[c])
         if key_bias is not None:
             logits += key_bias[c]
-        return _softmax_parts(logits, -2, out=logits)
+        return (q, k, v, *_softmax_parts(logits, -2, out=logits,
+                                         stats=stats, saved=saved))
 
-    attn = np.empty(q.shape)
+    # the negated column max, sums and inverse sums of every chunk
+    stats = np.empty((3, *lead, n_heads, 1, m_rows)) if taped else None
+    a = np.empty(xq.shape)
     for c in chunks:
-        e, _, r = softmax_parts(c)
+        _, _, v, e, _, r = attention(c, None if stats is None else stats[:, c])
         e *= r                          # the probabilities, in place
-        np.matmul(e.swapaxes(-1, -2), v[c], out=attn[c])
-    a = merge(attn)
-    del attn
-    # without a tape, arrays backward would keep are freed once used
-    if not taped:
-        del q, k, v
+        a[c] = merge(e.swapaxes(-1, -2) @ v)
+        del v, e, r
     o = a @ wo.data
+    # without a tape, arrays backward would keep are freed once used
     if not taped:
         del a
     o += bo.data
@@ -824,22 +853,33 @@ def encoder_layer(h: Tensor, params, n_heads: int, edge=None, key_bias=None,
     f = h1 @ w1.data
     f += c1.data
     cdf = _gelu_cdf(f)
-    act = np.multiply(f, cdf, out=None if taped else cdf)
+    act = np.multiply(f, cdf, out=f)
     if not taped:
-        del f, cdf
+        del cdf
     y = act @ w2.data
+    del f, act
     y += c2.data
     y += h1
-    if not taped:
-        del act, h1
+    del h1
     ln2 = _ln_stats(y, _LN_EPS, out=y)
     del y
 
     def bw(g):
-        # feed-forward block and its residual
+        # feed-forward block and its residual: its input h1, pre-activation
+        # and activation are rebuilt by the forward's own calls, each freed
+        # before the next large array is allocated
+        def h1():
+            return _ln_affine(ln1[0], ln1[2], g1.data, b1.data)
+
         g_y = _ln_backward(g, *ln2, g2, b2)
-        g_f = _gelu_backward(_linear_backward(g_y, act, w2, c2), f, cdf)
-        g_h1 = _linear_backward(g_f, h1, w1, c1)
+        f = h1() @ w1.data
+        f += c1.data
+        act = f * cdf
+        _linear_backward(g_y, act, w2, c2, need_x=False)
+        g_f = _gelu_slope(f, cdf, out=act)
+        del act, f
+        g_f *= g_y @ w2.data.swapaxes(-1, -2)
+        g_h1 = _linear_backward(g_f, h1(), w1, c1)
         del g_f
         g_h1 += g_y
         del g_y
@@ -847,30 +887,30 @@ def encoder_layer(h: Tensor, params, n_heads: int, edge=None, key_bias=None,
         g_o = _ln_backward(g_h1, *ln1, g1, b1)
         del g_h1
         g_a = split(_linear_backward(g_o, a, wo, bo))
-        g_v, g_k = np.empty(v.shape), np.empty(k.shape)
+        kv_shape = (*lead, n_heads, n, dh)
+        g_v, g_k = np.empty(kv_shape), np.empty(kv_shape)
         # g_q is a [d_head, query] buffer's transpose, the layout its
         # parameter gradients sum in
-        g_qt = np.empty((*q.shape[:-2], dh, m_rows))
+        g_qt = np.empty((*lead, n_heads, dh, m_rows))
         need_codes = edge is not None and (bias_t.requires_grad
                                            or bias_m.requires_grad)
         if need_codes:
             n_t, n_m = bias_t.shape[-1], bias_m.shape[-1]
             g_pair = np.zeros(table.shape)
         for c in chunks:
-            e, s, r = softmax_parts(c)
+            q, k, v, e, s, r = attention(c, stats[:, c], saved=True)
             p = e * r
             np.matmul(p, g_a[c], out=g_v[c])
             # the [key, query] gradient of the probabilities, contiguous
-            g_attn = v[c] @ g_a[c].swapaxes(-1, -2)
+            g_attn = v @ g_a[c].swapaxes(-1, -2)
             g_x = _softmax_backward(g_attn, e, s, r, -2, out=p)
             if need_codes:
                 _code_grad(g_x, codes[c], n_t * n_m, out=g_pair)
             g_x *= scale
-            np.matmul(g_x, q[c], out=g_k[c])
-            np.matmul(k[c].swapaxes(-1, -2), g_x, out=g_qt[c])
-            del e, p, g_attn, g_x
+            np.matmul(g_x, q, out=g_k[c])
+            np.matmul(k.swapaxes(-1, -2), g_x, out=g_qt[c])
+            del q, k, v, e, p, g_attn, g_x
         del g_a
-        g_q = g_qt.swapaxes(-1, -2)
         if need_codes:
             for tab, grad in zip((bias_t, bias_m),
                                  _fold_code_grad(g_pair, n_t, n_m)):
@@ -878,17 +918,27 @@ def encoder_layer(h: Tensor, params, n_heads: int, edge=None, key_bias=None,
                     full = np.zeros_like(tab.data)
                     full[layer] = grad
                     tab._accumulate(full)
-        # input projections; the input gradient sums the residual, key,
-        # query and value terms in the order the composed chain's tape does
+        # input projections, each gradient buffer freed once used; the
+        # input gradient sums the residual, key, query and value terms in
+        # the order the composed chain's tape does
+        g_q = merge(g_qt.swapaxes(-1, -2))
+        del g_qt
         if rows is None:
-            g_h = g_o + _linear_backward(merge(g_k), x, wk, None)
-            g_h += _linear_backward(merge(g_q), x, wq, bq)
-            g_h += _linear_backward(merge(g_v), x, wv, bv)
+            g_o += _linear_backward(merge(g_k), x, wk, None)
+            del g_k
+            g_o += _linear_backward(g_q, x, wq, bq)
+            del g_q
+            g_o += _linear_backward(merge(g_v), x, wv, bv)
+            del g_v
+            g_h = g_o
         else:
             # the residual and query terms reach the selected rows only
             g_h = _linear_backward(merge(g_k), x, wk, None)
+            del g_k
             g_h += _linear_backward(merge(g_v), x, wv, bv)
-            g_o += _linear_backward(merge(g_q), xq, wq, bq)
+            del g_v
+            g_o += _linear_backward(g_q, xq, wq, bq)
+            del g_q
             g_h += _scatter_sum(x.shape, picked, g_o)
         if h.requires_grad:
             h._accumulate(g_h)

@@ -21,7 +21,7 @@ from scipy.special import softmax as scipy_softmax
 from tmeg import autodiff
 from tmeg.autodiff import (
     _ERFC_SPLIT, _LN_EPS, Tensor, _add_code_bias, _code_grad, _code_table,
-    _erf, _erf_large, _fold_code_grad, _gelu_backward, _gelu_cdf, _ln_affine,
+    _erf, _erf_large, _fold_code_grad, _gelu_cdf, _gelu_slope, _ln_affine,
     _ln_backward, _ln_stats, _softmax_backward, _softmax_parts, add_scaled,
     concat, cross_entropy, encoder_layer, info_nce, linear, logsumexp,
     mlp_readout, no_grad, node_embedding, pair_sequence, split_tanh_mlps,
@@ -94,6 +94,28 @@ def helper_layer_norm(x, g, b):
 
     return Tensor(_ln_affine(c, inv, g.data, b.data), parents=(x, g, b),
                   backward=bw)
+
+
+def tape_arrays(node):
+    """Every array a node's backward closure reaches, directly or through
+    a helper's closure or a tuple: what the node keeps for backward."""
+    arrays, stack, seen = [], [node._backward], set()
+    while stack:
+        item = stack.pop()
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
+        if isinstance(item, np.ndarray):
+            arrays.append(item)
+        elif isinstance(item, (tuple, list)):
+            stack.extend(item)
+        elif callable(item) and getattr(item, "__closure__", None):
+            for cell in item.__closure__:
+                try:
+                    stack.append(cell.cell_contents)
+                except ValueError:   # a name the layer left unbound
+                    pass
+    return arrays
 
 
 def layer_shapes(dim, mult):
@@ -184,7 +206,7 @@ class TestElementwiseGrads:
 
     def test_gelu_grad(self):
         x = np.random.default_rng(0).normal(size=9)
-        g = _gelu_backward(np.ones(9), x, _gelu_cdf(x))
+        g = _gelu_slope(x, _gelu_cdf(x))
         num = numeric_grad(lambda: float((x * _gelu_cdf(x)).sum()), x)
         np.testing.assert_allclose(g, num, rtol=1e-6, atol=1e-6)
 
@@ -774,24 +796,30 @@ class TestEncoderLayer:
                 Tensor(rng.normal(size=(1, heads, 5))), 0,
                 rng.integers(0, 20, size=(b, n, n)))
         out = encoder_layer(h, params, heads, edge, key_bias)
-        sizes, stack, seen = [], [out._backward], set()
-        while stack:
-            item = stack.pop()
-            if id(item) in seen:
-                continue
-            seen.add(id(item))
-            if isinstance(item, np.ndarray):
-                sizes.append(item.size)
-            elif isinstance(item, (tuple, list)):
-                stack.extend(item)
-            elif callable(item) and getattr(item, "__closure__", None):
-                for cell in item.__closure__:
-                    try:
-                        stack.append(cell.cell_contents)
-                    except ValueError:   # a name the layer left unbound
-                        pass
+        sizes = [a.size for a in tape_arrays(out)]
         assert len(sizes) > 10
         assert b * heads * n * n not in sizes
+
+    def test_tape_keeps_only_costly_arrays(self):
+        """The taped layer keeps only what is costly to rebuild: its input,
+        the attention output, both layer norms' centred rows and the GELU's
+        Phi, 6 units of B * N * dim floats (Phi is (B, N, 2 * dim)), besides
+        the (B, N, 1) layer-norm and (B, H, 1, N) softmax statistics.
+        Backward rebuilds q, k and v and the FFN's input, pre-activation and
+        activation; keeping any of them adds at least one more unit."""
+        b, heads, n, dim = 64, 4, 48, 32
+        rng = np.random.default_rng(13)
+        params = [Tensor(rng.normal(size=s) * 0.1, requires_grad=True)
+                  for s in layer_shapes(dim, 2)]
+        h = Tensor(rng.normal(size=(b, n, dim)))
+        out = encoder_layer(h, params, heads)
+        buffers = {}
+        for a in tape_arrays(out):
+            while a.base is not None:
+                a = a.base
+            buffers[id(a)] = a.size
+        stats = 2 * 2 * b * n + 3 * b * heads * n
+        assert sum(buffers.values()) <= 6 * b * n * dim + stats
 
     def test_rejects_nan(self):
         arrays = self.arrays(4)
