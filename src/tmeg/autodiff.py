@@ -29,16 +29,18 @@ arithmetic of the chain it replaces, sharing private helpers for the
 softmax, layer-norm, linear and tanh-MLP arithmetic, so values and
 gradients are bit-identical to the composed graph, while the tape holds
 one node and only the arrays its backward pass needs. `encoder_layer`
-runs its attention over chunks of graphs, projecting each chunk's q, k
-and v there, and tapes only what is costly to rebuild: its input, the
-attention output, each layer norm's centred rows, std and inverse, the
-GELU's Phi and the softmax column statistics. Backward rebuilds q, k, v
-and the softmax chunk by chunk, and the FFN's input and activation from
-the first layer norm, so no (B, H, N, N) logit-sized array and no whole
-q, k or v is taped or allocated. It can also compute only chosen
-output rows (its `rows` argument), with keys and values still taken from
-every row: the encoder runs each stack's last layer that way, over just
-the rows that are read next.
+runs forward and backward chunk by chunk over graphs and tapes only what
+is costly to rebuild: its input, the attention output, the GELU's Phi
+and the layer-norm and softmax statistics. Backward rebuilds each
+chunk's forward (both layer norms' centred rows, the FFN's arrays, q, k,
+v and the softmax) and carries every weight and bias gradient from chunk
+to chunk as a running sum in the order of the whole batch's sum, so no
+(B, H, N, N) logit-sized array and no whole q, k, v or FFN array is
+taped or allocated, and the only whole arrays its backward allocates are
+the input gradient and the code-table gradient. It can also compute
+only chosen output rows (its `rows` argument), with keys and values
+still taken from every row: the encoder runs each stack's last layer
+that way, over just the rows that are read next.
 
 The FFN's exact GELU x * Phi(x) takes its erf from `_erf`, a numpy port of
 `s_erf.c` from Sun's fdlibm 5.3 (as kept in FreeBSD's msun) with the same
@@ -409,8 +411,9 @@ def concat(tensors: list, axis: int = 0) -> Tensor:
 # arithmetic shared by the fused operations
 
 _LN_EPS = 1e-12   # variance floor of every layer norm
-# Logit elements per chunk of graphs that `encoder_layer`'s attention runs
-# over (512 KB); measured against 1 << 14 and 1 << 18 on the bench model.
+# Elements (512 KB) of the largest per-graph array, summed over a chunk of
+# the graphs `encoder_layer` runs over; measured against 1 << 15 and
+# 1 << 17 on the bench model.
 _ATTN_CHUNK = 1 << 16
 
 
@@ -455,13 +458,27 @@ def _softmax_backward(g, e, s, r, axis: int, out=None) -> np.ndarray:
     return gx
 
 
-def _ln_stats(x: np.ndarray, eps: float, out=None):
+def _ln_stats(x: np.ndarray, eps: float, out=None, stats=None,
+              saved: bool = False):
     """Centred rows c, std and inverse std of `x` over its last axis; the
-    normalised rows are c * inv. With `out=x` the centred rows overwrite x."""
+    normalised rows are c * inv. With `out=x` the centred rows overwrite x.
+
+    `stats`, when given, is a (3, ...) array of x's shape with a last axis
+    of extent 1 that holds the negated mean, the std and its inverse: they
+    are written there, or, with `saved`, read from there instead of
+    computed, so that a recompute of the same x skips both sums and gives
+    the same c, sd and inv bit for bit."""
     inv_n = 1.0 / x.shape[-1]
-    c = np.add(x, -(x.sum(axis=-1, keepdims=True) * inv_n), out=out)
+    if saved:
+        neg_mean, sd, inv = stats
+        return np.add(x, neg_mean, out=out), sd, inv
+    neg_mean = -(x.sum(axis=-1, keepdims=True) * inv_n)
+    c = np.add(x, neg_mean, out=out)
     sd = np.sqrt((c * c).sum(axis=-1, keepdims=True) * inv_n + eps)
-    return c, sd, sd ** -1.0
+    inv = sd ** -1.0
+    if stats is not None:
+        stats[0], stats[1], stats[2] = neg_mean, sd, inv
+    return c, sd, inv
 
 
 def _ln_affine(c, inv, gamma: np.ndarray, beta: np.ndarray, out=None):
@@ -472,13 +489,51 @@ def _ln_affine(c, inv, gamma: np.ndarray, beta: np.ndarray, out=None):
     return y
 
 
-def _ln_backward(g, c, sd, inv, gamma: Tensor, beta: Tensor) -> np.ndarray:
-    """Accumulate the gamma and beta gradients of a layer norm and return
-    the gradient of its input."""
+def _ordered_sum(terms: np.ndarray, shape: tuple, prev=None,
+                 fresh: bool = False) -> np.ndarray:
+    """`terms` summed down to `shape` over their leading axes, after `prev`,
+    the running sum of the terms of a batch's earlier chunks, bit for bit
+    as one sum over the whole batch's terms.
+
+    numpy sums C-contiguous terms over leading axes one term after
+    another, so a running sum carried from chunk to chunk and continued
+    by each chunk's terms, in order, repeats the whole batch's sum. It
+    joins the chunk's first term in place (`terms[0] += prev`, which is
+    prev + terms[0], as IEEE addition commutes) when `fresh` says the
+    caller no longer reads the terms, and is stacked before them
+    otherwise."""
+    if prev is None and terms.shape == shape:
+        return terms
+    rows = terms.reshape(-1, *shape)
+    if prev is not None:
+        if fresh:
+            rows[0] += prev
+        else:
+            rows = np.concatenate((prev[None], rows))
+    return np.add.reduce(rows, axis=0)
+
+
+def _add_grad(param: Tensor, terms: np.ndarray, sums=None,
+              fresh: bool = False) -> None:
+    """Add `terms`, summed down to param's shape, to param's gradient; or,
+    with `sums`, a dict of running sums over the chunks of one batch, to
+    param's running sum there (see `_ordered_sum`)."""
+    if sums is None:
+        param._accumulate(_unbroadcast(terms, param.data.shape))
+    else:
+        sums[param] = _ordered_sum(terms, param.data.shape, sums.get(param),
+                                   fresh)
+
+
+def _ln_backward(g, c, sd, inv, gamma: Tensor, beta: Tensor,
+                 sums=None) -> np.ndarray:
+    """Add the gamma and beta gradients of a layer norm to theirs, or to
+    their running sums in `sums` (see `_add_grad`), and return the
+    gradient of its input."""
     if beta.requires_grad:
-        beta._accumulate(_unbroadcast(g, beta.data.shape))
+        _add_grad(beta, g, sums)
     if gamma.requires_grad:
-        gamma._accumulate(_unbroadcast(g * (c * inv), gamma.data.shape))
+        _add_grad(gamma, g * (c * inv), sums, fresh=True)
     inv_n = 1.0 / c.shape[-1]
     g_xhat = g * gamma.data
     g_sd = (g_xhat * c).sum(axis=-1, keepdims=True) * -1.0 * sd ** -2.0
@@ -599,9 +654,10 @@ def _erf(x, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _gelu_cdf(x: np.ndarray) -> np.ndarray:
-    """Phi(x) = 0.5 * (1 + erf(x / sqrt 2)); the exact GELU is x * Phi(x)."""
-    cdf = x / math.sqrt(2.0)
+def _gelu_cdf(x: np.ndarray, out=None) -> np.ndarray:
+    """Phi(x) = 0.5 * (1 + erf(x / sqrt 2)), written into `out` (which must
+    be C-contiguous) when given; the exact GELU is x * Phi(x)."""
+    cdf = np.divide(x, math.sqrt(2.0), out=out)
     _erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
@@ -621,14 +677,14 @@ def _gelu_slope(x, cdf, out=None) -> np.ndarray:
 
 
 def _linear_backward(g, x, weight: Tensor, bias: Tensor | None,
-                     need_x: bool = True) -> np.ndarray | None:
-    """Accumulate the weight and bias gradients of x @ weight + bias and
-    return the gradient of x (None unless `need_x`)."""
+                     need_x: bool = True, sums=None) -> np.ndarray | None:
+    """Add the weight and bias gradients of x @ weight + bias to theirs, or
+    to their running sums in `sums` (see `_add_grad`), and return the
+    gradient of x (None unless `need_x`)."""
     if weight.requires_grad:
-        weight._accumulate(_unbroadcast(x.swapaxes(-1, -2) @ g,
-                                        weight.data.shape))
+        _add_grad(weight, x.swapaxes(-1, -2) @ g, sums, fresh=True)
     if bias is not None and bias.requires_grad:
-        bias._accumulate(_unbroadcast(g, bias.data.shape))
+        _add_grad(bias, g, sums)
     return g @ weight.data.swapaxes(-1, -2) if need_x else None
 
 
@@ -739,29 +795,37 @@ def encoder_layer(h: Tensor, params, n_heads: int, edge=None, key_bias=None,
     constant array (the -inf mask of padded keys). Like the codes, it has
     h's leading axes.
 
-    Attention runs over chunks of graphs along the first axis, about
-    `_ATTN_CHUNK` logit elements each (a 2-D h is one chunk): each
-    chunk's q, k and v, logits, softmax and value product are computed
-    and freed before the next, so no (..., H, N, M) array and no whole q,
-    k or v exists. Every matrix product is per (graph, head) and every
-    reduction per graph, so chunking changes no bit of the result.
+    The layer runs over chunks of graphs along the first axis (a 2-D h
+    is one chunk), each sized so that its largest per-graph array holds
+    about `_ATTN_CHUNK` elements in all: the (H, N, M) logits, N rows of
+    FFN width (the FFN activations; with `rows`, about a chunk's k, v and
+    their gradients) or the (dim, ffn) weight-gradient products. The
+    forward runs the attention over those chunks, then the rows after it
+    over chunks sized by their (M, ffn) FFN arrays alone; the backward
+    passes each chunk through the whole layer, output rows back to q, k
+    and v, before the next. So no (..., H, N, M) array, no whole q, k or
+    v and no whole FFN array exists. Every matrix product is per (graph,
+    head) and every normalisation per row, so chunking changes no bit of
+    the values.
 
     Forward and backward repeat, operation for operation, the arithmetic
     of that chain composed from `linear`, elementwise ops (the softmax as
     exp(x - max) / sum, each layer norm as (x - mean) / sqrt(var + eps)),
     the exact GELU and an edge bias gathered per code from the two tables.
     For backward the node keeps only what is costly to rebuild: the layer
-    input, the attention output, each layer norm's centred rows, std and
-    inverse, the FFN's Phi, and one (3, ..., H, 1, M) array of each
-    chunk's negated softmax column max, sums and inverse sums. Backward
-    rebuilds by the forward's own calls, so bit for bit: each chunk's q,
-    k and v, and its exp numerator from the saved statistics, skipping
-    the max and the sum; and the first layer norm's output, the FFN
-    pre-activation and its activation from the kept centred rows and Phi.
-    Each rebuilt array is freed before the next large one is allocated,
-    while the weight and bias gradients stay whole-batch reductions.
-    Without a tape it works in place and frees each intermediate once it
-    is used. The input arrays are never written.
+    input, the attention output, the FFN's Phi, both layer norms' negated
+    mean, std and inverse, and one (3, ..., H, 1, M) array of each chunk's
+    negated softmax column max, sums and inverse sums. Backward rebuilds
+    each chunk's forward by the forward's own calls, so bit for bit: from
+    the attention output on (both layer norms' centred rows, the FFN
+    input, pre-activation and activation), then q, k and v and the
+    softmax numerator, each from the saved statistics, skipping their
+    sums and the max.
+    Each weight and bias gradient is one running sum carried
+    from chunk to chunk in the order of the whole batch's sum (see
+    `_ordered_sum`), so the only whole arrays backward allocates are the
+    input gradient and the (H, C) pair-table gradient. The input arrays
+    are never written.
 
     `rows`, a (B, R) integer array over h of shape (B, N, dim), computes
     only the output rows h[b, rows[b]], in that order, as (B, R, dim):
@@ -782,8 +846,8 @@ def encoder_layer(h: Tensor, params, n_heads: int, edge=None, key_bias=None,
     else:
         if x.ndim != 3:
             raise ValueError("encoder_layer rows need h of shape (B, N, dim)")
-        picked = (np.arange(x.shape[0])[:, None], np.asarray(rows))
-        xq = x[picked]
+        rows = np.asarray(rows)
+        xq = x[np.arange(x.shape[0])[:, None], rows]
 
     def split(a):  # (..., M, dim) -> (..., H, M, d_head), a view
         return a.reshape(*a.shape[:-1], n_heads, dh).swapaxes(-2, -3)
@@ -807,110 +871,153 @@ def encoder_layer(h: Tensor, params, n_heads: int, edge=None, key_bias=None,
             raise IndexError(f"edge code out of range [0, {table.shape[-1]})")
         parents += (bias_t, bias_m)
     taped = _grad_enabled and any(p.requires_grad for p in parents)
-    # attention runs over chunks of graphs, so no (..., H, N, M) array and
-    # no whole q, k or v is allocated; backward recomputes each chunk's
-    # projections and, from the saved column stats, its softmax
-    m_rows = xq.shape[-2]
-    chunks = [Ellipsis]
-    if lead:
-        per_graph = n_heads * n * m_rows * math.prod(lead[1:])
-        step = max(1, _ATTN_CHUNK // per_graph)
-        chunks = [slice(i, i + step) for i in range(0, lead[0], step)]
+    m_rows, n_ffn = xq.shape[-2], w1.shape[-1]
+
+    def chunked(per_graph):
+        # slices of the first axis holding about _ATTN_CHUNK elements of
+        # an array with per_graph elements per graph
+        if not lead:
+            return [Ellipsis]
+        step = max(1, _ATTN_CHUNK // (per_graph * math.prod(lead[1:])))
+        return [slice(i, i + step) for i in range(0, lead[0], step)]
+
+    chunks = chunked(max(n_heads * n * m_rows, n * n_ffn, dim * n_ffn))
 
     def attention(c, stats=None, saved=False):
         # q, k and v of the graphs of chunk c (x[c] @ w runs the same
-        # per-graph products as (x @ w)[c]), and the softmax parts of
+        # per-graph products as (x @ w)[c]), their pair codes as intp (a
+        # gather at int8 indices is slower) and the softmax parts of
         # logits[..., i, j] = k_i . q_j * scale (+ biases) over keys i
         q, k, v = (project(xq[c], wq, bq), project(x[c], wk, None),
                    project(x[c], wv, bv))
         logits = k @ q.swapaxes(-1, -2)
         logits *= scale
+        pair = None
         if table is not None:
-            _add_code_bias(logits, table, codes[c])
+            pair = codes[c].astype(np.intp)
+            _add_code_bias(logits, table, pair)
         if key_bias is not None:
             logits += key_bias[c]
-        return (q, k, v, *_softmax_parts(logits, -2, out=logits,
-                                         stats=stats, saved=saved))
+        return (q, k, v, pair, *_softmax_parts(logits, -2, out=logits,
+                                               stats=stats, saved=saved))
 
-    # the negated column max, sums and inverse sums of every chunk
-    stats = np.empty((3, *lead, n_heads, 1, m_rows)) if taped else None
+    def post_attention(c, cdf=None, ln_stats=None, saved=False):
+        # chunk c from its attention output a[c] on: the first layer norm's
+        # parts, h1, the FFN pre-activation, its Phi, the activation and
+        # the second layer norm's parts. Phi and both layer norms'
+        # statistics are written into `cdf` and `ln_stats` when given, or
+        # with `saved` read from there
+        o = a[c] @ wo.data
+        o += bo.data
+        o += xq[c]
+        ln1 = _ln_stats(o, _LN_EPS, out=o, saved=saved,
+                        stats=None if ln_stats is None else ln_stats[0])
+        h1 = _ln_affine(ln1[0], ln1[2], g1.data, b1.data)
+        f = h1 @ w1.data
+        f += c1.data
+        if not saved:
+            cdf = _gelu_cdf(f, out=cdf)
+        act = f * cdf
+        y = act @ w2.data
+        y += c2.data
+        y += h1
+        return ln1, h1, f, act, _ln_stats(
+            y, _LN_EPS, out=y, saved=saved,
+            stats=None if ln_stats is None else ln_stats[1])
+
+    # kept for backward: the attention output, Phi, the negated mean, std
+    # and inverse of both layer norms and the negated column max, sums and
+    # inverse sums of every chunk's softmax
     a = np.empty(xq.shape)
+    cdf = ln_stats = stats = None
+    if taped:
+        cdf = np.empty((*xq.shape[:-1], n_ffn))
+        ln_stats = np.empty((2, 3, *xq.shape[:-1], 1))
+        stats = np.empty((3, *lead, n_heads, 1, m_rows))
+    out = np.empty(xq.shape)
     for c in chunks:
-        _, _, v, e, _, r = attention(c, None if stats is None else stats[:, c])
+        _, _, v, _, e, _, r = attention(c, None if stats is None
+                                        else stats[:, c])
         e *= r                          # the probabilities, in place
         a[c] = merge(e.swapaxes(-1, -2) @ v)
         del v, e, r
-    o = a @ wo.data
-    # without a tape, arrays backward would keep are freed once used
-    if not taped:
-        del a
-    o += bo.data
-    o += xq
-    ln1 = _ln_stats(o, _LN_EPS, out=o)
-    del o
-    h1 = _ln_affine(ln1[0], ln1[2], g1.data, b1.data,
-                    out=None if taped else ln1[0])
-    f = h1 @ w1.data
-    f += c1.data
-    cdf = _gelu_cdf(f)
-    act = np.multiply(f, cdf, out=f)
-    if not taped:
-        del cdf
-    y = act @ w2.data
-    del f, act
-    y += c2.data
-    y += h1
-    del h1
-    ln2 = _ln_stats(y, _LN_EPS, out=y)
-    del y
+    # the forward's rows after attention make no logits and no weight-
+    # gradient products, so their chunks are sized by the FFN arrays alone
+    for c in chunked(m_rows * n_ffn):
+        kept = (cdf[c], ln_stats[:, :, c]) if taped else ()
+        ln2 = post_attention(c, *kept)[-1]
+        _ln_affine(ln2[0], ln2[2], g2.data, b2.data, out=out[c])
+        del ln2
 
     def bw(g):
-        # feed-forward block and its residual: its input h1, pre-activation
-        # and activation are rebuilt by the forward's own calls, each freed
-        # before the next large array is allocated
-        def h1():
-            return _ln_affine(ln1[0], ln1[2], g1.data, b1.data)
-
-        g_y = _ln_backward(g, *ln2, g2, b2)
-        f = h1() @ w1.data
-        f += c1.data
-        act = f * cdf
-        _linear_backward(g_y, act, w2, c2, need_x=False)
-        g_f = _gelu_slope(f, cdf, out=act)
-        del act, f
-        g_f *= g_y @ w2.data.swapaxes(-1, -2)
-        g_h1 = _linear_backward(g_f, h1(), w1, c1)
-        del g_f
-        g_h1 += g_y
-        del g_y
-        # attention block and its residual
-        g_o = _ln_backward(g_h1, *ln1, g1, b1)
-        del g_h1
-        g_a = split(_linear_backward(g_o, a, wo, bo))
-        kv_shape = (*lead, n_heads, n, dh)
-        g_v, g_k = np.empty(kv_shape), np.empty(kv_shape)
-        # g_q is a [d_head, query] buffer's transpose, the layout its
-        # parameter gradients sum in
-        g_qt = np.empty((*lead, n_heads, dh, m_rows))
+        sums = {}
+        g_h = np.empty(x.shape)
         need_codes = edge is not None and (bias_t.requires_grad
                                            or bias_m.requires_grad)
         if need_codes:
             n_t, n_m = bias_t.shape[-1], bias_m.shape[-1]
             g_pair = np.zeros(table.shape)
         for c in chunks:
-            q, k, v, e, s, r = attention(c, stats[:, c], saved=True)
+            # feed-forward block and its residual, from the rebuilt chunk
+            ln1, h1, f, act, ln2 = post_attention(
+                c, cdf[c], ln_stats[:, :, c], saved=True)
+            g_y = _ln_backward(g[c], *ln2, g2, b2, sums)
+            _linear_backward(g_y, act, w2, c2, need_x=False, sums=sums)
+            g_f = _gelu_slope(f, cdf[c], out=act)
+            del ln2, f, act
+            g_f *= g_y @ w2.data.swapaxes(-1, -2)
+            g_h1 = _linear_backward(g_f, h1, w1, c1, sums=sums)
+            del h1, g_f
+            g_h1 += g_y
+            del g_y
+            g_o = _ln_backward(g_h1, *ln1, g1, b1, sums)
+            del ln1, g_h1
+            # attention block and its residual; each array is freed once
+            # used, as the attention arrays are the chunk's largest
+            g_a = split(_linear_backward(g_o, a[c], wo, bo, sums=sums))
+            q, k, v, pair, e, s, r = attention(c, stats[:, c], saved=True)
             p = e * r
-            np.matmul(p, g_a[c], out=g_v[c])
+            g_v = merge(p @ g_a)
             # the [key, query] gradient of the probabilities, contiguous
-            g_attn = v @ g_a[c].swapaxes(-1, -2)
+            g_attn = v @ g_a.swapaxes(-1, -2)
+            del v, g_a
             g_x = _softmax_backward(g_attn, e, s, r, -2, out=p)
+            del p, e, s, r, g_attn
             if need_codes:
-                _code_grad(g_x, codes[c], n_t * n_m, out=g_pair)
+                _code_grad(g_x, pair, n_t * n_m, out=g_pair)
+            del pair
             g_x *= scale
-            np.matmul(g_x, q, out=g_k[c])
-            np.matmul(k.swapaxes(-1, -2), g_x, out=g_qt[c])
-            del q, k, v, e, p, g_attn, g_x
-        del g_a
+            g_k = merge(g_x @ q)
+            del q
+            # g_q is a [d_head, query] array's transpose: bq's gradient
+            # sums each graph's queries, then graph after graph, as numpy
+            # sums the whole batch's array in that layout
+            g_qt = k.swapaxes(-1, -2) @ g_x
+            del k, g_x
+            if bq.requires_grad:
+                _add_grad(bq, g_qt.sum(axis=-1).reshape(*g_qt.shape[:-3], dim),
+                          sums, fresh=True)
+            g_q = merge(g_qt.swapaxes(-1, -2))
+            del g_qt
+            # input projections; the input gradient sums the residual, key,
+            # query and value terms in the order the composed chain's tape
+            # does
+            if rows is None:
+                g_o += _linear_backward(g_k, x[c], wk, None, sums=sums)
+                g_o += _linear_backward(g_q, x[c], wq, None, sums=sums)
+                np.add(g_o, _linear_backward(g_v, x[c], wv, bv, sums=sums),
+                       out=g_h[c])
+            else:
+                # the residual and query terms reach the selected rows only
+                g_hc = _linear_backward(g_k, x[c], wk, None, sums=sums)
+                g_hc += _linear_backward(g_v, x[c], wv, bv, sums=sums)
+                g_o += _linear_backward(g_q, xq[c], wq, None, sums=sums)
+                picked = (np.arange(len(g_o))[:, None], rows[c])
+                g_hc += _scatter_sum(g_hc.shape, picked, g_o)
+                g_h[c] = g_hc
+                del g_hc
+            # nothing of this chunk outlives it
+            del g_o, g_k, g_q, g_v
         if need_codes:
             for tab, grad in zip((bias_t, bias_m),
                                  _fold_code_grad(g_pair, n_t, n_m)):
@@ -918,34 +1025,12 @@ def encoder_layer(h: Tensor, params, n_heads: int, edge=None, key_bias=None,
                     full = np.zeros_like(tab.data)
                     full[layer] = grad
                     tab._accumulate(full)
-        # input projections, each gradient buffer freed once used; the
-        # input gradient sums the residual, key, query and value terms in
-        # the order the composed chain's tape does
-        g_q = merge(g_qt.swapaxes(-1, -2))
-        del g_qt
-        if rows is None:
-            g_o += _linear_backward(merge(g_k), x, wk, None)
-            del g_k
-            g_o += _linear_backward(g_q, x, wq, bq)
-            del g_q
-            g_o += _linear_backward(merge(g_v), x, wv, bv)
-            del g_v
-            g_h = g_o
-        else:
-            # the residual and query terms reach the selected rows only
-            g_h = _linear_backward(merge(g_k), x, wk, None)
-            del g_k
-            g_h += _linear_backward(merge(g_v), x, wv, bv)
-            del g_v
-            g_o += _linear_backward(g_q, xq, wq, bq)
-            del g_q
-            g_h += _scatter_sum(x.shape, picked, g_o)
+        for param, grad in sums.items():
+            param._accumulate(grad)
         if h.requires_grad:
             h._accumulate(g_h)
 
-    return Tensor(_ln_affine(ln2[0], ln2[2], g2.data, b2.data,
-                             out=None if taped else ln2[0]),
-                  parents=parents, backward=bw)
+    return Tensor(out, parents=parents, backward=bw)
 
 
 def node_embedding(params, token_ids, positions, segments, features, boxes,

@@ -229,7 +229,7 @@ class GraphBatch:
     vis_boxes: np.ndarray       # (B, n_vis, 6); zero rows at CLS positions
     vis_cls_mask: np.ndarray    # (B, n_vis) 1.0 at visual CLS rows
     node_mask: np.ndarray       # (B, N) True at real nodes
-    codes: np.ndarray           # (B, N, N) pair codes, see `edge_codes`
+    codes: np.ndarray           # (B, N, N) int8 codes, see `edge_codes`
     text_cls_idx: np.ndarray    # (B, N_t) rows of the text CLS nodes
     vis_cls_idx: np.ndarray     # (B, N_a) rows of the visual CLS nodes
     n_text_cls: np.ndarray      # (B,) real entries of each text_cls_idx row
@@ -282,13 +282,16 @@ def _left_pack(counts: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def edge_codes(phi_t, phi_m) -> np.ndarray:
-    """Pair codes phi_t * C_m + phi_m, (NONE, NONE) at 0. A modal code
-    outside [0, C_m) would alias another pair: IndexError. (The bias
-    gather range-checks the pair codes themselves.)"""
-    phi_m = np.asarray(phi_m)
-    if phi_m.size and (phi_m.min() < 0 or phi_m.max() >= N_MODAL_CODES):
-        raise IndexError(f"edge code out of range [0, {N_MODAL_CODES})")
-    return np.asarray(phi_t, dtype=np.int64) * N_MODAL_CODES + phi_m
+    """Pair codes phi_t * C_m + phi_m as int8, (NONE, NONE) at 0. A code of
+    either kind outside its range would alias another pair (or wrap
+    around int8): IndexError. (The bias gather range-checks the pair codes
+    themselves.)"""
+    phi_t, phi_m = np.asarray(phi_t), np.asarray(phi_m)
+    for phi, n_codes in ((phi_t, N_TEMPORAL_CODES), (phi_m, N_MODAL_CODES)):
+        if phi.size and (phi.min() < 0 or phi.max() >= n_codes):
+            raise IndexError(f"edge code out of range [0, {n_codes})")
+    return (phi_t.astype(np.int8) * np.int8(N_MODAL_CODES)
+            + phi_m.astype(np.int8))
 
 
 def prepare_batch(graphs: list[TmegGraph], vocab: dict[str, int],
@@ -336,7 +339,8 @@ def prepare_batch(graphs: list[TmegGraph], vocab: dict[str, int],
         vis_cls_mask=vis_cls.astype(np.float64), node_mask=node_mask,
         codes=_scatter(pairs, [edge_codes(
             np.concatenate([g.phi_t.ravel() for g in graphs]),
-            np.concatenate([g.phi_m.ravel() for g in graphs]))]),
+            np.concatenate([g.phi_m.ravel() for g in graphs]))],
+            dtype=np.int8),
         text_cls_idx=text_cls_idx, vis_cls_idx=vis_cls_idx,
         n_text_cls=n_text_cls, n_vis_cls=n_vis_cls,
     )

@@ -22,7 +22,8 @@ from tmeg import autodiff
 from tmeg.autodiff import (
     _ERFC_SPLIT, _LN_EPS, Tensor, _add_code_bias, _code_grad, _code_table,
     _erf, _erf_large, _fold_code_grad, _gelu_cdf, _gelu_slope, _ln_affine,
-    _ln_backward, _ln_stats, _softmax_backward, _softmax_parts, add_scaled,
+    _ln_backward, _ln_stats, _ordered_sum, _softmax_backward, _softmax_parts,
+    add_scaled,
     concat, cross_entropy, encoder_layer, info_nce, linear, logsumexp,
     mlp_readout, no_grad, node_embedding, pair_sequence, split_tanh_mlps,
 )
@@ -615,6 +616,86 @@ class TestGatherCodes:
                     encoder_layer(h, params, 2, (*tables, 0, codes))
 
 
+class TestOrderedSum:
+    """`_ordered_sum` carried over chunks of graphs equals numpy's sum over
+    the whole batch bit for bit, in each layout `encoder_layer` sums its
+    parameter gradients in. Terms span 16 orders of magnitude, so any
+    other order of the additions shows in the last bits."""
+
+    @staticmethod
+    def terms(shape, seed):
+        rng = np.random.default_rng(seed)
+        return rng.normal(size=shape) * 10.0 ** rng.uniform(-8, 8, size=shape)
+
+    @staticmethod
+    def carried(parts, shape, fresh):
+        """Each chunk's terms summed after the running sum of the chunks
+        before it."""
+        total = None
+        for part in parts:
+            total = _ordered_sum(part.copy(), shape, total, fresh)
+        return total
+
+    @staticmethod
+    def chunks(n, step):
+        return [slice(i, i + step) for i in range(0, n, step)]
+
+    @pytest.mark.parametrize("fresh", [True, False])
+    @pytest.mark.parametrize("step", [1, 2, 3, 5])
+    def test_contiguous_rows(self, step, fresh):
+        """Bias and layer-norm terms: (B, N, dim) rows summed row after row
+        over all B * N rows."""
+        g = self.terms((7, 5, 6), 0)
+        whole = g.sum(axis=(0, 1))
+        parts = [g[c] for c in self.chunks(len(g), step)]
+        assert self.carried(parts, (6,), fresh).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("step", [1, 2, 3, 5])
+    def test_per_graph_products(self, step):
+        """Weight terms: a (B, d_in, d_out) stack of per-graph products
+        summed graph after graph."""
+        x, g = self.terms((7, 5, 4), 1), self.terms((7, 5, 6), 2)
+        whole = (x.swapaxes(-1, -2) @ g).sum(axis=0)
+        parts = [x[c].swapaxes(-1, -2) @ g[c]
+                 for c in self.chunks(len(x), step)]
+        assert self.carried(parts, (4, 6), True).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("queries", [5, 40, 150])
+    @pytest.mark.parametrize("step", [1, 2, 3])
+    def test_strided_query_layout(self, step, queries):
+        """bq's terms: the query gradient as the transpose of a (B, H,
+        d_head, M) array, which numpy sums per graph over its queries
+        (pairwise once M reaches 8), then graph after graph."""
+        heads, dh = 2, 3
+        g_qt = self.terms((7, heads, dh, queries), 3)
+        g_q = g_qt.swapaxes(-1, -2).swapaxes(-2, -3).reshape(
+            7, queries, heads * dh)
+        assert g_q.base is not None           # the strided view, not a copy
+        whole = g_q.sum(axis=(0, 1))
+        parts = [g_qt[c].sum(axis=-1).reshape(-1, heads * dh)
+                 for c in self.chunks(7, step)]
+        got = self.carried(parts, (heads * dh,), True)
+        assert got.tobytes() == whole.tobytes()
+
+    def test_adding_chunk_sums_differs(self):
+        """The data tells the orders apart: adding each chunk's own sum to
+        the running sum, prev + chunk.sum(0), misses the whole batch's sum
+        in every layout above."""
+        g = self.terms((7, 5, 6), 0)
+        x, w = self.terms((7, 5, 4), 1), self.terms((7, 5, 6), 2)
+        g_qt = self.terms((7, 2, 3, 150), 3)
+        cases = [
+            (g.reshape(-1, 6), g.sum(axis=(0, 1)), 5 * 2),
+            (x.swapaxes(-1, -2) @ w, (x.swapaxes(-1, -2) @ w).sum(axis=0), 2),
+            (g_qt.sum(axis=-1).reshape(7, 6),
+             g_qt.swapaxes(-1, -2).swapaxes(-2, -3).reshape(
+                 7, 150, 6).sum(axis=(0, 1)), 2)]
+        for stack, whole, step in cases:
+            naive = sum(stack[i:i + step].sum(axis=0)
+                        for i in range(0, len(stack), step))
+            assert naive.tobytes() != whole.tobytes()
+
+
 class TestEncoderLayer:
 
     # graph 0's last key is padded; both code matrices hold NONE entries
@@ -761,8 +842,9 @@ class TestEncoderLayer:
 
         monkeypatch.setattr(autodiff, "_softmax_parts", counted_parts)
         results = []
-        # two graphs' (H, N, M) logits per chunk, then every graph in one
-        for chunk in (2 * 2 * 4 * codes.shape[-1], 1 << 16):
+        # two graphs' (dim, ffn) weight-gradient products, each larger than
+        # a graph's (H, N, M) logits, per chunk, then every graph in one
+        for chunk in (2 * 8 * 16, 1 << 16):
             monkeypatch.setattr(autodiff, "_ATTN_CHUNK", chunk)
             leaves = [Tensor(a, requires_grad=True) for a in arrays]
             context = no_grad if case == "no_grad" else contextlib.nullcontext
@@ -797,16 +879,18 @@ class TestEncoderLayer:
                 rng.integers(0, 20, size=(b, n, n)))
         out = encoder_layer(h, params, heads, edge, key_bias)
         sizes = [a.size for a in tape_arrays(out)]
-        assert len(sizes) > 10
+        # input, attention output, Phi, layer-norm and softmax statistics,
+        # pair table, codes and key mask: the walk reached the tape
+        assert len(sizes) >= 8
         assert b * heads * n * n not in sizes
 
     def test_tape_keeps_only_costly_arrays(self):
         """The taped layer keeps only what is costly to rebuild: its input,
-        the attention output, both layer norms' centred rows and the GELU's
-        Phi, 6 units of B * N * dim floats (Phi is (B, N, 2 * dim)), besides
-        the (B, N, 1) layer-norm and (B, H, 1, N) softmax statistics.
-        Backward rebuilds q, k and v and the FFN's input, pre-activation and
-        activation; keeping any of them adds at least one more unit."""
+        the attention output and the GELU's Phi, 4 units of B * N * dim
+        floats (Phi is (B, N, 2 * dim)), besides the (B, N, 1) layer-norm
+        and (B, H, 1, N) softmax statistics. Backward rebuilds both layer
+        norms' centred rows, q, k and v and the FFN's input, pre-activation
+        and activation; keeping any of them adds at least one more unit."""
         b, heads, n, dim = 64, 4, 48, 32
         rng = np.random.default_rng(13)
         params = [Tensor(rng.normal(size=s) * 0.1, requires_grad=True)
@@ -818,8 +902,40 @@ class TestEncoderLayer:
             while a.base is not None:
                 a = a.base
             buffers[id(a)] = a.size
-        stats = 2 * 2 * b * n + 3 * b * heads * n
-        assert sum(buffers.values()) <= 6 * b * n * dim + stats
+        stats = 2 * 3 * b * n + 3 * b * heads * n
+        assert sum(buffers.values()) <= 4 * b * n * dim + stats
+
+    def test_backward_peak_is_chunk_sized(self):
+        """The taped layer's backward runs each chunk of graphs through its
+        whole backward, the chunk's forward rebuilt from the tape, before
+        the next, and sums every weight and bias gradient as a running sum
+        carried from chunk to chunk. Its only whole-batch arrays are the
+        input gradient and the input's copy of it, so it peaks at most 6
+        units of B * N * dim floats above its entry. Running the FFN, the
+        layer norms and the output and input projections' backward over
+        the whole batch peaked at 7.5 units."""
+        b, heads, n, dim = 64, 4, 48, 32
+        rng = np.random.default_rng(14)
+        params = [Tensor(rng.normal(size=s) * 0.1, requires_grad=True)
+                  for s in layer_shapes(dim, 2)]
+        h = Tensor(rng.normal(size=(b, n, dim)), requires_grad=True)
+        edge = (Tensor(rng.normal(size=(1, heads, 4)), requires_grad=True),
+                Tensor(rng.normal(size=(1, heads, 5)), requires_grad=True), 0,
+                rng.integers(0, 20, size=(b, n, n)).astype(np.int8))
+        g = rng.normal(size=(b, n, dim))
+        leaves = [h, *params, *edge[:2]]
+        for _ in range(2):             # the first run warms numpy's caches
+            out = encoder_layer(h, params, heads, edge)
+            for t in leaves:
+                t.grad = None
+            tracemalloc.start()
+            try:
+                out._backward(g)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert all(t.grad is not None for t in leaves)
+        assert peak <= 6 * b * n * dim * 8, peak / (b * n * dim * 8)
 
     def test_rejects_nan(self):
         arrays = self.arrays(4)

@@ -138,7 +138,7 @@ def node_walking_prepare_batch(graphs, vocab, config):
     vis_boxes = np.zeros((B, n_vis, 6))
     vis_cls_mask = np.zeros((B, n_vis))
     node_mask = np.zeros((B, N), dtype=bool)
-    codes = np.zeros((B, N, N), dtype=np.int64)
+    codes = np.zeros((B, N, N), dtype=np.int8)
     text_cls, vis_cls = [], []
     for b, (g, nt) in enumerate(zip(graphs, splits)):
         text, vis = g.nodes[:nt], g.nodes[nt:]
@@ -496,6 +496,22 @@ class TestEdgeBias:
         phi_m = np.full((3, 3), N_MODAL_CODES)
         with pytest.raises(IndexError):
             edge_codes(phi_t, phi_m)
+
+    @pytest.mark.parametrize("bad", [-1, N_TEMPORAL_CODES, 52])
+    def test_out_of_range_temporal_code_rejected(self, bad):
+        """The codes are int8: a temporal code of 52 with modal code 0
+        would wrap around to the valid pair code 4."""
+        phi_t = np.zeros((3, 3), dtype=np.int64)
+        phi_t[1, 2] = bad
+        with pytest.raises(IndexError, match="edge code"):
+            edge_codes(phi_t, np.zeros((3, 3), dtype=np.int64))
+
+    def test_codes_are_int8(self):
+        phi_t = np.array([[0, N_TEMPORAL_CODES - 1]])
+        phi_m = np.array([[0, N_MODAL_CODES - 1]])
+        codes = edge_codes(phi_t, phi_m)
+        assert codes.dtype == np.int8
+        assert codes.tolist() == [[0, N_TEMPORAL_CODES * N_MODAL_CODES - 1]]
 
 
 class TestEncoderShapes:
