@@ -1,39 +1,23 @@
-"""Walkthrough: the reverse-mode substrate and the gradient check.
+"""Walkthrough: one fused training step, its gradient and the gradient check.
 
-Shows a hand-built computation with its analytic gradient, then runs the
-finite-difference check on a real (tiny) scoring model.
+Builds a tiny scoring model and batch, runs one training step's forward
+(each stage one fused tape node), backpropagates it, prints the loss and
+one parameter's gradient, then checks every parameter family's gradient
+against central differences of the same step.
 """
 
 import numpy as np
 
-from tmeg.autodiff import Tensor, logsumexp
 from tmeg.data import SyntheticConfig, build_vocab, generate_synthetic_corpus
 from tmeg.harness import RunConfig, make_instances, prepare_instances, \
     _batch_loss
 from tmeg.model import ModelConfig, TmegModel, init_params
-from tmeg.optim import finite_difference_check
+from tmeg.optim import finite_difference_check, grad_eval
 
 
-def basics():
-    print("== reverse mode on a small expression ==")
-    w = Tensor(np.array([[0.5, -0.3, 0.2], [0.1, 0.8, -0.4]]),
-               requires_grad=True)
-    x = Tensor(np.array([[1.0, 2.0]]))
-    # a layer norm over the three features, built from elementwise ops
-    z = x @ w
-    centered = z - z.mean(axis=-1, keepdims=True)
-    h = centered / ((centered * centered).mean(axis=-1, keepdims=True)
-                    + 1e-12).sqrt()
-    # negative log-probability of class 0 under a softmax readout
-    loss = logsumexp(h, axis=-1)[0] - h[0, 0]
-    loss.backward()
-    print(f"loss = {float(loss.data):.6f}")
-    print("dloss/dw =")
-    print(w.grad)
-
-
-def model_check():
-    print("\n== finite-difference check on a tiny model ==")
+def tiny_step():
+    """A tiny model and a loss function running one training step on two
+    cloze instances."""
     syn = SyntheticConfig(num_docs=2, steps_min=5, steps_max=5,
                           tokens_per_step_min=3, tokens_per_step_max=3,
                           entity_vocab_size=4, token_vocab_size=8,
@@ -55,6 +39,23 @@ def model_check():
     def loss_fn():
         return _batch_loss(model, prepared, cfg, np.random.default_rng(0))
 
+    return model, loss_fn
+
+
+def main():
+    model, loss_fn = tiny_step()
+
+    print("== one fused training step ==")
+    loss = loss_fn()
+    grad_eval(loss, model.store)
+    print(f"loss = {float(loss.data):.6f} "
+          "(prediction cross-entropy + lambda_b * InfoNCE coherence)")
+    bias_t = model.store["bias_t"]
+    print("dloss/d bias_t[layer 0] (per head, per temporal edge code;")
+    print("the NONE code, column 0, reads 0 and gets no gradient) =")
+    print(bias_t.gradient[0])
+
+    print("\n== finite-difference check of the same step ==")
     err = finite_difference_check(loss_fn, model.store, seed=0,
                                   max_coords_per_param=4)
     n_params = sum(p.value.size for p in model.store.params.values())
@@ -63,5 +64,4 @@ def model_check():
 
 
 if __name__ == "__main__":
-    basics()
-    model_check()
+    main()

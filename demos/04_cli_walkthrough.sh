@@ -1,7 +1,8 @@
 #!/bin/sh
 # End-to-end command-line walkthrough: generate a corpus, build task
-# instances, train, gradient-check, evaluate, and sweep the coherence
-# weight. Everything lands in a scratch directory.
+# instances, train, gradient-check, evaluate, sweep the coherence weight,
+# and train on one corpus to test on another. Every subcommand runs once,
+# each in a fresh interpreter. Everything lands in a scratch directory.
 set -e
 
 work=$(mktemp -d)
@@ -34,6 +35,11 @@ python3 -m tmeg.cli --metrics-out "$work/eval.json" --dump-graphs eval \
     --checkpoint "$work/model.ckpt" --tasks "$work/tasks.jsonl" \
     --corpus "$work/corpus.json"
 python3 -m tmeg.cli sweep-lambda --config "$work/run.json" --values 0,0.1
+python3 -m tmeg.cli --seed 1 gen-data --config "$work/syn.json" \
+    --out "$work/corpus_b.json"
+python3 -m tmeg.cli --metrics-out "$work/transfer.json" transfer \
+    --train "$work/corpus.json" --eval "$work/corpus_b.json" \
+    --config "$work/run.json"
 
 echo "artifacts:"
 ls -la "$work"

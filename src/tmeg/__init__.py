@@ -3,7 +3,7 @@
 Library layout:
   data     - document model, corpus IO, synthetic generation, task instances
   graph    - heterogeneous entity-graph construction (nodes + edge codes)
-  autodiff - reverse-mode autodiff over dense numpy arrays
+  autodiff - fused reverse-mode tape nodes over dense numpy arrays
   optim    - parameter store, Adam, gradient checking, checkpoints
   model    - graph-biased attention encoder, scorer, losses
   harness  - training with early stopping, evaluation, ablations, transfer

@@ -2,9 +2,11 @@
 
 Small tape-based autodiff: a Tensor wraps a float64 ndarray, records its
 parents and a backward closure, and `backward()` runs the tape in reverse
-topological order. Only the operations the encoder and losses need are
-implemented; all of them support a leading batch dimension where it makes
-sense (matmul uses numpy's stacked-matrix semantics).
+topological order. Tensor itself offers only indexing and `reshape`; every
+other differentiable operation is a fused tape node with a hand-written
+backward, one per stage of the training step. There is no Tensor
+arithmetic: the composed chain each node repeats is built by the test
+suite (`tests/composed.py`), which checks the nodes against it.
 
 A tape is single-use. As `backward()` passes each interior node it drops
 that node's closure (and with it every array the op saved), its parents
@@ -16,31 +18,31 @@ the next tape reuses the freed pages instead of faulting them in again,
 importing this module tells glibc's malloc to keep freed heap mapped
 (`_keep_freed_pages`).
 
-Composed operations are fused into single tape nodes: `encoder_layer`, a
-whole post-norm transformer layer with graph-biased attention that reads
-its per-head edge biases from the bias tables at the pair codes itself,
-and one node per other stage of the training step: `node_embedding`
-(token, position, segment, object and box rows), `split_tanh_mlps` (the
-two modality MLPs), `pair_sequence` (the scorer input), `mlp_readout`
-(the scorer head), `cross_entropy` (the prediction loss), `info_nce` (the
-coherence loss, gathering its rows inside the node) and `add_scaled`
-(their weighted sum). Each repeats, operation for operation, the float
-arithmetic of the chain it replaces, sharing private helpers for the
-softmax, layer-norm, linear and tanh-MLP arithmetic, so values and
-gradients are bit-identical to the composed graph, while the tape holds
-one node and only the arrays its backward pass needs. `encoder_layer`
-runs forward and backward chunk by chunk over graphs and tapes only what
-is costly to rebuild: its input, the attention output, the GELU's Phi
-and the layer-norm and softmax statistics. Backward rebuilds each
-chunk's forward (both layer norms' centred rows, the FFN's arrays, q, k,
-v and the softmax) and carries every weight and bias gradient from chunk
-to chunk as a running sum in the order of the whole batch's sum, so no
-(B, H, N, N) logit-sized array and no whole q, k, v or FFN array is
-taped or allocated, and the only whole arrays its backward allocates are
-the input gradient and the code-table gradient. It can also compute
-only chosen output rows (its `rows` argument), with keys and values
-still taken from every row: the encoder runs each stack's last layer
-that way, over just the rows that are read next.
+The fused nodes are `encoder_layer`, a whole post-norm transformer layer
+with graph-biased attention that reads its per-head edge biases from the
+bias tables at the pair codes itself, and one node per other stage of the
+training step: `node_embedding` (token, position, segment, object and box
+rows), `split_tanh_mlps` (the two modality MLPs), `pair_sequence` (the
+scorer input), `mlp_readout` (the scorer head), `cross_entropy` (the
+prediction loss), `info_nce` (the coherence loss, gathering its rows
+inside the node) and `add_scaled` (their weighted sum). Each repeats,
+operation for operation, the float arithmetic of the composed chain in
+`tests/composed.py`, sharing private helpers for the softmax, layer-norm,
+linear and tanh-MLP arithmetic, so values and gradients are bit-identical
+to that chain, while the tape holds one node and only the arrays its
+backward pass needs. `encoder_layer` runs forward and backward chunk by
+chunk over graphs and tapes only what is costly to rebuild: its input,
+the attention output, the GELU's Phi and the layer-norm and softmax
+statistics. Backward rebuilds each chunk's forward (both layer norms'
+centred rows, the FFN's arrays, q, k, v and the softmax) and carries
+every weight and bias gradient from chunk to chunk as a running sum in
+the order of the whole batch's sum, so no (B, H, N, N) logit-sized array
+and no whole q, k, v or FFN array is taped or allocated, and the only
+whole arrays its backward allocates are the input gradient and the
+code-table gradient. It can also compute only chosen output rows (its
+`rows` argument), with keys and values still taken from every row: the
+encoder runs each stack's last layer that way, over just the rows that
+are read next.
 
 The FFN's exact GELU x * Phi(x) takes its erf from `_erf`, a numpy port of
 `s_erf.c` from Sun's fdlibm 5.3 (as kept in FreeBSD's msun) with the same
@@ -221,78 +223,6 @@ class Tensor:
             node._backward, node._parents, node.grad = _released, (), None
 
     # ------------------------------------------------------------------
-    # arithmetic
-
-    def _coerce(self, other) -> "Tensor":
-        return other if isinstance(other, Tensor) else Tensor(other)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-
-        def bw(g):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g, self.data.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(g, other.data.shape))
-
-        return Tensor(self.data + other.data, parents=(self, other), backward=bw)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        def bw(g):
-            if self.requires_grad:
-                self._accumulate(-g)
-
-        return Tensor(-self.data, parents=(self,), backward=bw)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-
-        def bw(g):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g * other.data, self.data.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(g * self.data, other.data.shape))
-
-        return Tensor(self.data * other.data, parents=(self, other), backward=bw)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        return self * other ** -1.0
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) * self ** -1.0
-
-    def __pow__(self, exponent: float):
-        def bw(g):
-            if self.requires_grad:
-                self._accumulate(g * exponent * self.data ** (exponent - 1.0))
-
-        return Tensor(self.data ** exponent, parents=(self,), backward=bw)
-
-    def __matmul__(self, other):
-        other = self._coerce(other)
-
-        def bw(g):
-            if self.requires_grad:
-                ga = g @ other.data.swapaxes(-1, -2)
-                self._accumulate(_unbroadcast(ga, self.data.shape))
-            if other.requires_grad:
-                gb = self.data.swapaxes(-1, -2) @ g
-                other._accumulate(_unbroadcast(gb, other.data.shape))
-
-        return Tensor(self.data @ other.data, parents=(self, other), backward=bw)
-
-    # ------------------------------------------------------------------
     # shape ops
 
     def __getitem__(self, idx):
@@ -319,92 +249,6 @@ class Tensor:
                 self._accumulate(g.reshape(self.data.shape))
 
         return Tensor(self.data.reshape(shape), parents=(self,), backward=bw)
-
-    def swapaxes(self, a: int, b: int):
-        def bw(g):
-            if self.requires_grad:
-                self._accumulate(g.swapaxes(a, b))
-
-        return Tensor(self.data.swapaxes(a, b), parents=(self,), backward=bw)
-
-    # ------------------------------------------------------------------
-    # reductions and elementwise
-
-    def sum(self, axis=None, keepdims=False):
-        def bw(g):
-            if not self.requires_grad:
-                return
-            if axis is None:
-                self._accumulate(np.broadcast_to(g, self.data.shape).copy())
-                return
-            if not keepdims:
-                g = np.expand_dims(g, axis)
-            self._accumulate(np.broadcast_to(g, self.data.shape).copy())
-
-        return Tensor(self.data.sum(axis=axis, keepdims=keepdims),
-                      parents=(self,), backward=bw)
-
-    def mean(self, axis=None, keepdims=False):
-        if axis is None:
-            n = self.data.size
-        else:
-            n = self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
-
-    def exp(self):
-        val = np.exp(self.data)
-
-        def bw(g):
-            if self.requires_grad:
-                self._accumulate(g * val)
-
-        return Tensor(val, parents=(self,), backward=bw)
-
-    def log(self):
-        def bw(g):
-            if self.requires_grad:
-                self._accumulate(g / self.data)
-
-        return Tensor(np.log(self.data), parents=(self,), backward=bw)
-
-    def sqrt(self):
-        val = np.sqrt(self.data)
-
-        def bw(g):
-            if self.requires_grad:
-                self._accumulate(g * 0.5 / val)
-
-        return Tensor(val, parents=(self,), backward=bw)
-
-    def tanh(self):
-        val = np.tanh(self.data)
-
-        def bw(g):
-            if self.requires_grad:
-                self._accumulate(g * (1.0 - val * val))
-
-        return Tensor(val, parents=(self,), backward=bw)
-
-
-# ----------------------------------------------------------------------
-# composed operations
-
-
-def concat(tensors: list, axis: int = 0) -> Tensor:
-    datas = [t.data for t in tensors]
-    sizes = [d.shape[axis] for d in datas]
-
-    def bw(g):
-        start = 0
-        for t, size in zip(tensors, sizes):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(start, start + size)
-            if t.requires_grad:
-                t._accumulate(g[tuple(sl)])
-            start += size
-
-    return Tensor(np.concatenate(datas, axis=axis), parents=tuple(tensors),
-                  backward=bw)
 
 
 # ----------------------------------------------------------------------
@@ -758,14 +602,6 @@ def _fold_code_grad(g_pair: np.ndarray, n_t: int, n_m: int):
 # fused operations
 
 
-def logsumexp(x: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
-    m = x.data.max(axis=axis, keepdims=True)
-    s = (x - m).exp().sum(axis=axis, keepdims=True).log() + m
-    if not keepdims:
-        s = s.reshape(tuple(np.squeeze(s.data, axis=axis).shape))
-    return s
-
-
 def encoder_layer(h: Tensor, params, n_heads: int, edge=None, key_bias=None,
                   rows=None) -> Tensor:
     """Post-norm transformer encoder layer over (..., N, dim) rows, all
@@ -809,9 +645,10 @@ def encoder_layer(h: Tensor, params, n_heads: int, edge=None, key_bias=None,
     the values.
 
     Forward and backward repeat, operation for operation, the arithmetic
-    of that chain composed from `linear`, elementwise ops (the softmax as
-    exp(x - max) / sum, each layer norm as (x - mean) / sqrt(var + eps)),
-    the exact GELU and an edge bias gathered per code from the two tables.
+    of that chain composed from `tests/composed.py`'s `linear` and
+    elementwise ops (the softmax as exp(x - max) / sum, each layer norm
+    as (x - mean) / sqrt(var + eps)), the exact GELU and an edge bias
+    gathered per code from the two tables.
     For backward the node keeps only what is costly to rebuild: the layer
     input, the attention output, the FFN's Phi, both layer norms' negated
     mean, std and inverse, and one (3, ..., H, 1, M) array of each chunk's
@@ -1045,8 +882,8 @@ def node_embedding(params, token_ids, positions, segments, features, boxes,
     `cls_mask` (B, n_vis) is 1, the projected `boxes` (B, n_vis, 6) and a
     segment row. `segments` (B, n_text + n_vis) index the segment table.
     Forward and backward repeat the arithmetic of that sum composed from
-    gathers, `linear` and masks; the backward scatters each gather's
-    gradient with `_scatter_sum`."""
+    gathers, `tests/composed.py`'s `linear` and masks; the backward
+    scatters each gather's gradient with `_scatter_sum`."""
     tok, pos, seg, vis_w, vis_b, box_w, box_b, vis_cls = params
     n_text = token_ids.shape[1]
     text_seg, vis_seg = segments[:, :n_text], segments[:, n_text:]
@@ -1090,7 +927,8 @@ def split_tanh_mlps(h: Tensor, n_first: int, first, second) -> Tensor:
     """Rows h[:, :n_first] through one tanh MLP and rows h[:, n_first:]
     through another, as one tape node. Each MLP is (w1, b1, w2, b2) and
     maps x to tanh(x @ w1 + b1) @ w2 + b2; forward and backward repeat the
-    arithmetic of that chain composed from `linear` and `tanh`."""
+    arithmetic of that chain composed from `tests/composed.py`'s `linear`
+    and `tanh`."""
     x = h.data
     blocks = [(slice(0, n_first), first)]
     if x.shape[1] > n_first:
@@ -1165,7 +1003,7 @@ def mlp_readout(h: Tensor, w1: Tensor, b1: Tensor, w2: Tensor) -> Tensor:
 def cross_entropy(scores: Tensor, gold) -> Tensor:
     """Mean over rows of logsumexp(scores[b]) - scores[b, gold[b]] for
     (B, C) scores, as one tape node repeating the arithmetic of the chain
-    composed from `logsumexp`, a gather and `mean`."""
+    composed from `tests/composed.py`'s `logsumexp`, a gather and `mean`."""
     x = scores.data
     picked = (np.arange(x.shape[0]), np.asarray(gold))
     m = x.max(axis=-1, keepdims=True)
@@ -1225,8 +1063,8 @@ def info_nce(text: Tensor, pos: Tensor, neg: Tensor, tau: float,
     `n_rows` and `n_neg` default to no padding.
     Padded rows are ignored and padded negatives get a -inf logit.
     Forward and backward repeat the arithmetic of that formula composed
-    from tape ops over the padded rows; the backward scatters the rows'
-    gradients back with `_scatter_sum`."""
+    from `tests/composed.py`'s ops over the padded rows; the backward
+    scatters the rows' gradients back with `_scatter_sum`."""
     sources = (text, pos, neg)
     if index is None:
         index = (Ellipsis,) * 3
@@ -1298,15 +1136,3 @@ def add_scaled(a: Tensor, b: Tensor, scale: float) -> Tensor:
             b._accumulate(g * scale)
 
     return Tensor(a.data + b.data * scale, parents=(a, b), backward=bw)
-
-
-def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Affine map over the last axis: x @ weight (+ bias)."""
-    if x.shape[-1] != weight.shape[0]:
-        raise ValueError(
-            f"linear: input dim {x.shape[-1]} != weight rows {weight.shape[0]}"
-        )
-    out = x @ weight
-    if bias is not None:
-        out = out + bias
-    return out

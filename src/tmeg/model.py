@@ -81,6 +81,10 @@ class ModelConfig:
     coherence_inclusive: bool = True
 
     def __post_init__(self):
+        for name in ("d_model", "ffn_multiplier", "scorer_d"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.n_heads < 1 or self.scorer_heads < 1:
             raise ValueError("n_heads and scorer_heads must be >= 1")
         if self.d_model % self.n_heads != 0:

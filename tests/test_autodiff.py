@@ -23,10 +23,10 @@ from tmeg.autodiff import (
     _ERFC_SPLIT, _LN_EPS, Tensor, _add_code_bias, _code_grad, _code_table,
     _erf, _erf_large, _fold_code_grad, _gelu_cdf, _gelu_slope, _ln_affine,
     _ln_backward, _ln_stats, _ordered_sum, _softmax_backward, _softmax_parts,
-    add_scaled,
-    concat, cross_entropy, encoder_layer, info_nce, linear, logsumexp,
-    mlp_readout, no_grad, node_embedding, pair_sequence, split_tanh_mlps,
+    add_scaled, cross_entropy, encoder_layer, info_nce, mlp_readout, no_grad,
+    node_embedding, pair_sequence, split_tanh_mlps,
 )
+from composed import concat, linear, logsumexp
 
 
 def numeric_grad(f, x, h=1e-6):

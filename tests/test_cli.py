@@ -143,6 +143,13 @@ class TestMalformedConfig:
         ("train", run_config_dict(model={"tau": None}), "tau"),
         ("train", run_config_dict(model={"n_heads": 0}), "n_heads"),
         ("train", run_config_dict(model={"scorer_heads": 0}), "scorer_heads"),
+        ("train", run_config_dict(model={"d_model": 0}), "d_model"),
+        ("train", run_config_dict(model={"ffn_multiplier": 0}), "ffn_multiplier"),
+        ("train", run_config_dict(model={"scorer_d": 0}), "scorer_d"),
+        ("grad-check", run_config_dict(model={"d_model": 0}), "d_model"),
+        ("grad-check", run_config_dict(model={"ffn_multiplier": 0}),
+         "ffn_multiplier"),
+        ("grad-check", run_config_dict(model={"scorer_d": 0}), "scorer_d"),
         ("gen-data", dict(SYN_CONFIG, num_docs="3"), "num_docs"),
         ("gen-data", dict(SYN_CONFIG, feature_noise_sigma=True),
          "feature_noise_sigma"),
@@ -155,6 +162,10 @@ class TestMalformedConfig:
             "train-null-for-int", "train-int-in-str-list",
             "train-model-str-for-int", "train-model-null-for-float",
             "train-model-zero-heads", "train-model-zero-scorer-heads",
+            "train-model-zero-d-model", "train-model-zero-ffn-multiplier",
+            "train-model-zero-scorer-d", "grad-check-model-zero-d-model",
+            "grad-check-model-zero-ffn-multiplier",
+            "grad-check-model-zero-scorer-d",
             "gen-data-str-for-int", "gen-data-bool-for-float",
             "gen-data-int-for-bool"])
     def test_exits_2_naming_the_offender(self, tmp_path, capsys, command,
@@ -409,8 +420,11 @@ class TestCorruptCheckpoint:
             dst.write(src.read())
         assert main(eval_argv(bad, tasks, corpus_path)) == 4
 
-    @pytest.mark.parametrize("heads", ["n_heads", "scorer_heads"])
+    @pytest.mark.parametrize("heads", ["n_heads", "scorer_heads", "d_model",
+                                       "ffn_multiplier", "scorer_d"])
     def test_zero_heads_in_sidecar_exit_4(self, eval_files, heads, capsys):
+        """A sidecar model config with no heads or a zero width exits 4,
+        naming the field."""
         tmp_path, corpus_path, tasks, ckpt, ckpt_bytes = eval_files
         bad = os.path.join(tmp_path, "zero_heads.ckpt")
         with open(bad, "wb") as fh:
@@ -571,6 +585,27 @@ def test_candidate_with_more_images_than_max_steps_exits_2(eval_files, capsys):
                       [dict(first, candidates=[ids[:17], ids[1:18]], gold_index=0)])
     assert main(eval_argv(ckpt, bad, corpus_path)) == 2
     assert "max_steps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mutate,message", [
+    (lambda d: dict(d, doc_id="no-such-doc"),
+     "instance references unknown doc no-such-doc"),
+    (lambda d: dict(d, context_steps=d["context_steps"] + [99]),
+     "context steps [99] not in the document"),
+    (lambda d: dict(d, candidates=[["no-such-image"]] + d["candidates"][1:]),
+     "unresolved image ref 'no-such-image'"),
+], ids=["unknown-doc", "missing-context-step", "missing-image"])
+def test_task_line_the_corpus_cannot_resolve_exits_5(eval_files, capsys,
+                                                     mutate, message):
+    """A well-formed task line that names a document, context step or
+    candidate image the corpus lacks exits 5: neither file is malformed on
+    its own (that would be 3), the pair cannot be run."""
+    tmp_path, corpus_path, tasks, ckpt, _ = eval_files
+    with open(tasks) as fh:
+        first = json.loads(fh.readline())
+    bad = write_tasks(tmp_path, "dangling_tasks.jsonl", [mutate(first)])
+    assert main(eval_argv(ckpt, bad, corpus_path)) == 5
+    assert message in capsys.readouterr().err
 
 
 def test_dump_graphs_numbers_each_instances_candidates(eval_files):

@@ -2,6 +2,13 @@
 
 Demo 03 (train and ablate) is left out to keep the suite's wall time
 down: it trains for about 14 s.
+
+These subprocess runs are the tests that run the package as installed.
+In-process tests see the `Tensor` arithmetic that `conftest.py` sets from
+`composed.py`; a fresh interpreter never imports it. So demo 02 (one fused
+training step and its gradient check) and demo 04 (every subcommand of
+the CLI, each in its own interpreter) catch a package path that still
+needs a composed op.
 """
 
 import os

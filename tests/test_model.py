@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 from scipy.special import erf, softmax as scipy_softmax
 
+from composed import concat, linear, logsumexp
 from tmeg.autodiff import (
-    Tensor, _add_code_bias, _code_grad, _code_table, _fold_code_grad, concat,
-    linear, logsumexp,
+    Tensor, _add_code_bias, _code_grad, _code_table, _fold_code_grad,
 )
 from tmeg.data import SyntheticConfig, build_vocab, generate_synthetic_corpus
 from tmeg.graph import N_MODAL_CODES, N_TEMPORAL_CODES, node_arrays
