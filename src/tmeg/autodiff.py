@@ -176,10 +176,12 @@ class Tensor:
     # ------------------------------------------------------------------
     # graph plumbing
 
-    def _accumulate(self, g: np.ndarray):
+    def _accumulate(self, g: np.ndarray, fresh: bool = False):
+        """Add `g` to this node's gradient. A first gradient is copied,
+        since `g` may be a view of another node's gradient, unless `fresh`
+        says that `g` is a new float64 array that nothing else holds."""
         if self.grad is None:
-            # a private copy: `g` may be a view of another node's gradient
-            self.grad = np.array(g, dtype=np.float64)
+            self.grad = g if fresh else np.array(g, dtype=np.float64)
         else:
             self.grad += g
 
@@ -532,9 +534,14 @@ def _linear_backward(g, x, weight: Tensor, bias: Tensor | None,
     return g @ weight.data.swapaxes(-1, -2) if need_x else None
 
 
+def _tanh_mlp_hidden(x, w1: Tensor, b1: Tensor) -> np.ndarray:
+    """The tanh activations tanh(x @ w1 + b1) of `_tanh_mlp`."""
+    return np.tanh(x @ w1.data + b1.data)
+
+
 def _tanh_mlp(x, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor | None):
     """tanh(x @ w1 + b1) @ w2 (+ b2) and the tanh activations."""
-    hidden = np.tanh(x @ w1.data + b1.data)
+    hidden = _tanh_mlp_hidden(x, w1, b1)
     out = hidden @ w2.data
     return (out if b2 is None else out + b2.data), hidden
 
@@ -865,7 +872,7 @@ def encoder_layer(h: Tensor, params, n_heads: int, edge=None, key_bias=None,
         for param, grad in sums.items():
             param._accumulate(grad)
         if h.requires_grad:
-            h._accumulate(g_h)
+            h._accumulate(g_h, fresh=True)
 
     return Tensor(out, parents=parents, backward=bw)
 
@@ -928,26 +935,28 @@ def split_tanh_mlps(h: Tensor, n_first: int, first, second) -> Tensor:
     through another, as one tape node. Each MLP is (w1, b1, w2, b2) and
     maps x to tanh(x @ w1 + b1) @ w2 + b2; forward and backward repeat the
     arithmetic of that chain composed from `tests/composed.py`'s `linear`
-    and `tanh`."""
+    and `tanh`. Only the input is taped: backward rebuilds each block's
+    tanh activations with the forward's own calls, so they are
+    bit-identical."""
     x = h.data
     blocks = [(slice(0, n_first), first)]
     if x.shape[1] > n_first:
         blocks.append((slice(n_first, None), second))
     out = np.empty(x.shape[:2] + second[2].shape[-1:])
-    hidden = []
     for rows, mlp in blocks:
-        out[:, rows], act = _tanh_mlp(x[:, rows], *mlp)
-        hidden.append(act)
+        out[:, rows] = _tanh_mlp(x[:, rows], *mlp)[0]
 
     def bw(g):
         g_x = np.empty_like(x) if h.requires_grad else None
-        for (rows, mlp), act in zip(blocks, hidden):
+        for rows, mlp in blocks:
+            act = _tanh_mlp_hidden(x[:, rows], *mlp[:2])
             g_rows = _tanh_mlp_backward(np.array(g[:, rows]), x[:, rows], act,
                                         *mlp, need_x=g_x is not None)
+            del act
             if g_x is not None:
                 g_x[:, rows] = g_rows
         if g_x is not None:
-            h._accumulate(g_x)
+            h._accumulate(g_x, fresh=True)
 
     parents = (h,) + tuple(p for _, mlp in blocks for p in mlp)
     return Tensor(out, parents=parents, backward=bw)

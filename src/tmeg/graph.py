@@ -1,9 +1,11 @@
 """Heterogeneous temporal-modal entity graph construction.
 
 For one (context steps, candidate image sequence) pairing we build a node
-list followed by two symmetric N x N label matrices over small edge-code
-vocabularies: `phi_t` for temporal codes and `phi_m` for modal codes. The
-matrices are later consumed as additive attention biases.
+list and label every node pair with a temporal code `phi_t` and a modal
+code `phi_m`, each from a small edge-code vocabulary. A graph stores the
+two labels once, as one symmetric N x N int8 matrix of pair codes
+phi_t * C_m + phi_m (`edge_codes`), which the encoder reads as per-head
+additive attention biases; `phi_t` and `phi_m` decode it.
 
 Labeling passes run in a fixed order (intra-modal, temporal node-based,
 inter-modal node-based, then the edge-based derivations). Each is mask
@@ -17,6 +19,7 @@ them out at once, as (K, L, L) stacks. That is exact: a pair's codes depend
 only on the two nodes' own attributes, the text nodes and the groundings in
 one (step, image) scope. But the copies of a repeated image are INTRA_VIS
 (one `unit_id`) where the union holds one copy, so they are set after slicing.
+The K graphs' pair codes are views into one (K, L, L) int8 buffer.
 """
 
 from __future__ import annotations
@@ -73,11 +76,13 @@ class Node:
 
 @dataclass
 class TmegGraph:
-    """A candidate's graph; the instances that share the candidate share it."""
+    """A candidate's graph; the instances that share the candidate share it.
+
+    `codes` holds each node pair's pair code phi_t * C_m + phi_m as one
+    (N, N) int8 matrix; `phi_t` and `phi_m` decode it on each read."""
     steps: list[Step]
     images: list[StepImage]    # the candidate
-    phi_t: np.ndarray
-    phi_m: np.ndarray
+    codes: np.ndarray
     arrays: SimpleNamespace = field(repr=False)    # what the model batches from
 
     @functools.cached_property
@@ -88,10 +93,33 @@ class TmegGraph:
     def n_nodes(self) -> int:
         return len(self.arrays.kind)
 
+    @property
+    def phi_t(self) -> np.ndarray:
+        """The temporal codes."""
+        return self.codes // N_MODAL_CODES
+
+    @property
+    def phi_m(self) -> np.ndarray:
+        """The modal codes."""
+        return self.codes % N_MODAL_CODES
+
     def validate(self):
         """Raise ValueError unless both code matrices are N x N, symmetric,
         NONE on the diagonal and inside their code vocabularies."""
         check_code_stack(self.phi_t[None], self.phi_m[None], [self.n_nodes], candidates=False)
+
+
+def edge_codes(phi_t, phi_m) -> np.ndarray:
+    """Pair codes phi_t * C_m + phi_m as int8, (NONE, NONE) at 0. A code of
+    either kind outside its range would alias another pair (or wrap
+    around int8): IndexError. (`autodiff.encoder_layer` range-checks the
+    pair codes themselves.)"""
+    phi_t, phi_m = np.asarray(phi_t), np.asarray(phi_m)
+    for phi, n_codes in ((phi_t, N_TEMPORAL_CODES), (phi_m, N_MODAL_CODES)):
+        if phi.size and (phi.min() < 0 or phi.max() >= n_codes):
+            raise IndexError(f"edge code out of range [0, {n_codes})")
+    return (phi_t.astype(np.int8) * np.int8(N_MODAL_CODES)
+            + phi_m.astype(np.int8))
 
 
 def check_code_stack(phi_t: np.ndarray, phi_m: np.ndarray, sizes: list[int],
@@ -319,7 +347,7 @@ def assemble_graph(steps: list[Step], candidate: list[StepImage],
     temporal_visual_labels(arr, phi_t, lambda_t)
     inter_modal_labels(arr, phi_m, lambda_m)
     derive_edge_based_labels(arr, phi_t, phi_m)
-    graph = TmegGraph(steps, candidate, phi_t, phi_m, arr)
+    graph = TmegGraph(steps, candidate, edge_codes(phi_t, phi_m), arr)
     graph.validate()
     return graph
 
@@ -362,10 +390,12 @@ def assemble_candidate_graphs(steps: list[Step], candidates: list[list[StepImage
         repeat &= ~np.eye(vis.shape[1], dtype=bool)
         phi_m[:, n_text:, n_text:][repeat] = ModalCode.INTRA_VIS
     check_code_stack(phi_t, phi_m, sizes)
+    codes = np.multiply(phi_t, N_MODAL_CODES, out=phi_t)   # pair codes, in place
+    codes += phi_m
     objects = np.searchsorted(arr.objects, rows[arr.kind[rows] == OBJECT])   # feature rows
     features, boxes, kind = arr.features[objects], arr.boxes[objects], arr.kind.take(idx, mode="clip")
     ends = list(itertools.accumulate(m - n_text - len(c) for m, c in zip(sizes, candidates)))
-    return [TmegGraph(steps, cand, phi_t[c, :m, :m], phi_m[c, :m, :m], SimpleNamespace(
+    return [TmegGraph(steps, cand, codes[c, :m, :m], SimpleNamespace(
                 n_text=n_text, kind=kind[c, :m], token=arr.token, step=step[c, :m],
                 features=features[start:end], boxes=boxes[start:end]))
             for c, (cand, m, start, end) in enumerate(zip(candidates, sizes, [0] + ends, ends))]

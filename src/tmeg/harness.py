@@ -184,9 +184,10 @@ class PreparedInstance:
     aligned_rows: np.ndarray      # text CLS row indices aligned with candidates
 
 
-# the code matrices each ablation clears
-_CLEARED = {"no_temporal": ("phi_t",), "no_modal": ("phi_m",),
-            "no_both": ("phi_t", "phi_m")}
+# each ablation's pair codes phi_t * C_m + phi_m with its kinds cleared
+_CLEARED = {"no_temporal": lambda codes: codes % G.N_MODAL_CODES,
+            "no_modal": lambda codes: codes - codes % G.N_MODAL_CODES,
+            "no_both": np.zeros_like}
 
 
 def ablate_graph(graph: G.TmegGraph, ablation: str) -> G.TmegGraph:
@@ -195,8 +196,7 @@ def ablate_graph(graph: G.TmegGraph, ablation: str) -> G.TmegGraph:
     all NONE. Other ablations clear nothing and return `graph` itself."""
     if ablation not in _CLEARED:
         return graph
-    return replace(graph, **{name: np.zeros_like(getattr(graph, name))
-                             for name in _CLEARED[ablation]})
+    return replace(graph, codes=_CLEARED[ablation](graph.codes))
 
 
 def prepare_instances(corpus: D.Corpus, instances: list[D.TaskInstance],

@@ -81,7 +81,8 @@ class ModelConfig:
     coherence_inclusive: bool = True
 
     def __post_init__(self):
-        for name in ("d_model", "ffn_multiplier", "scorer_d"):
+        for name in ("d_model", "ffn_multiplier", "scorer_d", "k_negatives",
+                     "token_vocab_size", "d_v", "max_steps", "max_positions"):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -218,9 +219,11 @@ class GraphBatch:
 
     Graph b's text nodes fill rows [0, n_text_b) and its visual nodes rows
     [n_text, n_text + n_vis_b), where n_text and n_vis are the largest
-    counts in the batch. Padding rows are False in `node_mask`, carry the
-    NONE pair code in `codes`, and are masked out as attention keys, so
-    they never reach a real row. Graphs of one structure need no padding.
+    counts in the batch. `codes` lays each graph's pair-code matrix
+    (`TmegGraph.codes`) over its rows and columns. Padding rows are False
+    in `node_mask`, carry the NONE pair code in `codes`, and are masked
+    out as attention keys, so they never reach a real row. Graphs of one
+    structure need no padding.
     `segments` holds each node's step: a text node's step number, a
     visual node's candidate position.
     """
@@ -233,7 +236,7 @@ class GraphBatch:
     vis_boxes: np.ndarray       # (B, n_vis, 6); zero rows at CLS positions
     vis_cls_mask: np.ndarray    # (B, n_vis) 1.0 at visual CLS rows
     node_mask: np.ndarray       # (B, N) True at real nodes
-    codes: np.ndarray           # (B, N, N) int8 codes, see `edge_codes`
+    codes: np.ndarray           # (B, N, N) int8 pair codes, see `graph.edge_codes`
     text_cls_idx: np.ndarray    # (B, N_t) rows of the text CLS nodes
     vis_cls_idx: np.ndarray     # (B, N_a) rows of the visual CLS nodes
     n_text_cls: np.ndarray      # (B,) real entries of each text_cls_idx row
@@ -285,23 +288,11 @@ def _left_pack(counts: np.ndarray, values: np.ndarray) -> np.ndarray:
     return _scatter(np.arange(counts.max()) < counts[:, None], [values])
 
 
-def edge_codes(phi_t, phi_m) -> np.ndarray:
-    """Pair codes phi_t * C_m + phi_m as int8, (NONE, NONE) at 0. A code of
-    either kind outside its range would alias another pair (or wrap
-    around int8): IndexError. (The bias gather range-checks the pair codes
-    themselves.)"""
-    phi_t, phi_m = np.asarray(phi_t), np.asarray(phi_m)
-    for phi, n_codes in ((phi_t, N_TEMPORAL_CODES), (phi_m, N_MODAL_CODES)):
-        if phi.size and (phi.min() < 0 or phi.max() >= n_codes):
-            raise IndexError(f"edge code out of range [0, {n_codes})")
-    return (phi_t.astype(np.int8) * np.int8(N_MODAL_CODES)
-            + phi_m.astype(np.int8))
-
-
 def prepare_batch(graphs: list[TmegGraph], vocab: dict[str, int],
                   config: ModelConfig) -> GraphBatch:
     """Gathers and padding over each graph's node arrays: graph b's nodes,
-    in order, fill the True entries of node_mask[b]."""
+    in order, fill the True entries of node_mask[b], and its (N_b, N_b)
+    pair codes fill the pairs of those entries."""
     if not graphs:
         raise ValueError("empty graph batch")
     arrays = [g.arrays for g in graphs]
@@ -341,10 +332,8 @@ def prepare_batch(graphs: list[TmegGraph], vocab: dict[str, int],
         vis_boxes=_scatter(objects, [np.concatenate(
             [boxes, boxes[:, 2:] - boxes[:, :2]], axis=1)], dtype=np.float64),
         vis_cls_mask=vis_cls.astype(np.float64), node_mask=node_mask,
-        codes=_scatter(pairs, [edge_codes(
-            np.concatenate([g.phi_t.ravel() for g in graphs]),
-            np.concatenate([g.phi_m.ravel() for g in graphs]))],
-            dtype=np.int8),
+        codes=_scatter(pairs, [np.concatenate([g.codes.ravel() for g in graphs])],
+                       dtype=np.int8),
         text_cls_idx=text_cls_idx, vis_cls_idx=vis_cls_idx,
         n_text_cls=n_text_cls, n_vis_cls=n_vis_cls,
     )
@@ -407,10 +396,10 @@ class TmegModel:
                      key_bias: np.ndarray | None = None,
                      rows: np.ndarray | None = None) -> Tensor:
         """One fusion layer. Its attention reads each head's temporal plus
-        modal bias at every node pair's pair code (see `edge_codes`) inside
-        the layer; a NONE code reads exactly 0 and gets no gradient. With
-        `rows`, `codes` are the (B, N, R) pair-code columns of those query
-        rows."""
+        modal bias at every node pair's pair code (see `graph.edge_codes`)
+        inside the layer; a NONE code reads exactly 0 and gets no gradient.
+        With `rows`, `codes` are the (B, N, R) pair-code columns of those
+        query rows."""
         edge = (self.p("bias_t"), self.p("bias_m"), layer, codes)
         return self._transformer_layer(h, f"enc{layer}", self.config.n_heads,
                                        edge, key_bias, rows)

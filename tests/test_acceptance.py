@@ -21,14 +21,13 @@ from tmeg.data import (
     StepImage, SyntheticConfig, TaskInstance, build_vocab,
     generate_synthetic_corpus, mean_pool_image, sample_distractors,
 )
-from tmeg.graph import assemble_graph
+from tmeg.graph import assemble_graph, edge_codes
 from tmeg.harness import (
     RunConfig, ablate_graph, evaluate, make_instances, prepare_instances,
     save_model, train, _batch_loss,
 )
 from tmeg.model import (
-    ModelConfig, TmegModel, coherence_loss, edge_codes, init_params,
-    prediction_loss,
+    ModelConfig, TmegModel, coherence_loss, init_params, prediction_loss,
 )
 from tmeg.optim import finite_difference_check
 

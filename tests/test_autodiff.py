@@ -909,11 +909,12 @@ class TestEncoderLayer:
         """The taped layer's backward runs each chunk of graphs through its
         whole backward, the chunk's forward rebuilt from the tape, before
         the next, and sums every weight and bias gradient as a running sum
-        carried from chunk to chunk. Its only whole-batch arrays are the
-        input gradient and the input's copy of it, so it peaks at most 6
-        units of B * N * dim floats above its entry. Running the FFN, the
-        layer norms and the output and input projections' backward over
-        the whole batch peaked at 7.5 units."""
+        carried from chunk to chunk. Its only whole-batch array is the
+        input gradient, which it hands to the input without a copy, so it
+        peaks at most 6 units of B * N * dim floats above its entry (3.9,
+        inside the chunk loop). Running the FFN, the layer norms and the
+        output and input projections' backward over the whole batch peaked
+        at 7.5 units."""
         b, heads, n, dim = 64, 4, 48, 32
         rng = np.random.default_rng(14)
         params = [Tensor(rng.normal(size=s) * 0.1, requires_grad=True)
@@ -1120,6 +1121,16 @@ class TestFusedModelOps:
         out_shape = fused(*[Tensor(np.ones(s)) for s in shapes]).shape
         weights = np.random.default_rng(13).normal(size=out_shape)
         check_op(lambda *t: (fused(*t) * weights).sum(), *shapes, seed=14)
+
+    def test_split_tanh_mlps_tapes_only_its_input(self):
+        """The modality MLPs tape no activations: backward rebuilds them
+        from the input, the one array the node keeps."""
+        _, _, shapes = FUSED_CASES["split_tanh_mlps"]
+        rng = np.random.default_rng(16)
+        h, *params = [Tensor(rng.normal(size=s), requires_grad=True)
+                      for s in shapes]
+        arrays = tape_arrays(fused_split_mlps(h, *params))
+        assert len(arrays) == 1 and arrays[0] is h.data
 
     def test_node_embedding_without_visual_rows(self):
         """Text-only graphs: only the text tables are parents."""

@@ -150,6 +150,17 @@ class TestMalformedConfig:
         ("grad-check", run_config_dict(model={"ffn_multiplier": 0}),
          "ffn_multiplier"),
         ("grad-check", run_config_dict(model={"scorer_d": 0}), "scorer_d"),
+        ("train", run_config_dict(model={"token_vocab_size": 0}), "token_vocab_size"),
+        ("train", run_config_dict(model={"d_v": 0}), "d_v"),
+        ("train", run_config_dict(model={"max_steps": 0}), "max_steps"),
+        ("train", run_config_dict(model={"max_positions": 0}), "max_positions"),
+        ("train", run_config_dict(model={"k_negatives": 0}), "k_negatives"),
+        ("grad-check", run_config_dict(model={"token_vocab_size": 0}),
+         "token_vocab_size"),
+        ("grad-check", run_config_dict(model={"d_v": 0}), "d_v"),
+        ("grad-check", run_config_dict(model={"max_steps": 0}), "max_steps"),
+        ("grad-check", run_config_dict(model={"max_positions": 0}), "max_positions"),
+        ("grad-check", run_config_dict(model={"k_negatives": 0}), "k_negatives"),
         ("gen-data", dict(SYN_CONFIG, num_docs="3"), "num_docs"),
         ("gen-data", dict(SYN_CONFIG, feature_noise_sigma=True),
          "feature_noise_sigma"),
@@ -166,6 +177,15 @@ class TestMalformedConfig:
             "train-model-zero-scorer-d", "grad-check-model-zero-d-model",
             "grad-check-model-zero-ffn-multiplier",
             "grad-check-model-zero-scorer-d",
+            "train-model-zero-token-vocab-size",
+            "train-model-zero-d-v", "train-model-zero-max-steps",
+            "train-model-zero-max-positions",
+            "train-model-zero-k-negatives",
+            "grad-check-model-zero-token-vocab-size",
+            "grad-check-model-zero-d-v",
+            "grad-check-model-zero-max-steps",
+            "grad-check-model-zero-max-positions",
+            "grad-check-model-zero-k-negatives",
             "gen-data-str-for-int", "gen-data-bool-for-float",
             "gen-data-int-for-bool"])
     def test_exits_2_naming_the_offender(self, tmp_path, capsys, command,

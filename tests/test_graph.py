@@ -19,7 +19,7 @@ from tmeg.data import (
     generate_synthetic_corpus,
 )
 from tmeg.graph import (
-    DEFAULT_LAMBDA_M, DEFAULT_LAMBDA_T, ModalCode, TemporalCode,
+    DEFAULT_LAMBDA_M, DEFAULT_LAMBDA_T, N_MODAL_CODES, ModalCode, TemporalCode,
     assemble_candidate_graphs, assemble_graph, build_nodes, check_code_stack,
     dump_graph, euclidean, iou, node_arrays,
 )
@@ -518,29 +518,34 @@ class TestGraphInvariants:
             build_nodes([], [])
 
 
+def set_temporal(codes, at, code):
+    """Set the temporal code at `at` of a pair-code matrix, keeping its
+    modal code."""
+    codes[at] = code * N_MODAL_CODES + codes[at] % N_MODAL_CODES
+
+
 class TestValidate:
 
     @pytest.mark.parametrize("corrupt", [
-        lambda g: setattr(g, "phi_t", g.phi_t[:-1, :-1]),
-        lambda g: setattr(g, "phi_m", np.zeros((2, 2), dtype=np.int8)),
-        lambda g: g.phi_t.__setitem__((0, 1), TemporalCode.EDGE),
-        lambda g: g.phi_m.__setitem__((2, 2), ModalCode.INTRA_TEXT),
-        lambda g: g.phi_t.__setitem__((0, 0), 99),
-        lambda g: g.phi_m.__setitem__((slice(None), slice(None)), -1),
+        lambda g: setattr(g, "codes", g.codes[:-1, :-1]),
+        lambda g: setattr(g, "codes", np.zeros((2, 2), dtype=np.int8)),
+        lambda g: set_temporal(g.codes, (0, 1), TemporalCode.EDGE),
+        lambda g: g.codes.__setitem__((2, 2), ModalCode.INTRA_TEXT),
+        lambda g: g.codes.__setitem__((0, 0), 99),      # t 19, m 4
+        lambda g: g.codes.__setitem__((slice(None), slice(None)), -1),
     ], ids=["short-phi_t", "phi_m-2x2", "asymmetric", "diagonal",
             "out-of-range", "negative"])
     def test_rejects_corrupt_matrices(self, corrupt):
         g = small_fixture()
-        g.phi_t = g.phi_t.copy()
-        g.phi_m = g.phi_m.copy()
+        g.codes = g.codes.copy()
         corrupt(g)
         with pytest.raises(ValueError):
             g.validate()
 
     def test_single_graph_error_names_no_candidate(self):
         g = small_fixture()
-        g.phi_t = g.phi_t.copy()
-        g.phi_t[0, 1] = TemporalCode.EDGE
+        g.codes = g.codes.copy()
+        set_temporal(g.codes, (0, 1), TemporalCode.EDGE)
         with pytest.raises(ValueError, match="^phi_t not symmetric$"):
             g.validate()
 
@@ -550,8 +555,7 @@ class TestValidate:
             import numpy as np
             from tmeg.graph import Node, TmegGraph, node_arrays
             nodes = [Node(i, "text", "token", 1, "s1", i) for i in range(3)]
-            g = TmegGraph([], [], np.zeros((2, 2), np.int8),
-                          np.zeros((3, 3), np.int8), node_arrays(nodes))
+            g = TmegGraph([], [], np.zeros((2, 2), np.int8), node_arrays(nodes))
             try:
                 g.validate()
             except ValueError:
@@ -645,6 +649,39 @@ class TestCandidateStack:
             "candidate 1: phi_t has a non-NONE diagonal entry",
             "candidate 1: phi_t has codes outside [0, 4)",
             "candidate 1: phi_t has codes outside [0, 4)"]
+
+
+class TestPairCodes:
+
+    @pytest.fixture(scope="class")
+    def prepared(self):
+        corpus = generate_synthetic_corpus(SyntheticConfig(seed=3))
+        instances = make_instances(corpus, ["cloze", "coherence", "ordering"], 4, seed=3)
+        return prepare_instances(corpus, instances, DEFAULT_LAMBDA_T, DEFAULT_LAMBDA_M)
+
+    def test_each_graph_holds_one_int8_code_matrix(self, prepared):
+        for g in (g for p in prepared for g in p.graphs):
+            assert g.codes.dtype == np.int8
+            assert g.codes.shape == (g.n_nodes, g.n_nodes)
+
+    def test_code_buffers_hold_one_byte_per_stacked_pair(self, prepared):
+        """Each (document, context) group's K distinct candidates share
+        one (K, L, L) int8 buffer of pair codes, L their largest node
+        count, and nothing else holds a code matrix."""
+        groups: dict[tuple, dict] = {}
+        for p in prepared:
+            key = (p.instance.doc_id, tuple(p.instance.context_steps))
+            groups.setdefault(key, {}).update((id(g), g) for g in p.graphs)
+        buffers = {}
+        for g in (g for group in groups.values() for g in group.values()):
+            base = g.codes
+            while base.base is not None:
+                base = base.base
+            buffers[id(base)] = base.nbytes
+        bound = sum(len(group) * max(g.n_nodes for g in group.values()) ** 2
+                    for group in groups.values())
+        assert len(buffers) == len(groups)
+        assert sum(buffers.values()) <= bound
 
 
 class TestDumpGraph:

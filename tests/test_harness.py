@@ -326,12 +326,13 @@ class TestTraining:
         below 12 MB of traced memory above its start. With each layer's
         backward run chunk by chunk over graphs, every chunk's forward
         rebuilt from a tape of the layer input, the attention output, Phi
-        and the softmax and layer-norm statistics, the step peaks at
-        9.4 MB; it peaked at 14.3 MB while the backward ran the FFN, the
-        layer norms and the projections over the whole batch, at 21.4 MB
-        while each layer taped q, k, v and the FFN arrays and at 31.8 MB
-        while it also taped its (B, H, N, N) exp numerator and
-        probabilities."""
+        and the softmax and layer-norm statistics, and the modality MLPs'
+        tanh activations rebuilt in backward, the step peaks at 8.7 MB; it
+        peaked at 9.4 MB while those MLPs taped their activations, at
+        14.3 MB while the backward ran the FFN, the layer norms and the
+        projections over the whole batch, at 21.4 MB while each layer
+        taped q, k, v and the FFN arrays and at 31.8 MB while it also
+        taped its (B, H, N, N) exp numerator and probabilities."""
         model, prepared, cfg = criterion6_step_setup(SyntheticConfig(seed=123))
         tracemalloc.start()
         try:

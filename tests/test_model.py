@@ -17,15 +17,14 @@ from tmeg.autodiff import (
     Tensor, _add_code_bias, _code_grad, _code_table, _fold_code_grad,
 )
 from tmeg.data import SyntheticConfig, build_vocab, generate_synthetic_corpus
-from tmeg.graph import N_MODAL_CODES, N_TEMPORAL_CODES, node_arrays
+from tmeg.graph import N_MODAL_CODES, N_TEMPORAL_CODES, edge_codes, node_arrays
 from tmeg.harness import (
     RunConfig, ablate_graph, make_instances, prepare_instances, _batch_loss,
     _batch_scores,
 )
 from tmeg.model import (
-    GraphBatch, ModelConfig, TmegModel, _scatter, coherence_loss, edge_codes,
-    init_params, prediction_loss, prediction_loss_batch, prepare_batch,
-    total_loss,
+    GraphBatch, ModelConfig, TmegModel, _scatter, coherence_loss, init_params,
+    prediction_loss, prediction_loss_batch, prepare_batch, total_loss,
 )
 from tmeg.optim import finite_difference_check, grad_eval
 
@@ -482,14 +481,36 @@ class TestEdgeBias:
                                   ("no_both", {"phi_t", "phi_m"})):
             graphs = [g for p in prepare_instances(corpus, instances, 7.0, 0.5,
                                                    ablation) for g in p.graphs]
+            n_distinct = len({id(g.codes) for g in graphs})
+            assert n_distinct == len({id(g) for g in graphs}) == len({id(g) for g in full})
+            assert n_distinct < len(graphs)
             for name in ("phi_t", "phi_m"):
-                n_distinct = len({id(getattr(g, name)) for g in graphs})
-                assert n_distinct == len({id(g) for g in graphs}) == len({id(g) for g in full})
-                assert n_distinct < len(graphs)
                 for g, ref in zip(graphs, full):
                     np.testing.assert_array_equal(
                         getattr(g, name),
                         0 if name in cleared else getattr(ref, name))
+
+    def test_ablation_clears_one_kind_of_the_pair_codes(self):
+        """Each ablation's pair codes decode to its kind cleared to NONE
+        and the other kind unchanged, as int8: on prepared graphs, and on
+        codes holding every (temporal, modal) pair."""
+        corpus = generate_synthetic_corpus(SyntheticConfig(num_docs=4, d_v=4, seed=2))
+        instances = make_instances(corpus, ["cloze", "coherence", "ordering"], 4, 2)
+        graphs = [g for p in prepare_instances(corpus, instances, 7.0, 0.5)
+                  for g in p.graphs]
+        every_pair = np.arange(N_TEMPORAL_CODES * N_MODAL_CODES, dtype=np.int8)
+        graphs.append(dataclasses.replace(graphs[0], codes=every_pair.reshape(
+            N_TEMPORAL_CODES, N_MODAL_CODES)))
+        for ablation, cleared in (("no_temporal", {"phi_t"}),
+                                  ("no_modal", {"phi_m"}),
+                                  ("no_both", {"phi_t", "phi_m"})):
+            for g in graphs:
+                cut = ablate_graph(g, ablation)
+                assert cut.codes.dtype == np.int8
+                for name in ("phi_t", "phi_m"):
+                    want = getattr(g, name)
+                    np.testing.assert_array_equal(
+                        getattr(cut, name), 0 * want if name in cleared else want)
 
     def test_out_of_range_modal_code_rejected(self):
         phi_t = np.zeros((3, 3), dtype=np.int64)
