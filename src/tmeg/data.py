@@ -544,28 +544,18 @@ def generate_synthetic_corpus(config: SyntheticConfig, domain_tag: str = "recipe
                 image_id = f"{doc_id}-img{next(img_counter):03d}"
                 n_obj = int(rng.integers(config.objects_per_image_min,
                                          config.objects_per_image_max + 1))
-                depicted = ents[:n_obj] if n_obj <= len(ents) else ents
+                depicted = ents[:n_obj]
                 objects = []
-                boxes_by_entity = {}
-                for slot, e in enumerate(depicted):
-                    feat = latents[e] + rng.normal(
-                        0.0, config.feature_noise_sigma, size=config.d_v)
-                    box = (_grid_box(slot) if config.box_grid
-                           else _random_box(rng))
-                    boxes_by_entity[e] = box
+                for slot in range(n_obj):
+                    if slot < len(depicted):    # the entity's latent plus noise
+                        feat = latents[depicted[slot]] + rng.normal(
+                            0.0, config.feature_noise_sigma, size=config.d_v)
+                    else:    # background object: fresh random feature far from latents
+                        feat = rng.normal(0.0, config.entity_scale, size=config.d_v)
+                    box = _grid_box(slot) if config.box_grid else _random_box(rng)
                     objects.append(ObjectFeature(
-                        feature=feat, box=box,
-                        confidence=float(rng.uniform(0.5, 1.0)),
-                    ))
-                while len(objects) < n_obj:
-                    # background object: fresh random feature far from latents
-                    feat = rng.normal(0.0, config.entity_scale, size=config.d_v)
-                    box = (_grid_box(len(objects)) if config.box_grid
-                           else _random_box(rng))
-                    objects.append(ObjectFeature(
-                        feature=feat, box=box,
-                        confidence=float(rng.uniform(0.5, 1.0)),
-                    ))
+                        feature=feat, box=box, confidence=float(rng.uniform(0.5, 1.0))))
+                boxes_by_entity = dict(zip(depicted, (o.box for o in objects)))
                 for phrase, e in zip(phrases, ents):
                     if e in boxes_by_entity:
                         phrase.grounding_boxes[image_id] = _jitter_box(

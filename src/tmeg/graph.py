@@ -14,12 +14,12 @@ written with first-write precedence, `phi[mask & (phi == NONE)] = code`.
 
 A `TmegGraph` builds its `Node` list from its steps and images on first read.
 `assemble_candidate_graphs` labels one context's candidates with one
-`assemble_graph` call over the union of their images and slices all K of
-them out at once, as (K, L, L) stacks. That is exact: a pair's codes depend
+`assemble_graph` call over the union of their images and takes all K of
+them out of its pair codes at once, as one (K, L, L) int8 stack; the K
+graphs' codes are views into it. That is exact: a pair's codes depend
 only on the two nodes' own attributes, the text nodes and the groundings in
 one (step, image) scope. But the copies of a repeated image are INTRA_VIS
 (one `unit_id`) where the union holds one copy, so they are set after slicing.
-The K graphs' pair codes are views into one (K, L, L) int8 buffer.
 """
 
 from __future__ import annotations
@@ -104,9 +104,9 @@ class TmegGraph:
         return self.codes % N_MODAL_CODES
 
     def validate(self):
-        """Raise ValueError unless both code matrices are N x N, symmetric,
-        NONE on the diagonal and inside their code vocabularies."""
-        check_code_stack(self.phi_t[None], self.phi_m[None], [self.n_nodes], candidates=False)
+        """Raise ValueError unless `codes` is N x N and symmetric, and both
+        code kinds are NONE on the diagonal and inside their vocabularies."""
+        check_code_stack(self.codes[None], [self.n_nodes], candidates=False)
 
 
 def edge_codes(phi_t, phi_m) -> np.ndarray:
@@ -122,23 +122,25 @@ def edge_codes(phi_t, phi_m) -> np.ndarray:
             + phi_m.astype(np.int8))
 
 
-def check_code_stack(phi_t: np.ndarray, phi_m: np.ndarray, sizes: list[int],
-                     candidates: bool = True) -> None:
-    """`TmegGraph.validate` at once over K candidates' (K, L, L) code stacks,
-    L = max(sizes). The error names the first bad candidate, unless the
-    stack is one graph's (`candidates=False`)."""
+def check_code_stack(codes: np.ndarray, sizes: list[int], candidates: bool = True) -> None:
+    """`TmegGraph.validate` at once over K candidates' (K, L, L) pair-code
+    stack, L = max(sizes). The error names the first bad candidate (unless
+    `candidates=False`) and the failing kind, decoded from its codes."""
     shape = (len(sizes),) + (max(sizes, default=0),) * 2
-    for name, phi, n_codes in (("phi_t", phi_t, N_TEMPORAL_CODES),
-                               ("phi_m", phi_m, N_MODAL_CODES)):
-        if phi.shape != shape:
-            raise ValueError(f"{name} has shape {phi.shape}, expected {shape}")
-        for bad, what in ((phi != phi.transpose(0, 2, 1), "not symmetric"),
-                          (np.diagonal(phi, axis1=1, axis2=2), "has a non-NONE diagonal entry"),
-                          ((phi < 0) | (phi >= n_codes), f"has codes outside [0, {n_codes})")):
-            if bad.any():
-                k = int(bad.reshape(len(bad), -1).any(axis=1).argmax())
-                where = f"candidate {k}: " if candidates else ""
-                raise ValueError(f"{where}{name} {what}")
+    if codes.shape != shape:
+        raise ValueError(f"codes has shape {codes.shape}, expected {shape}")
+    bad = ((codes != codes.transpose(0, 2, 1)) | (codes < 0)
+           | (codes >= N_TEMPORAL_CODES * N_MODAL_CODES)).any(axis=(1, 2))
+    bad |= np.diagonal(codes, axis1=1, axis2=2).any(axis=1)
+    for k in np.flatnonzero(bad)[:1]:    # the first bad candidate, if any
+        where = f"candidate {k}: " if candidates else ""
+        for name, phi, n in (("phi_t", codes[k] // N_MODAL_CODES, N_TEMPORAL_CODES),
+                             ("phi_m", codes[k] % N_MODAL_CODES, N_MODAL_CODES)):
+            for fails, what in ((phi != phi.T, "not symmetric"),
+                                (phi.diagonal(), "has a non-NONE diagonal entry"),
+                                ((phi < 0) | (phi >= n), f"has codes outside [0, {n})")):
+                if fails.any():
+                    raise ValueError(f"{where}{name} {what}")
 
 
 # ----------------------------------------------------------------------
@@ -379,19 +381,16 @@ def assemble_candidate_graphs(steps: list[Step], candidates: list[list[StepImage
     idx[:, n_text:][fill] = rows
     step = arr.step.take(idx, mode="clip")        # a visual node's step: its image's position
     step[:, n_text:][fill] = np.repeat(pos, size)
-    padded = np.zeros((2, n + 1, n + 1), dtype=np.int8)
-    padded[:, :n, :n] = whole.phi_t, whole.phi_m
-    flat = idx[:, :, None] * (n + 1) + idx[:, None, :]
-    phi_t, phi_m = padded[0].ravel()[flat], padded[1].ravel()[flat]
+    padded = np.zeros((n + 1, n + 1), dtype=np.int8)
+    padded[:n, :n] = whole.codes
+    codes = padded.ravel()[idx[:, :, None] * (n + 1) + idx[:, None, :]]
     owner = np.repeat(np.arange(len(candidates)), [len(cand) for cand in candidates])
     if np.unique(owner * n + image).size < image.size:    # a candidate repeats an image
         vis = idx[:, n_text:]
         repeat = (vis[:, :, None] == vis[:, None, :]) & (vis < n)[:, :, None]
         repeat &= ~np.eye(vis.shape[1], dtype=bool)
-        phi_m[:, n_text:, n_text:][repeat] = ModalCode.INTRA_VIS
-    check_code_stack(phi_t, phi_m, sizes)
-    codes = np.multiply(phi_t, N_MODAL_CODES, out=phi_t)   # pair codes, in place
-    codes += phi_m
+        codes[:, n_text:, n_text:][repeat] = ModalCode.INTRA_VIS   # phi_t is NONE in one image
+    check_code_stack(codes, sizes)
     objects = np.searchsorted(arr.objects, rows[arr.kind[rows] == OBJECT])   # feature rows
     features, boxes, kind = arr.features[objects], arr.boxes[objects], arr.kind.take(idx, mode="clip")
     ends = list(itertools.accumulate(m - n_text - len(c) for m, c in zip(sizes, candidates)))

@@ -61,8 +61,8 @@ class RunConfig:
 
     def __post_init__(self):
         # each bound is written so that NaN fails it too
-        if self.lambda_b is not None and not self.lambda_b >= 0:
-            raise TrainError("lambda_b must be >= 0")
+        if self.lambda_b is not None and not 0 <= self.lambda_b < math.inf:
+            raise TrainError("lambda_b must be >= 0 and finite")
         if not 0 < self.lambda_t < math.inf:
             raise TrainError("lambda_t must be > 0 and finite")
         if not 0 <= self.lambda_m < 1:
@@ -77,6 +77,10 @@ class RunConfig:
             raise TrainError("batch_size must be >= 1")
         if self.ablation not in ABLATIONS:
             raise TrainError(f"unknown ablation: {self.ablation}")
+        if self.n_candidates < 2:
+            raise TrainError("n_candidates must be >= 2")
+        if not self.tasks or len(set(self.tasks) & set(D.TASK_KINDS)) < len(self.tasks):
+            raise TrainError(f"tasks must name one or more of {', '.join(D.TASK_KINDS)}, each once")
 
     def effective_lambda_b(self) -> float:
         if self.ablation == "no_coherence":
@@ -184,10 +188,10 @@ class PreparedInstance:
     aligned_rows: np.ndarray      # text CLS row indices aligned with candidates
 
 
-# each ablation's pair codes phi_t * C_m + phi_m with its kinds cleared
-_CLEARED = {"no_temporal": lambda codes: codes % G.N_MODAL_CODES,
-            "no_modal": lambda codes: codes - codes % G.N_MODAL_CODES,
-            "no_both": np.zeros_like}
+# each ablation's pair codes with its kinds cleared to NONE
+_CLEARED = {"no_temporal": lambda g: G.edge_codes(G.TemporalCode.NONE, g.phi_m),
+            "no_modal": lambda g: G.edge_codes(g.phi_t, G.ModalCode.NONE),
+            "no_both": lambda g: np.zeros_like(g.codes)}
 
 
 def ablate_graph(graph: G.TmegGraph, ablation: str) -> G.TmegGraph:
@@ -196,7 +200,7 @@ def ablate_graph(graph: G.TmegGraph, ablation: str) -> G.TmegGraph:
     all NONE. Other ablations clear nothing and return `graph` itself."""
     if ablation not in _CLEARED:
         return graph
-    return replace(graph, codes=_CLEARED[ablation](graph.codes))
+    return replace(graph, codes=_CLEARED[ablation](graph))
 
 
 def prepare_instances(corpus: D.Corpus, instances: list[D.TaskInstance],

@@ -31,6 +31,7 @@ its readout reads. Keys and values in those layers still span every row.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -96,10 +97,11 @@ class ModelConfig:
         if sd % self.scorer_heads != 0:
             raise ValueError("scorer_d must be divisible by scorer_heads")
         # written so that NaN fails them too
-        if not self.tau > 0:
-            raise ValueError("tau must be > 0")
-        if not self.lambda_b >= 0:
-            raise ValueError("lambda_b must be >= 0")
+        if not 0 < self.tau < math.inf:
+            raise ValueError("tau must be > 0 and finite")
+        for name in ("lambda_b", "init_scale", "edge_bias_init_scale"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be >= 0 and finite")
 
     @property
     def scorer_dim(self) -> int:
@@ -228,7 +230,6 @@ class GraphBatch:
     visual node's candidate position.
     """
     size: int
-    n_nodes: int
     n_text: int
     token_ids: np.ndarray       # (B, n_text) into the extended token table
     segments: np.ndarray        # (B, N) each node's step
@@ -326,7 +327,7 @@ def prepare_batch(graphs: list[TmegGraph], vocab: dict[str, int],
     text_cls_idx = _left_pack(n_text_cls, np.nonzero(text_cls)[1])
     vis_cls_idx = _left_pack(n_vis_cls, np.nonzero(vis_cls)[1] + n_text)
     return GraphBatch(
-        size=len(graphs), n_nodes=n_text + n_vis, n_text=n_text,
+        size=len(graphs), n_text=n_text,
         token_ids=token_ids, segments=step,
         vis_features=_scatter(objects, [np.zeros((0, config.d_v))] + features, dtype=np.float64),
         vis_boxes=_scatter(objects, [np.concatenate(

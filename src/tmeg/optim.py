@@ -110,7 +110,9 @@ def finite_difference_check(
     """Max relative error between analytic and central-difference gradients.
 
     Large parameters are sub-sampled: at least `max_coords_per_param` random
-    coordinates per parameter, drawn from a seeded stream.
+    coordinates per parameter, drawn from a seeded stream. A non-finite
+    loss or gradient gives a NaN error, and a NaN error is the worst: the
+    result is then NaN, which fails every `err < tol` check.
     """
     grad_eval(loss_fn(), store)
     values, analytic = store.flat[0], store.flat[1].copy()
@@ -130,7 +132,7 @@ def finite_difference_check(
             numeric = (f_plus - f_minus) / (2 * h)
             a = analytic[c]
             err = abs(a - numeric) / max(1e-8, abs(a) + abs(numeric))
-            worst = max(worst, err)
+            worst = math.nan if math.isnan(err) else max(worst, err)
     store.zero_grad()
     return worst
 

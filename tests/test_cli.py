@@ -122,6 +122,13 @@ class TestMakeTasks:
                      "--out", out]) == 3
 
 
+# model-config floats out of their bounds: tau must be finite and > 0, the
+# others finite and >= 0
+BAD_MODEL_FLOATS = [(name, value) for name in ("init_scale", "edge_bias_init_scale")
+                    for value in (-1.0, float("nan"), float("inf"))] + [
+                   ("tau", float("inf")), ("lambda_b", float("inf"))]
+
+
 class TestMalformedConfig:
 
     @pytest.mark.parametrize("command,config,named", [
@@ -161,6 +168,9 @@ class TestMalformedConfig:
         ("grad-check", run_config_dict(model={"max_steps": 0}), "max_steps"),
         ("grad-check", run_config_dict(model={"max_positions": 0}), "max_positions"),
         ("grad-check", run_config_dict(model={"k_negatives": 0}), "k_negatives"),
+        *[(command, run_config_dict(model={name: value}), name)
+          for command in ("train", "grad-check")
+          for name, value in BAD_MODEL_FLOATS],
         ("gen-data", dict(SYN_CONFIG, num_docs="3"), "num_docs"),
         ("gen-data", dict(SYN_CONFIG, feature_noise_sigma=True),
          "feature_noise_sigma"),
@@ -186,6 +196,8 @@ class TestMalformedConfig:
             "grad-check-model-zero-max-steps",
             "grad-check-model-zero-max-positions",
             "grad-check-model-zero-k-negatives",
+            *[f"{command}-model-{name}-{value}" for command in ("train", "grad-check")
+              for name, value in BAD_MODEL_FLOATS],
             "gen-data-str-for-int", "gen-data-bool-for-float",
             "gen-data-int-for-bool"])
     def test_exits_2_naming_the_offender(self, tmp_path, capsys, command,
@@ -196,6 +208,33 @@ class TestMalformedConfig:
         extra = {"gen-data": ["--out", os.path.join(tmp_path, "out.json")],
                  "transfer": ["--train", path, "--eval", path]}
         assert main([command, "--config", path] + extra.get(command, [])) == 2
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,overrides,named", [
+        ("train", dict(n_candidates=1), "n_candidates"),
+        ("grad-check", dict(n_candidates=1), "n_candidates"),
+        ("transfer", dict(n_candidates=1), "n_candidates"),
+        ("sweep-lambda", dict(n_candidates=1), "n_candidates"),
+        ("train", dict(tasks=[]), "tasks"),
+        ("grad-check", dict(tasks=[]), "tasks"),
+        ("train", dict(tasks=["bogus"]), "tasks"),
+        ("train", dict(tasks=["cloze", "cloze"]), "tasks"),
+        ("train", dict(lambda_b=float("inf")), "lambda_b"),
+        ("grad-check", dict(lambda_b=float("inf")), "lambda_b"),
+    ], ids=["train-one-candidate", "grad-check-one-candidate",
+            "transfer-one-candidate", "sweep-lambda-one-candidate",
+            "train-no-tasks", "grad-check-no-tasks", "train-unknown-task",
+            "train-repeated-task", "train-infinite-lambda-b",
+            "grad-check-infinite-lambda-b"])
+    def test_run_config_bounds_exit_5_naming_the_field(self, workspace, capsys, command,
+                                                       overrides, named):
+        """A run config outside its bounds exits with 5 before any data is
+        read, under every subcommand, and the message names the field."""
+        tmp_path, _, corpus_path = workspace
+        path = write_run_config(tmp_path, corpus_path, **overrides)
+        extra = {"transfer": ["--train", corpus_path, "--eval", corpus_path],
+                 "sweep-lambda": ["--values", "0.1"]}
+        assert main([command, "--config", path] + extra.get(command, [])) == 5
         assert named in capsys.readouterr().err
 
     def test_int_for_float_and_null_for_optional_accepted(self):
@@ -259,6 +298,37 @@ class TestTrainEval:
         codes, scipy_modules = json.loads(out.stdout.splitlines()[-1])
         assert codes == [0, 0, 0]
         assert scipy_modules == []
+
+    def test_numpy_is_the_only_third_party_import(self, tmp_path):
+        """A fresh process that imports every tmeg module and runs
+        grad-check loads no top-level module outside the standard library
+        but numpy and tmeg. Not counted: what the interpreter held before
+        (site's .pth hooks) and modules without a spec (the in-memory
+        runtime modules that Cython registers for numpy's extensions)."""
+        script = textwrap.dedent("""
+            import sys
+            before = set(sys.modules)
+            import importlib, json, pkgutil
+            import tmeg
+            for module in pkgutil.iter_modules(tmeg.__path__):
+                importlib.import_module(f"tmeg.{module.name}")
+            from tmeg.cli import main
+            code = main(["--metrics-out", sys.argv[2], "grad-check", "--config", sys.argv[1]])
+            loaded = {name.partition(".")[0] for name, module in list(sys.modules.items())
+                      if name not in before and getattr(module, "__spec__", None)}
+            print(json.dumps([code, sorted(loaded - set(sys.stdlib_module_names))]))
+        """)
+        run = os.path.join(tmp_path, "run.json")
+        with open(run, "w") as fh:
+            json.dump(run_config_dict(), fh)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(tmeg.__file__)))
+        out = subprocess.run([sys.executable, "-c", script, run,
+                              os.path.join(tmp_path, "metrics.json")],
+                             env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, check=True)
+        code, third_party = json.loads(out.stdout.splitlines()[-1])
+        assert code == 0
+        assert third_party == ["numpy", "tmeg"]
 
     def test_eval_dump_graphs_writes_sidecar(self, workspace):
         tmp_path, _, corpus_path = workspace

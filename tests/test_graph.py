@@ -578,12 +578,12 @@ def small_group():
 
 
 def code_stacks(graphs):
-    """Each graph's code matrices in one NONE-padded (K, L, L) stack."""
+    """Each graph's pair codes in one NONE-padded (K, L, L) stack."""
     size = max(g.n_nodes for g in graphs)
-    stacks = np.zeros((2, len(graphs), size, size), dtype=np.int8)
+    stack = np.zeros((len(graphs), size, size), dtype=np.int8)
     for k, g in enumerate(graphs):
-        stacks[:, k, :g.n_nodes, :g.n_nodes] = g.phi_t, g.phi_m
-    return stacks, [g.n_nodes for g in graphs]
+        stack[k, :g.n_nodes, :g.n_nodes] = g.codes
+    return stack, [g.n_nodes for g in graphs]
 
 
 class TestCandidateStack:
@@ -612,32 +612,33 @@ class TestCandidateStack:
             assert g.nodes is g.nodes and g.n_nodes == len(want)
 
     @pytest.mark.parametrize("corrupt,match", [
-        (lambda t, m: t.__setitem__((1, 0, 1), (t[1, 1, 0] + 1) % 4), "phi_t not symmetric"),
-        (lambda t, m: m.__setitem__((1, 2, 2), ModalCode.INTRA_TEXT), "phi_m has a non-NONE diag"),
-        (lambda t, m: t.__setitem__((1, slice(0, 2), slice(0, 2)), [[0, 99], [99, 0]]),
+        (lambda c: set_temporal(c, (1, 0, 1), (c[1, 1, 0] // N_MODAL_CODES + 1) % 4),
+         "phi_t not symmetric"),
+        (lambda c: c.__setitem__((1, 2, 2), ModalCode.INTRA_TEXT), "phi_m has a non-NONE diag"),
+        (lambda c: c.__setitem__((1, slice(0, 2), slice(0, 2)), [[0, 99], [99, 0]]),
          "phi_t has codes outside"),
-        (lambda t, m: m.__setitem__((1, slice(0, 2), slice(0, 2)), [[0, -1], [-1, 0]]),
-         "phi_m has codes outside"),
+        (lambda c: c.__setitem__((1, slice(0, 2), slice(0, 2)), [[0, -1], [-1, 0]]),
+         "phi_t has codes outside"),
     ], ids=["asymmetric", "diagonal", "out-of-range", "negative"])
     def test_check_names_the_corrupt_candidate(self, corrupt, match):
         steps, candidates = small_group()
-        (phi_t, phi_m), sizes = code_stacks(assemble_candidate_graphs(steps, candidates))
-        check_code_stack(phi_t, phi_m, sizes)
-        corrupt(phi_t, phi_m)
+        codes, sizes = code_stacks(assemble_candidate_graphs(steps, candidates))
+        check_code_stack(codes, sizes)
+        corrupt(codes)
         with pytest.raises(ValueError, match=f"candidate 1: {match}"):
-            check_code_stack(phi_t, phi_m, sizes)
+            check_code_stack(codes, sizes)
 
     def test_check_survives_python_optimize_flag(self):
         script = textwrap.dedent("""
             import numpy as np
             from tmeg.graph import check_code_stack
-            for k, (i, j, code) in enumerate([(0, 1, 1), (2, 2, 1), (0, 1, 9), (0, 1, -1)]):
-                phi = np.zeros((2, 3, 4, 4), np.int8)
-                phi[:, 1, i, j] = code
+            for k, (i, j, code) in enumerate([(0, 1, 5), (2, 2, 5), (0, 1, 99), (0, 1, -1)]):
+                codes = np.zeros((3, 4, 4), np.int8)
+                codes[1, i, j] = code
                 if k > 1:
-                    phi[:, 1, j, i] = code
+                    codes[1, j, i] = code
                 try:
-                    check_code_stack(phi[0], phi[1], [4, 4, 2])
+                    check_code_stack(codes, [4, 4, 2])
                 except ValueError as exc:
                     print(exc)
         """)

@@ -167,7 +167,7 @@ def node_walking_prepare_batch(graphs, vocab, config):
 
     (text_cls_idx, n_text_cls), (vis_cls_idx, n_vis_cls) = pad(text_cls), pad(vis_cls)
     return GraphBatch(
-        size=B, n_nodes=N, n_text=n_text, token_ids=token_ids,
+        size=B, n_text=n_text, token_ids=token_ids,
         segments=segments, vis_features=vis_features, vis_boxes=vis_boxes,
         vis_cls_mask=vis_cls_mask, node_mask=node_mask, codes=codes,
         text_cls_idx=text_cls_idx, vis_cls_idx=vis_cls_idx,
@@ -556,7 +556,7 @@ class TestEncoderShapes:
         model, corpus = build_model()
         batch = self.make_batch(model, corpus)
         out = model.run_encoder_batch(batch)
-        assert out.shape == (3, batch.n_nodes, model.config.d_model)
+        assert out.shape == (3, batch.node_mask.shape[1], model.config.d_model)
 
     def test_single_graph_matches_batched(self):
         model, corpus = build_model()

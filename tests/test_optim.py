@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from tmeg.autodiff import Tensor
+from tmeg.autodiff import Tensor, add_scaled, cross_entropy
 from tmeg.optim import (
     CheckpointError, ParamStore, adam_step, config_hash,
     finite_difference_check, grad_eval, load_checkpoint, save_checkpoint,
@@ -169,6 +169,19 @@ class TestFiniteDifferenceCheck:
 
         err = finite_difference_check(loss_fn, store)
         assert err > 1e-2
+
+    @pytest.mark.parametrize("scale", [np.inf, np.nan])
+    def test_non_finite_loss_fails(self, scale):
+        """A loss whose central differences are inf or NaN gives a NaN
+        relative error, which must count as the worst, not be skipped."""
+        store = ParamStore({"scores": np.array([[0.3, -0.2]])})
+
+        def loss_fn():
+            ce = cross_entropy(store["scores"].tensor, np.array([0]))
+            return add_scaled(ce, ce, scale)
+
+        err = finite_difference_check(loss_fn, store)
+        assert not err < 1e-4
 
     def test_subsampling_is_seeded(self):
         store = ParamStore({"big": np.random.default_rng(0).normal(size=200)})
